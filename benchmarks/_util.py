@@ -14,9 +14,9 @@ Every committed ``BENCH_*.json`` shares one envelope, built by
      ...benchmark-specific sections}
 
 ``repro_config`` records the execution-strategy knobs in effect when the
-numbers were taken — every ``REPRO_*`` env override plus the planner's
-model-derived serial cutovers — so a committed report is reproducible
-without guessing which backend or worker clamp was active.
+numbers were taken — every ``REPRO_*`` env override plus the built-in
+serial cutovers — so a committed report is reproducible without guessing
+which backend or worker clamp was active.
 
 so downstream tooling can diff machines and results across benchmarks
 without per-file parsers.
@@ -33,7 +33,7 @@ import time
 
 #: Version of the shared BENCH_*.json envelope (machine block + top-level
 #: keys); bump when the shape of the shared fields changes.
-#: v2: machine block gained ``repro_config`` (REPRO_* overrides + planner
+#: v2: machine block gained ``repro_config`` (REPRO_* overrides + serial
 #: cutovers).
 SCHEMA_VERSION = 2
 
@@ -77,30 +77,20 @@ def time_fn(fn, repeats: int, warmup: int = 1) -> dict:
 def repro_config() -> dict:
     """Execution-strategy knobs active for this run.
 
-    Captures every ``REPRO_*`` environment override plus the planner's
-    effective serial cutovers and backend sets, so a committed report
-    pins down exactly which execution strategy produced its numbers.
+    Captures every ``REPRO_*`` environment override plus the built-in
+    serial cutovers, so a committed report pins down exactly which
+    execution strategy produced its numbers.
     """
+    from repro.core.workpool import TIER1_AUTO_SERIAL_MIN_BLOCKS
+    from repro.jpeg2000.dwt_fast import AUTO_SERIAL_MIN_SAMPLES
+
     env = {k: v for k, v in sorted(os.environ.items())
            if k.startswith("REPRO_")}
-    cfg: dict = {"env": env}
-    try:
-        from repro.plan.calibration import (
-            DWT_BACKENDS, TIER1_BACKENDS, get_calibration,
-        )
-        from repro.plan.cutovers import (
-            dwt_serial_cutover_samples, tier1_serial_cutover_blocks,
-        )
-
-        calib = get_calibration()
-        cfg["tier1_backends"] = list(TIER1_BACKENDS)
-        cfg["dwt_backends"] = list(DWT_BACKENDS)
-        cfg["calibration_source"] = calib.source
-        cfg["dwt_serial_cutover_samples"] = dwt_serial_cutover_samples(calib)
-        cfg["tier1_serial_cutover_blocks"] = tier1_serial_cutover_blocks(calib)
-    except Exception:  # pragma: no cover - bench must not die on import
-        cfg["planner"] = "unavailable"
-    return cfg
+    return {
+        "env": env,
+        "dwt_serial_cutover_samples": AUTO_SERIAL_MIN_SAMPLES,
+        "tier1_serial_cutover_blocks": TIER1_AUTO_SERIAL_MIN_BLOCKS,
+    }
 
 
 def machine_info(**extra) -> dict:

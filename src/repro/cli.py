@@ -1,12 +1,10 @@
 """Command-line interface: encode / decode / simulate / serve / verify /
-fuzz / calibrate / plan.
+fuzz.
 
     python -m repro encode  input.bmp output.j2c [--lossy] [--rate 0.1]
-                              [--plan auto]
+                              [--tile 512] [--mem-budget MIB]
     python -m repro decode  input.j2c output.bmp [--backend batched]
-                              [--workers auto] [--plan auto]
-    python -m repro calibrate [--quick] [--output PATH]
-    python -m repro plan    2048x2048x3 [--rate 0.1] [--max-workers N]
+                              [--workers auto]
     python -m repro simulate input.bmp [--spes 8] [--ppe-threads 1]
                               [--chips 1] [--lossy] [--rate 0.1] [--estimate]
     python -m repro serve   [--port 8000] [--workers auto] [--cache-mb 64]
@@ -22,9 +20,6 @@ the exact coder (recommended above ~512x512).  ``serve`` runs the
 long-running encode service (persistent worker pool + HTTP front end);
 see the README "Serving" section.  ``verify`` and ``fuzz`` run the
 round-trip and decoder-robustness gates (README "Verification").
-``calibrate`` measures this machine's planner constants and caches them;
-``plan`` explains which execution configuration the planner would pick
-for a shape (README "Execution planner").
 
 Operational failures — malformed input files, undecodable codestreams,
 failed verification — exit 1 with a one-line ``error:`` message, never a
@@ -44,7 +39,7 @@ from repro.image.pnm import read_pnm, write_pnm
 from repro.jpeg2000.decoder import decode
 from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.errors import CodestreamError
-from repro.jpeg2000.params import EncoderParams
+from repro.jpeg2000.params import EncoderParams, choose_tile_size
 from repro.jpeg2000.tier1_stats import estimate_workload
 
 
@@ -84,10 +79,8 @@ def _params(args, image=None) -> EncoderParams:
         mem_budget *= 2**20
     tile = getattr(args, "tile", None)
     if tile is None and mem_budget is not None and image is not None:
-        # --mem-budget without --tile: let the planner size the tiles so a
-        # streaming tile row fits the budget.
-        from repro.plan.model import choose_tile_size
-
+        # --mem-budget without --tile: size the tiles so a streaming tile
+        # row fits the budget.
         ncomp = 1 if image.ndim == 2 else image.shape[2]
         tile = choose_tile_size(
             image.shape[0], image.shape[1], ncomp, mem_budget
@@ -100,9 +93,7 @@ def _params(args, image=None) -> EncoderParams:
                   precinct_size=getattr(args, "precinct", None),
                   progression=getattr(args, "progression", "lrcp").upper(),
                   mem_budget=mem_budget,
-                  self_check=args.self_check,
-                  plan="auto" if getattr(args, "plan", "fixed") == "auto"
-                  else None)
+                  self_check=args.self_check)
     if args.lossy or args.rate is not None:
         return EncoderParams(lossless=False, rate=args.rate, **common)
     return EncoderParams(lossless=True, **common)
@@ -152,12 +143,6 @@ def _add_coding_options(p: argparse.ArgumentParser) -> None:
                    help="decode the output before writing it and verify the "
                         "round trip (bit-exact lossless / PSNR-floored lossy); "
                         "roughly doubles encode time")
-    p.add_argument("--plan", default="fixed", choices=("auto", "fixed"),
-                   help="'auto' lets the execution planner pick backends, "
-                        "workers, and chunking from its calibrated cost "
-                        "model (explicit flags and REPRO_* env vars still "
-                        "win); 'fixed' (default) keeps the classic knobs. "
-                        "The codestream is identical either way")
 
 
 def cmd_encode(args) -> int:
@@ -177,11 +162,6 @@ def cmd_encode(args) -> int:
           f"{workers_used} worker(s), {wall:.2f}s")
     if result.timings is not None:
         print(f"  stages: {result.timings.summary()}")
-    if result.plan is not None:
-        decision = result.plan
-        print(f"  plan: {decision.plan.summary()}")
-        if decision.pinned:
-            print(f"  plan pinned by overrides: {', '.join(decision.pinned)}")
     return 0
 
 
@@ -193,8 +173,7 @@ def cmd_decode(args) -> int:
     timings = DecodeStageTimings()
     t0 = time.perf_counter()
     image = decode(codestream, backend=args.backend, workers=args.workers,
-                   timings=timings,
-                   plan="auto" if args.plan == "auto" else None)
+                   timings=timings)
     wall = time.perf_counter() - t0
     if image.dtype.itemsize == 2 and not args.output.lower().endswith(
         (".pgm", ".ppm", ".pnm")
@@ -253,7 +232,6 @@ def cmd_serve(args) -> int:
         shed_target_p95_s=args.shed_target_p95,
         batch_window=batch_window,
         batch_max=args.batch_max,
-        plan="auto" if args.plan == "auto" else None,
     )
     if args.shards > 1:
         from repro.service.sharding import ShardClusterConfig, run_sharded_server
@@ -287,67 +265,6 @@ def cmd_verify(args) -> int:
         for check in report.failures:
             print(f"FAIL {check.name}: {check.detail}", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_calibrate(args) -> int:
-    # Imported lazily: the planner is optional for every other command.
-    from repro.plan import default_cache_path, measure_calibration, save_calibration
-
-    print("measuring host calibration "
-          f"({'quick' if args.quick else 'full'} suite)...")
-    calib = measure_calibration(quick=args.quick)
-    path = args.output or default_cache_path()
-    save_calibration(calib, path)
-    print(f"wrote {path} ({calib.measure_seconds:.1f}s measured, "
-          f"fingerprint {calib.fingerprint})")
-    t1 = ", ".join(
-        f"{k}={v * 1e6:.2f}us" for k, v in sorted(calib.t1_per_sample.items())
-    )
-    dwt = ", ".join(
-        f"{k}={v * 1e9:.1f}ns" for k, v in sorted(calib.dwt_per_sample.items())
-    )
-    print(f"  tier1 per-sample: {t1}")
-    print(f"  dwt per-sample:   {dwt}")
-    print(f"  pool spawn {calib.pool_spawn_s * 1e3:.1f}ms, "
-          f"task {calib.pool_task_s * 1e6:.0f}us, "
-          f"shm base {calib.shm_base_s * 1e6:.0f}us, "
-          f"dwt fan-out {calib.dwt_fanout_s * 1e3:.1f}ms")
-    from repro.plan import dwt_serial_cutover_samples, tier1_serial_cutover_blocks
-
-    print(f"  cutovers: dwt serial below {dwt_serial_cutover_samples(calib)} "
-          f"samples, tier1 serial below "
-          f"{tier1_serial_cutover_blocks(calib)} blocks")
-    return 0
-
-
-def _parse_shape(text: str) -> tuple:
-    try:
-        parts = tuple(int(p) for p in text.lower().split("x"))
-    except ValueError:
-        raise SystemExit(
-            f"invalid shape {text!r}; expected HxW or HxWxC (e.g. 2048x2048x3)"
-        ) from None
-    if len(parts) not in (2, 3) or any(p < 1 for p in parts):
-        raise SystemExit(
-            f"invalid shape {text!r}; expected HxW or HxWxC (e.g. 2048x2048x3)"
-        )
-    return parts
-
-
-def cmd_plan(args) -> int:
-    from repro.plan import RequestShape, explain
-
-    parts = _parse_shape(args.shape)
-    lossless = not (args.lossy or args.rate is not None)
-    shape = RequestShape(
-        height=parts[0], width=parts[1],
-        components=parts[2] if len(parts) == 3 else 1,
-        lossless=lossless,
-        rate=args.rate if not lossless else None,
-        levels=args.levels, codeblock_size=args.codeblock,
-    )
-    print(explain(shape, max_workers=args.max_workers))
     return 0
 
 
@@ -413,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_workers, default=1, metavar="N",
                    help="Tier-1 decode worker processes; 'auto' = one per "
                         "core (output is identical for any value)")
-    p.add_argument("--plan", default="fixed", choices=("auto", "fixed"),
-                   help="'auto' lets the execution planner pick the decode "
-                        "backend and workers from the parsed shape "
-                        "(explicit flags and REPRO_DEC_BACKEND still win)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("simulate", help="simulated Cell/B.E. encode timeline")
@@ -473,11 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "live encode latency (default: off)")
     p.add_argument("--batch-max", type=int, default=8,
                    help="flush a micro-batch early at this many requests")
-    p.add_argument("--plan", default="fixed", choices=("auto", "fixed"),
-                   help="'auto' consults the execution planner for every "
-                        "uncached encode and feeds live stage timings back "
-                        "as corrections (per-request ?plan=auto works "
-                        "either way)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-request access logs")
     p.set_defaults(func=cmd_serve)
@@ -502,43 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="print only the final summary")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "calibrate",
-        help="measure this machine's planner calibration and cache it",
-        description="Runs the planner's micro-benchmark suite (Tier-1 "
-                    "per-sample throughput per backend, DWT chunk-pass "
-                    "cost, fork/dispatch overhead, shm publish cost) and "
-                    "writes the versioned JSON cache the execution planner "
-                    "loads (<100 ms, no re-measurement) on every later run. "
-                    "The cache invalidates itself when the machine or "
-                    "schema changes; REPRO_CALIBRATION_PATH relocates it.",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="trimmed suite (seconds instead of tens of seconds); "
-                        "noisier constants")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="write the calibration JSON here instead of the "
-                        "default cache path")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser(
-        "plan",
-        help="explain the execution plan for an image shape",
-        description="Prints the planner's per-candidate predicted stage "
-                    "costs for HxW[xC] and the configuration it would pick "
-                    "(repro plan 2048x2048x3 --rate 0.1).",
-    )
-    p.add_argument("shape", help="image shape as HxW or HxWxC")
-    p.add_argument("--lossy", action="store_true",
-                   help="price the irreversible 9/7 path")
-    p.add_argument("--rate", type=float, default=None,
-                   help="lossy target rate (implies --lossy)")
-    p.add_argument("--levels", type=int, default=5, help="DWT levels")
-    p.add_argument("--codeblock", type=int, default=64, help="code block size")
-    p.add_argument("--max-workers", type=int, default=None, metavar="N",
-                   help="cap the candidate worker grid (default: CPU cores)")
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser(
         "fuzz",

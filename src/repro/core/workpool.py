@@ -37,6 +37,12 @@ MIN_BLOCKS_FOR_POOL = 2
 #: ``multiprocessing.shared_memory`` is available.
 SHM_ENV = "REPRO_SHM_DISPATCH"
 
+#: Code blocks below which the Tier-1 pool cannot win: process start-up
+#: plus per-block pickling costs more than the blocks themselves
+#: (BENCH_tier1 measured 0.70-0.76x *slowdowns* at workers>1 before this
+#: clamp existed).
+TIER1_AUTO_SERIAL_MIN_BLOCKS = 24
+
 #: Environment override for the Tier-1 auto-serial clamp.  ``"0"`` disables
 #: the clamp entirely (tests/benchmarks that need the parallel path on
 #: small inputs or single-core machines); any other integer replaces the
@@ -47,14 +53,9 @@ TIER1_AUTO_SERIAL_ENV = "REPRO_TIER1_AUTO_SERIAL"
 def tier1_serial_threshold() -> int:
     """Code blocks below which the Tier-1 pool cannot win.
 
-    Precedence: the :data:`TIER1_AUTO_SERIAL_ENV` override wins;
-    otherwise the planner's model-derived cutover
-    (:func:`repro.plan.cutovers.tier1_serial_cutover_blocks`), which with
-    the pinned default calibration reproduces the hand-tuned 24-block
-    clamp this function replaced — process start-up plus per-block
-    pickling costs more than the blocks themselves below it (BENCH_tier1
-    measured 0.70-0.76x *slowdowns* at workers>1 before the clamp
-    existed).  ``0`` (env only) disables the clamp.
+    The :data:`TIER1_AUTO_SERIAL_ENV` override wins; otherwise
+    :data:`TIER1_AUTO_SERIAL_MIN_BLOCKS`.  ``0`` (env only) disables the
+    clamp.
     """
     env = os.environ.get(TIER1_AUTO_SERIAL_ENV, "")
     if env:
@@ -64,9 +65,7 @@ def tier1_serial_threshold() -> int:
             raise ValueError(
                 f"{TIER1_AUTO_SERIAL_ENV}={env!r} invalid; expected an integer"
             ) from None
-    from repro.plan.cutovers import tier1_serial_cutover_blocks  # lazy: cycle
-
-    return tier1_serial_cutover_blocks()
+    return TIER1_AUTO_SERIAL_MIN_BLOCKS
 
 
 def tier1_auto_workers(workers: int | None, blocks: int) -> int:

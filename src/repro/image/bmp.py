@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 
+from repro.image.errors import ImageFormatError
+
 _FILE_HEADER = struct.Struct("<2sIHHI")
 _INFO_HEADER = struct.Struct("<IiiHHIIiiII")
 _INFO_HEADER_SIZE = 40
@@ -80,12 +82,19 @@ def read_bmp(path: str) -> np.ndarray:
 
 
 def parse_bmp(data: bytes) -> np.ndarray:
-    """Parse uncompressed BMP bytes (e.g. an HTTP body) into a uint8 array."""
+    """Parse uncompressed BMP bytes (e.g. an HTTP body) into a uint8 array.
+
+    Every rejection raises :class:`~repro.image.errors.ImageFormatError`
+    with a ``reason`` slug; every extent a header declares (palette, pixel
+    rows) is checked against the buffer before it is read.
+    """
     if len(data) < _FILE_HEADER.size + _INFO_HEADER_SIZE:
-        raise ValueError("file too short to be a BMP")
+        raise ImageFormatError("file too short to be a BMP", reason="truncated")
     magic, _size, _r1, _r2, offset = _FILE_HEADER.unpack_from(data, 0)
     if magic != b"BM":
-        raise ValueError(f"not a BMP file (magic {magic!r})")
+        raise ImageFormatError(
+            f"not a BMP file (magic {magic!r})", reason="bad-magic"
+        )
     (
         header_size,
         width,
@@ -100,33 +109,60 @@ def parse_bmp(data: bytes) -> np.ndarray:
         _important,
     ) = _INFO_HEADER.unpack_from(data, _FILE_HEADER.size)
     if header_size < _INFO_HEADER_SIZE:
-        raise ValueError(f"unsupported DIB header size {header_size}")
+        raise ImageFormatError(
+            f"unsupported DIB header size {header_size}", reason="bad-header"
+        )
     if compression != 0:
-        raise ValueError(f"unsupported BMP compression {compression}")
+        raise ImageFormatError(
+            f"unsupported BMP compression {compression}",
+            reason="bad-compression",
+        )
+    if bpp not in (8, 24):
+        raise ImageFormatError(
+            f"unsupported BMP bit depth {bpp}", reason="bad-depth"
+        )
     bottom_up = height > 0
     height = abs(height)
     if width <= 0 or height <= 0:
-        raise ValueError(f"invalid BMP dimensions {width}x{height}")
+        raise ImageFormatError(
+            f"invalid BMP dimensions {width}x{height}", reason="bad-dimensions"
+        )
+    stride = _row_stride(width, bpp // 8)
+    if offset + stride * height > len(data):
+        raise ImageFormatError(
+            f"BMP pixel data truncated: header promises {height} rows of "
+            f"{stride} bytes at offset {offset}", reason="truncated",
+        )
+    raw = np.frombuffer(data, dtype=np.uint8, count=stride * height, offset=offset)
 
     if bpp == 24:
-        stride = _row_stride(width, 3)
-        raw = np.frombuffer(data, dtype=np.uint8, count=stride * height, offset=offset)
         rows = raw.reshape(height, stride)[:, : width * 3].reshape(height, width, 3)
         img = rows[:, :, ::-1]  # BGR -> RGB
-    elif bpp == 8:
-        stride = _row_stride(width, 1)
-        raw = np.frombuffer(data, dtype=np.uint8, count=stride * height, offset=offset)
+    else:
         idx = raw.reshape(height, stride)[:, :width]
         pal_off = _FILE_HEADER.size + header_size
         count = palette_count or 256
+        if count > 256:
+            raise ImageFormatError(
+                f"8-bit BMP palette has {count} entries (max 256)",
+                reason="bad-palette",
+            )
+        if pal_off + count * 4 > len(data):
+            raise ImageFormatError(
+                f"BMP palette truncated: {count} entries at offset {pal_off}",
+                reason="truncated",
+            )
+        if int(idx.max()) >= count:
+            raise ImageFormatError(
+                f"pixel index {int(idx.max())} outside the {count}-entry "
+                "palette", reason="bad-palette-index",
+            )
         pal = np.frombuffer(data, dtype=np.uint8, count=count * 4, offset=pal_off)
         pal = pal.reshape(count, 4)[:, :3][:, ::-1]  # BGRA -> RGB
         if np.all(pal[:, 0] == pal[:, 1]) and np.all(pal[:, 1] == pal[:, 2]):
             img = pal[idx, 0]
         else:
             img = pal[idx]
-    else:
-        raise ValueError(f"unsupported BMP bit depth {bpp}")
     if bottom_up:
         img = img[::-1]
     return np.ascontiguousarray(img)

@@ -160,7 +160,6 @@ def decode(
     backend: str | None = None,
     workers: int | None = 1,
     timings: DecodeStageTimings | None = None,
-    plan: object = None,
 ) -> np.ndarray:
     """Decode a codestream produced by :func:`repro.jpeg2000.encoder.encode`.
 
@@ -178,18 +177,9 @@ def decode(
     for every backend and worker count.  ``timings`` (a
     :class:`repro.jpeg2000.dwt_fast.DecodeStageTimings`) accumulates
     per-stage wall time.
-
-    ``plan`` (``None``, ``"auto"``, or a :class:`repro.plan.ExecutionPlan`)
-    lets the execution planner pick the backend and worker count from the
-    parsed codestream's shape.  Precedence matches the encoder: an
-    explicit ``backend``/``workers`` argument or the ``REPRO_DEC_BACKEND``
-    environment variable always wins over the plan.  The decoded samples
-    are identical under every plan.
     """
     t_start = time.perf_counter()
     info = parse_codestream(codestream, limits=limits)
-    if plan is not None:
-        backend, workers = _apply_decode_plan(plan, backend, workers, info)
     resolved = resolve_dec_backend(backend)
     try:
         if resolved == "reference":
@@ -212,47 +202,6 @@ def decode_reference(
 ) -> np.ndarray:
     """The pinned scalar decode path (the oracle every backend must match)."""
     return decode(codestream, limits, backend="reference")
-
-
-def _apply_decode_plan(plan, backend, workers, info):
-    """Overlay a decode plan under explicit > env > plan precedence.
-
-    ``backend`` is planner-fillable only when left on automatic (``None``
-    or ``"auto"``) with ``REPRO_DEC_BACKEND`` unset; ``workers`` only at
-    its default of 1 (mirroring the encoder's convention).  ``"auto"``
-    derives the worker count from the planner's Tier-1 cutover on the
-    parsed shape; an :class:`repro.plan.ExecutionPlan` is applied
-    verbatim.
-    """
-    import os
-
-    from repro.plan.model import ExecutionPlan, estimate_code_blocks
-
-    backend_open = backend in (None, "auto") and not os.environ.get(
-        DEC_BACKEND_ENV_VAR, ""
-    )
-    workers_open = workers == 1
-    if isinstance(plan, ExecutionPlan):
-        if backend_open:
-            backend = plan.tier1_backend
-        if workers_open:
-            workers = plan.workers
-        return backend, workers
-    if plan != "auto":
-        raise ValueError(
-            f'plan must be None, "auto", or an ExecutionPlan, got {plan!r}'
-        )
-    if backend_open:
-        backend = "batched"  # fastest decode rung on every calibrated box
-    if workers_open:
-        from repro.core.workpool import tier1_auto_workers
-
-        blocks = estimate_code_blocks(
-            (info.height, info.width, info.num_components),
-            info.levels, info.codeblock_size,
-        )
-        workers = tier1_auto_workers(None, blocks)
-    return backend, workers
 
 
 def _tile_layout(info: CodestreamInfo) -> tuple[list[bytes], list[tuple[int, int, int, int]]]:

@@ -79,6 +79,12 @@ DWT_BACKENDS = ("auto", "reference", "fused")
 #: aligned and contiguous.
 CACHE_LINE_COLS = 32
 
+#: Input samples below which the fused front end stays serial: thread
+#: submission and chunk-boundary costs only amortize on enough data
+#: (BENCH_dwt's 1024x1024 case showed parallel *losing* to serial,
+#: scaling 0.69, before this guard existed).
+AUTO_SERIAL_MIN_SAMPLES = 1 << 21
+
 #: Environment override for the auto-serial threshold (``0`` disables the
 #: clamp entirely — used by tests and benchmarks that need the parallel
 #: path on small inputs; any other integer replaces the sample threshold).
@@ -90,13 +96,8 @@ _UNSET = object()
 def dwt_serial_threshold() -> int:
     """Input samples below which the fused front end stays serial.
 
-    Precedence: the :data:`AUTO_SERIAL_ENV` override wins; otherwise the
-    planner's model-derived cutover
-    (:func:`repro.plan.cutovers.dwt_serial_cutover_samples`), which with
-    the pinned default calibration reproduces the hand-tuned ``1 << 21``
-    clamp this function replaced — thread submission and chunk-boundary
-    costs only amortize on enough data (BENCH_dwt's 1024x1024 case showed
-    parallel *losing* to serial, scaling 0.69, before the guard existed).
+    The :data:`AUTO_SERIAL_ENV` override wins; otherwise
+    :data:`AUTO_SERIAL_MIN_SAMPLES`.
     """
     env = os.environ.get(AUTO_SERIAL_ENV, "")
     if env:
@@ -106,9 +107,7 @@ def dwt_serial_threshold() -> int:
             raise ValueError(
                 f"{AUTO_SERIAL_ENV}={env!r} invalid; expected an integer"
             ) from None
-    from repro.plan.cutovers import dwt_serial_cutover_samples  # lazy: cycle
-
-    return dwt_serial_cutover_samples()
+    return AUTO_SERIAL_MIN_SAMPLES
 
 
 def auto_serial_workers(workers, samples: int):

@@ -157,9 +157,6 @@ class EncodeResult:
     stats: WorkloadStats
     #: Per-stage wall times (see :class:`repro.jpeg2000.dwt_fast.StageTimings`).
     timings: StageTimings | None = None
-    #: Planner decision (:class:`repro.plan.PlanDecision`) when the encode
-    #: ran under ``params.plan``; ``None`` for classic knob-driven encodes.
-    plan: object = None
 
     @property
     def compression_ratio(self) -> float:
@@ -226,22 +223,9 @@ def encode(
     :class:`repro.core.workpool.CodeBlockWorkQueue`'s ``pool`` argument) —
     the encode service routes Tier-1 work through its shared worker pool
     this way.  The codestream is byte-identical with or without it.
-
-    When ``params.plan`` is set (``"auto"`` or an
-    :class:`repro.plan.ExecutionPlan`), the planner resolves the
-    execution knobs first — explicit parameters and env overrides always
-    win — and the decision is returned on ``EncodeResult.plan``.  Plans
-    never change the codestream bytes.
     """
     if params is None:
         params = EncoderParams.lossless_default()
-    plan_decision = None
-    if params.plan is not None:
-        from repro.plan import resolve_plan  # lazy: planner is optional
-
-        params, plan_decision = resolve_plan(
-            np.asarray(image).shape, params, pool_warm=pool is not None
-        )
     t_start = time.perf_counter()
     comps, depth = _normalize_image(image)
     height, width = comps[0].shape
@@ -460,7 +444,6 @@ def encode(
     stats.codestream_bytes = len(codestream)
     result = EncodeResult(
         codestream=codestream, params=params, stats=stats, timings=timings,
-        plan=plan_decision,
     )
     if params.self_check:
         # Lazy import: repro.verify depends on this module.

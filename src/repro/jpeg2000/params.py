@@ -8,9 +8,31 @@ from dataclasses import dataclass, field
 #: front end's int32/float planes account for ~8, but the batched Tier-1
 #: coder's stacked per-block state (sign/significance/context planes and
 #: MQ output buffers) dominates at roughly 16x that.  ``mem_budget``
-#: batch sizing and the planner's automatic tile sizing both divide by
-#: this constant, so they share one definition.
+#: batch sizing and :func:`choose_tile_size` both divide by this
+#: constant, so they share one definition.
 TILE_WORKSET_BYTES = 128
+
+
+def choose_tile_size(
+    height: int, width: int, components: int, mem_budget: int
+) -> int | None:
+    """Pick a tile size so one streaming tile row fits ``mem_budget`` bytes.
+
+    A row of ``ceil(w/ts)`` tiles costs about ``w * ts * components *
+    TILE_WORKSET_BYTES`` bytes.  Returns ``None`` when the whole image
+    already fits — tiling then only adds header overhead — otherwise the
+    largest power-of-two tile size (>= 64) whose row fits.
+    """
+    if mem_budget <= 0:
+        raise ValueError(f"mem_budget must be > 0, got {mem_budget}")
+    per_sample = components * TILE_WORKSET_BYTES
+    if height * width * per_sample <= mem_budget:
+        return None
+    ts = 64
+    while ts * 2 <= min(height, width) and \
+            width * (ts * 2) * per_sample <= mem_budget:
+        ts *= 2
+    return ts
 
 
 @dataclass(frozen=True)
@@ -102,15 +124,6 @@ class EncoderParams:
         during a tiled encode.  Execution-only: it changes batching, never
         bytes.  ``None`` (default) batches one tile row at a time when
         tiled.  Requires ``tile_size`` to have an effect.
-    plan:
-        Execution-planner request: ``None`` (default) keeps the classic
-        knob semantics above; ``"auto"`` asks
-        :mod:`repro.plan` to pick backends / workers / chunking from its
-        calibrated cost model for the image at hand; an explicit
-        :class:`repro.plan.ExecutionPlan` is applied verbatim.  The plan
-        only fills fields left on automatic — precedence is explicit
-        parameter > environment variable > plan — and never changes the
-        codestream: every plan is byte-identical by construction.
     """
 
     lossless: bool = True
@@ -128,7 +141,6 @@ class EncoderParams:
     precinct_size: int | None = None
     mem_budget: int | None = None
     self_check: bool = False
-    plan: object = None
 
     def __post_init__(self) -> None:
         if self.levels < 0 or self.levels > 32:
@@ -194,14 +206,6 @@ class EncoderParams:
             raise ValueError(
                 f"mem_budget must be >= 1 MiB or None, got {self.mem_budget}"
             )
-        if self.plan is not None and self.plan != "auto":
-            from repro.plan.model import ExecutionPlan  # lazy: avoids cycle
-
-            if not isinstance(self.plan, ExecutionPlan):
-                raise ValueError(
-                    f'plan must be None, "auto", or an ExecutionPlan, '
-                    f"got {self.plan!r}"
-                )
 
     @staticmethod
     def lossless_default() -> "EncoderParams":

@@ -484,16 +484,14 @@ def encode_codeblocks_batched(
     return results
 
 
-def group_shard_count(nblocks: int, workers: int,
-                      target_shards: int = 0) -> int:
+def group_shard_count(nblocks: int, workers: int) -> int:
     """Blocks per shard when geometry groups fan out across a worker pool.
 
-    The default policy splits the image's blocks into about ``2 * workers``
-    shards — enough shards that the dynamic queue can balance the
-    data-dependent load imbalance, few enough that each worker still
-    amortizes its NumPy overhead over a stack.  ``target_shards`` (from an
-    :class:`repro.plan.ExecutionPlan`'s ``batch_group_shards``) overrides
-    the shard target.  Returns the shard *size* (blocks per task), >= 1.
+    Splits the image's blocks into about ``2 * workers`` shards — enough
+    shards that the dynamic queue can balance the data-dependent load
+    imbalance, few enough that each worker still amortizes its NumPy
+    overhead over a stack.  Returns the shard *size* (blocks per task),
+    >= 1.
     """
-    shards = target_shards if target_shards > 0 else 2 * max(1, workers)
+    shards = 2 * max(1, workers)
     return max(1, -(-nblocks // shards))

@@ -22,7 +22,7 @@ import hashlib
 import io
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,12 +80,6 @@ class ServiceConfig:
     batch_window: str | float | None = None
     #: Flush a micro-batch early once this many requests are waiting.
     batch_max: int = 8
-    #: ``"auto"`` consults the execution planner (:mod:`repro.plan`) for
-    #: every uncached encode — backends, workers, chunking from the
-    #: calibrated cost model, with live stage timings fed back as bounded
-    #: corrections.  ``None`` (default) plans only requests that ask for
-    #: it (``?plan=auto`` / ``params.plan``).
-    plan: str | None = None
 
 
 @dataclass
@@ -102,9 +96,6 @@ class EncodeResponse:
     cache_source: str | None = None
     #: True when the encode rode a micro-batch dispatch.
     batched: bool = False
-    #: Planner decision (:class:`repro.plan.PlanDecision`) when this encode
-    #: was planned; None for classic knob-driven or cached responses.
-    plan: object = None
 
 
 @dataclass
@@ -212,12 +203,6 @@ class EncodeService:
             self.shedder = LoadShedder(
                 self._request_time, self.config.shed_target_p95_s
             )
-        # One planner per service process: owns the EWMA corrections the
-        # live stage histograms feed, and the selection counters /stats
-        # reports.  Constructing it never measures anything.
-        from repro.plan import ServicePlanner
-
-        self.planner = ServicePlanner()
         self.batcher = None
         if self.config.batch_window is not None:
             from repro.service.sharding.batching import MicroBatcher
@@ -225,8 +210,6 @@ class EncodeService:
             if self.config.batch_window == "auto":
                 # Wait about half a typical pool encode: long enough to
                 # collect a burst, short enough not to dominate latency.
-                # Before the histogram has samples, the planner's cost
-                # model seeds the window instead of a blind constant.
                 self.batcher = MicroBatcher(
                     pool=self.pool,
                     window_provider=self._batch_window_suggestion,
@@ -347,31 +330,14 @@ class EncodeService:
             self._inflight_gauge.inc()
             batched = False
             result = None
-            # Execution planning: per-request opt-in (params.plan) or the
-            # service-wide default (config.plan="auto").  Cached and
-            # coalesced returns above never pay for it, and the cache key
-            # deliberately ignores execution strategy, so planned and
-            # unplanned requests share entries.
-            plan_decision = None
-            exec_params = params
-            if params.plan is not None or self.config.plan == "auto":
-                plan_params = (
-                    params if params.plan is not None
-                    else replace(params, plan="auto")
-                )
-                exec_params, plan_decision = self.planner.decide(
-                    image.shape, plan_params
-                )
             try:
                 if self.batcher is not None and self._is_micro(image, params):
-                    codestream = self.batcher.submit(
-                        image, exec_params
-                    ).codestream
+                    codestream = self.batcher.submit(image, params).codestream
                     batched = True
                     self._batched.inc()
                 else:
                     with self.scheduler.job(priority=priority) as job:
-                        result = encode(image, exec_params, pool=job)
+                        result = encode(image, params, pool=job)
                     codestream = result.codestream
             except Exception:
                 self._errors.inc()
@@ -388,9 +354,6 @@ class EncodeService:
             if result is not None and result.timings is not None:
                 for stage, hist in self._stage_times.items():
                     hist.observe(getattr(result.timings, stage))
-                # Close the planner's loop: actual stage seconds nudge the
-                # bounded EWMA corrections the next prediction uses.
-                self.planner.observe(plan_decision, result.timings)
             self.cache.put(key, codestream)
             if remote_lease:
                 # Publishing stores the value in the bus AND releases the
@@ -402,7 +365,6 @@ class EncodeService:
                 codestream=codestream, cache_hit=False,
                 queue_wait_s=t_admitted - t_start, encode_s=t_done - t_admitted,
                 params=params, result=result, batched=batched,
-                plan=plan_decision,
             )
         finally:
             if remote_lease:
@@ -420,7 +382,6 @@ class EncodeService:
         codestream: bytes,
         backend: str | None = None,
         workers: int | None = 1,
-        plan: object = None,
     ) -> DecodeResponse:
         """Decode one codestream, with the same serving affordances as encode.
 
@@ -457,12 +418,9 @@ class EncodeService:
         self._inflight_gauge.inc()
         timings = DecodeStageTimings()
         t0 = time.perf_counter()
-        if plan is None and self.config.plan == "auto":
-            plan = "auto"
         try:
             image = decode(
                 codestream, backend=resolved, workers=workers, timings=timings,
-                plan=plan,
             )
         except Exception:
             self._dec_errors.inc()
@@ -488,23 +446,12 @@ class EncodeService:
         return is_micro_request(image.shape, params)
 
     def _batch_window_suggestion(self) -> float:
-        """Micro-batch window: live p50 when available, else the model.
+        """Micro-batch window: half the live p50 encode time.
 
-        Half a typical small pool encode.  Until the ``encode_seconds``
-        histogram has samples (cold start), the planner's cost model
-        predicts the encode time of a nominal micro request instead of
-        falling back to a blind constant.
+        Returns 0 until the ``encode_seconds`` histogram has samples; the
+        batcher then falls back to its default window.
         """
-        live = self._encode_time.quantile(0.5)
-        if live > 0.0:
-            return live / 2
-        from repro.plan import RequestShape, predict_stage_seconds
-
-        pred = predict_stage_seconds(
-            RequestShape(128, 128, 1), "batched", "fused", 1,
-            corrections=self.planner.corrections,
-        )
-        return sum(pred.values()) / 2
+        return self._encode_time.quantile(0.5) / 2
 
     def _update_hit_ratio(self) -> None:
         requests = self._requests.value
@@ -543,7 +490,6 @@ class EncodeService:
             "cache": self.cache.snapshot(),
             "admission": self.admission.snapshot(),
             "tier1_geometry_cache": self._geometry_cache_stats(),
-            "plan": self.planner.stats(),
         }
         if self.shedder is not None:
             out["shedder"] = self.shedder.snapshot()

@@ -49,14 +49,11 @@ def params_from_query(query: str) -> tuple[EncoderParams, int]:
     q = {k: v[-1] for k, v in parse_qs(query).items()}
     unknown = set(q) - {
         "lossy", "rate", "levels", "codeblock", "priority",
-        "tier1_backend", "dwt_backend", "dwt_chunk", "verify", "plan",
+        "tier1_backend", "dwt_backend", "dwt_chunk", "verify",
         "tile", "precinct", "progression", "mem_budget",
     }
     if unknown:
         raise ValueError(f"unknown query parameters: {sorted(unknown)}")
-    plan_q = q.get("plan", "fixed")
-    if plan_q not in ("auto", "fixed"):
-        raise ValueError(f"plan must be 'auto' or 'fixed', got {plan_q!r}")
     try:
         rate = float(q["rate"]) if "rate" in q else None
         lossy = q.get("lossy", "0").lower() in ("1", "true", "yes") or rate is not None
@@ -74,7 +71,6 @@ def params_from_query(query: str) -> tuple[EncoderParams, int]:
             mem_budget=(
                 int(q["mem_budget"]) * 2**20 if "mem_budget" in q else None
             ),
-            plan="auto" if plan_q == "auto" else None,
         )
         priority = int(q.get("priority", 0))
     except ValueError:
@@ -240,8 +236,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             headers["X-Cache-Source"] = response.cache_source
         if response.batched:
             headers["X-Batched"] = "1"
-        if response.plan is not None:
-            headers["X-Plan"] = response.plan.plan.header_value()
         if verify:
             headers["X-Verified"] = "roundtrip"
         self._respond(
@@ -256,24 +250,18 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         service = self.server.service
         try:
             q = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-            unknown = set(q) - {"backend", "workers", "plan"}
+            unknown = set(q) - {"backend", "workers"}
             if unknown:
                 raise ValueError(f"unknown query parameters: {sorted(unknown)}")
             backend = q.get("backend", "auto")
             workers_q = q.get("workers", "1")
             workers = None if workers_q.lower() == "auto" else int(workers_q)
-            plan_q = q.get("plan", "fixed")
-            if plan_q not in ("auto", "fixed"):
-                raise ValueError(
-                    f"plan must be 'auto' or 'fixed', got {plan_q!r}"
-                )
         except ValueError as exc:
             self._error(400, str(exc))
             return
         try:
             response = service.decode_image(
                 body, backend=backend, workers=workers,
-                plan="auto" if plan_q == "auto" else None,
             )
         except QueueFullError as exc:
             retry_after = getattr(exc, "retry_after_s", None)

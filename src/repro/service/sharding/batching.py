@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.workpool import tier1_serial_threshold
 from repro.jpeg2000.dwt_fast import dwt_serial_threshold
-from repro.plan.model import estimate_code_blocks  # noqa: F401  (re-export)
 
 #: Bounds on the adaptive batch window (seconds): never wait less than a
 #: scheduler tick, never add more than 50 ms of latency to a request.
@@ -41,14 +40,39 @@ MAX_WINDOW_S = 0.050
 DEFAULT_WINDOW_S = 0.005
 
 
+def estimate_code_blocks(shape, levels: int, codeblock_size: int) -> int:
+    """Code blocks a ``shape`` image yields (all components, all subbands).
+
+    Mirrors the tiling the encoder performs without running it: level
+    ``l`` has an LL quadrant of ceil(h/2^l) x ceil(w/2^l); the three
+    detail bands at level ``l`` share the LL(l-1) split.
+    """
+    h, w = int(shape[0]), int(shape[1])
+    channels = int(shape[2]) if len(shape) == 3 else 1
+
+    def blocks_in(bh: int, bw: int) -> int:
+        if bh <= 0 or bw <= 0:
+            return 0
+        return -(-bh // codeblock_size) * -(-bw // codeblock_size)
+
+    per_component = 0
+    lh, lw = h, w
+    for _ in range(levels):
+        hh, hw = lh - lh // 2, lw - lw // 2  # ceil halves (low-pass)
+        dh, dw = lh // 2, lw // 2  # floor halves (high-pass)
+        per_component += blocks_in(hh, dw) + blocks_in(dh, hw) + blocks_in(dh, dw)
+        lh, lw = hh, hw
+    per_component += blocks_in(lh, lw)  # final LL
+    return per_component * channels
+
+
 def is_micro_request(shape, params) -> bool:
     """True when an encode sits below *both* auto-serial cutovers.
 
     These are the requests that would run inline on the shard's request
     thread (the pool cannot win per-request) — precisely the population
     micro-batching is for.  Larger images go through the scheduler as
-    before.  The cutovers come from the planner's model (env overrides
-    still win), so what counts as "micro" tracks the calibrated machine.
+    before.
     """
     samples = int(np.prod(shape))
     if samples >= dwt_serial_threshold():

@@ -17,6 +17,7 @@ from repro.image.synthetic import watch_face_image
 from repro.jpeg2000 import dwt
 from repro.jpeg2000.dwt_fast import (
     AUTO_SERIAL_ENV,
+    AUTO_SERIAL_MIN_SAMPLES,
     CACHE_LINE_COLS,
     DWT_BACKENDS,
     FrontendResult,
@@ -251,22 +252,16 @@ class TestStageTimings:
 class TestAutoSerial:
     """Small images skip the thread fan-out (PR 4 scaling fix)."""
 
-    def test_threshold_is_model_derived(self, monkeypatch):
-        # Without env override the threshold comes from the planner's
-        # cutover model, pinned to reproduce the legacy 2^21 clamp under
-        # the default calibration (and clamped to [2^18, 2^23] always).
+    def test_threshold_defaults_to_constant(self, monkeypatch):
         monkeypatch.delenv(AUTO_SERIAL_ENV, raising=False)
-        from repro.plan.calibration import DEFAULT_HOST_CALIBRATION
-        from repro.plan.cutovers import dwt_serial_cutover_samples
-
-        assert dwt_serial_cutover_samples(DEFAULT_HOST_CALIBRATION) == 1 << 21
-        assert (1 << 18) <= dwt_serial_threshold() <= (1 << 23)
+        assert AUTO_SERIAL_MIN_SAMPLES == 1 << 21
+        assert dwt_serial_threshold() == AUTO_SERIAL_MIN_SAMPLES
 
     def test_small_image_clamps_to_serial(self, monkeypatch):
         monkeypatch.delenv(AUTO_SERIAL_ENV, raising=False)
         threshold = dwt_serial_threshold()
         assert auto_serial_workers(4, threshold - 1) == 1
-        assert auto_serial_workers(8, (1 << 18) - 1) == 1  # below min clamp
+        assert auto_serial_workers(8, (1 << 18) - 1) == 1
 
     def test_large_image_keeps_workers(self, monkeypatch):
         monkeypatch.delenv(AUTO_SERIAL_ENV, raising=False)

@@ -1,11 +1,30 @@
 """BMP/PNM reader-writer and synthetic generator tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from repro.image.bmp import read_bmp, write_bmp
+from repro.image import ImageFormatError
+from repro.image.bmp import parse_bmp, read_bmp, write_bmp
 from repro.image.pnm import read_pnm, write_pnm
 from repro.image.synthetic import gradient_image, noise_image, watch_face_image
+
+
+def _bmp8(width=4, height=4, header_size=40, bpp=8, compression=0,
+          palette_count=2, index=1, trim=0, rows=None):
+    """A small hand-built 8-bit BMP whose header fields can be corrupted."""
+    palette = bytes(
+        b for v in range(palette_count or 256) for b in (v & 255,) * 3 + (0,)
+    )
+    stride = (width + 3) & ~3
+    pixels = bytes([index]) * (stride * (height if rows is None else rows))
+    offset = 14 + 40 + len(palette)
+    head = struct.pack("<2sIHHI", b"BM", offset + len(pixels), 0, 0, offset)
+    info = struct.pack("<IiiHHIIiiII", header_size, width, height, 1, bpp,
+                       compression, len(pixels), 0, 0, palette_count, 0)
+    data = head + info + palette + pixels
+    return data[: len(data) - trim]
 
 
 class TestBmp:
@@ -48,6 +67,30 @@ class TestBmp:
     def test_rejects_bad_shape(self, tmp_path):
         with pytest.raises(ValueError):
             write_bmp(str(tmp_path / "x.bmp"), np.zeros((4, 4, 2), dtype=np.uint8))
+
+    def test_hand_built_bmp_parses(self):
+        img = parse_bmp(_bmp8(index=1))
+        assert img.shape == (4, 4) and np.all(img == 1)
+
+    @pytest.mark.parametrize("data, reason", [
+        (b"XX" + b"\0" * 100, "bad-magic"),
+        (b"BM\0\0", "truncated"),
+        (_bmp8(index=255), "bad-palette-index"),
+        (_bmp8(palette_count=300), "bad-palette"),
+        (_bmp8(header_size=40 + 4096), "truncated"),
+        (_bmp8(trim=1), "truncated"),
+        (_bmp8(height=1 << 20, rows=4), "truncated"),
+        (_bmp8(bpp=16), "bad-depth"),
+        (_bmp8(compression=1), "bad-compression"),
+        (_bmp8(header_size=12), "bad-header"),
+        (_bmp8(width=0), "bad-dimensions"),
+    ], ids=["magic", "short", "palette-index", "palette-size",
+            "palette-extent", "pixels-trimmed", "pixels-huge", "depth",
+            "compression", "header", "dimensions"])
+    def test_malformed_is_typed(self, data, reason):
+        with pytest.raises(ImageFormatError) as err:
+            parse_bmp(data)
+        assert err.value.reason == reason
 
 
 class TestPnm:

@@ -9,6 +9,7 @@ exercised exactly as a client sees it.
 from __future__ import annotations
 
 import json
+import struct
 import threading
 import urllib.error
 import urllib.request
@@ -122,6 +123,20 @@ class TestEncodeEndpoint:
             _post(f"{base_url}/encode", b"P5\n2 2\n70000\n" + b"\0" * 8)
         assert err.value.code == 400
         assert json.load(err.value)["reason"] == "bad-maxval"
+
+    def test_bad_bmp_palette_index_is_structured_400(self, base_url):
+        # 4x4 8-bit BMP with a 2-entry palette but pixel index 255.
+        palette = bytes((0, 0, 0, 0, 255, 255, 255, 0))
+        offset = 14 + 40 + len(palette)
+        body = (
+            struct.pack("<2sIHHI", b"BM", offset + 16, 0, 0, offset)
+            + struct.pack("<IiiHHIIiiII", 40, 4, 4, 1, 8, 0, 16, 0, 0, 2, 0)
+            + palette + bytes([255]) * 16
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(f"{base_url}/encode", body)
+        assert err.value.code == 400
+        assert json.load(err.value)["reason"] == "bad-palette-index"
 
     def test_empty_body_is_400(self, base_url):
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.workpool import (
     TIER1_AUTO_SERIAL_ENV,
+    TIER1_AUTO_SERIAL_MIN_BLOCKS,
     tier1_auto_workers,
     tier1_serial_threshold,
 )
@@ -199,15 +200,10 @@ class TestAutoSerialClamp:
         assert tier1_auto_workers(1, 1000) == 1
         assert tier1_auto_workers(4, tier1_serial_threshold() - 1) == 1
 
-    def test_threshold_is_model_derived(self, monkeypatch):
-        # Pinned default calibration reproduces the legacy 24-block clamp;
-        # any calibration stays inside the [8, 96] guardrail.
+    def test_threshold_defaults_to_constant(self, monkeypatch):
         monkeypatch.delenv(TIER1_AUTO_SERIAL_ENV, raising=False)
-        from repro.plan.calibration import DEFAULT_HOST_CALIBRATION
-        from repro.plan.cutovers import tier1_serial_cutover_blocks
-
-        assert tier1_serial_cutover_blocks(DEFAULT_HOST_CALIBRATION) == 24
-        assert 8 <= tier1_serial_threshold() <= 96
+        assert TIER1_AUTO_SERIAL_MIN_BLOCKS == 24
+        assert tier1_serial_threshold() == TIER1_AUTO_SERIAL_MIN_BLOCKS
 
     def test_env_disables_clamp(self, monkeypatch):
         monkeypatch.setenv(TIER1_AUTO_SERIAL_ENV, "0")

@@ -328,13 +328,12 @@ class TestParamValidation:
             EncoderParams(mem_budget=1024)
 
 
-# -- planner and cache integration --------------------------------------------
+# -- tile sizing and cache integration ----------------------------------------
 
 
 class TestPlannerSurface:
     def test_choose_tile_size_fits_budget(self):
-        from repro.jpeg2000.params import TILE_WORKSET_BYTES
-        from repro.plan.model import choose_tile_size
+        from repro.jpeg2000.params import TILE_WORKSET_BYTES, choose_tile_size
 
         ts = choose_tile_size(8192, 8192, 3, 256 * 2**20)
         assert ts is not None and ts >= 64
@@ -342,17 +341,27 @@ class TestPlannerSurface:
         assert 8192 * ts * 3 * TILE_WORKSET_BYTES <= 256 * 2**20
 
     def test_choose_tile_size_none_when_image_fits(self):
-        from repro.plan.model import choose_tile_size
+        from repro.jpeg2000.params import choose_tile_size
 
         assert choose_tile_size(64, 64, 3, 1 << 30) is None
 
-    def test_request_shape_counts_tiled_blocks(self):
-        from repro.plan.model import RequestShape
+    def test_estimate_counts_ragged_tiled_blocks(self):
+        # Each tile runs its own decomposition, so a ragged grid's block
+        # count is the per-tile estimate summed, and matches the encoder.
+        from repro.service.sharding.batching import estimate_code_blocks
 
-        untiled = RequestShape(height=512, width=512, components=3)
-        tiled = RequestShape(height=512, width=512, components=3,
-                             tile_size=128)
-        assert tiled.code_blocks() > untiled.code_blocks()
+        img = watch_face_image(150, 200, channels=3)
+        counts = {}
+        for ts in (None, 64):
+            result = encode(img, EncoderParams(levels=3, codeblock_size=32,
+                                               tile_size=ts))
+            est = sum(
+                estimate_code_blocks((th, tw, 3), 3, 32)
+                for _, _, th, tw in tile_grid(200, 150, ts, ts)
+            )
+            assert est == len(result.stats.blocks)
+            counts[ts] = est
+        assert counts[64] > counts[None]
 
     def test_cache_key_distinguishes_tiling(self, rgb_img):
         from repro.service.cache import cache_key
