@@ -8,10 +8,12 @@ Two measurements, recorded to ``BENCH_rate.json``:
   curves laid out with the exact code-block geometry of a 2048x2048x3
   lossy encode (5 levels, 64x64 blocks).  Both paths must pick identical
   truncations before their timings count.
-* **Dispatch overhead** — the work queue's shared-memory plane dispatch
-  (planes published once, workers slice locally) against the pickled-block
-  path, at 1-8 workers, over near-empty blocks so per-block transport cost
-  is visible next to Tier-1 compute.  Results must be identical.
+* **Dispatch overhead** — the work queue's block-group dispatch
+  (:meth:`CodeBlockWorkQueue.encode_plane_groups`: planes published once
+  in shared memory, workers slice their groups locally) at 1-8 workers
+  against in-process per-block coding, over near-empty blocks so
+  transport cost is visible next to Tier-1 compute.  Results must be
+  identical.
 
 Usage::
 
@@ -34,17 +36,14 @@ import platform
 import numpy as np
 
 from _util import add_repeats_flag, bench_report, check_repeats, time_fn, write_bench_json
-from repro.core.workpool import (
-    CodeBlockWorkQueue,
-    PlaneBlockTask,
-    shared_memory_available,
-)
+from repro.core.workpool import CodeBlockWorkQueue, WorkerPool
 from repro.jpeg2000.codeblocks import partition_subband
 from repro.jpeg2000.rate import (
     BlockRateInfo,
     choose_truncations,
     choose_truncations_reference,
 )
+from repro.jpeg2000.tier1 import encode_codeblock
 
 QUICK_SPEEDUP_FLOOR = 2.0
 DISPATCH_WORKERS = (1, 2, 4, 8)
@@ -149,50 +148,50 @@ def make_planes(plane_size: int, nplanes: int, seed: int = 11) -> list:
 
 
 def bench_dispatch(workers_list, plane_size: int, repeats: int) -> dict:
-    """Shared-memory plane dispatch vs pickled blocks, same Tier-1 work."""
+    """Block-group dispatch on a worker pool vs in-process coding."""
     cb = 64
     planes = make_planes(plane_size, nplanes=3)
-    tasks = []
+    blocks = []
     for pi, plane in enumerate(planes):
         specs, _, _ = partition_subband(plane.shape[0], plane.shape[1], cb)
-        for s in specs:
-            tasks.append(PlaneBlockTask(
-                seq=len(tasks), plane=pi, row0=s.row0, col0=s.col0,
-                height=s.height, width=s.width, band="HL",
-            ))
+        blocks.extend(
+            (pi, s.row0, s.col0, s.height, s.width, "HL") for s in specs
+        )
     out = {
         "planes": len(planes),
         "plane_shape": [plane_size, plane_size],
-        "blocks": len(tasks),
+        "blocks": len(blocks),
         "plane_bytes_total": int(sum(p.nbytes for p in planes)),
-        "shared_memory_available": shared_memory_available(),
         "workers": {},
     }
 
-    def run(workers: int, shm: bool):
-        queue = CodeBlockWorkQueue(workers=workers, use_shared_memory=shm)
-        res = queue.encode_plane_blocks(planes, tasks)
-        return res, queue.last_stats.dispatch
+    def serial():
+        return [
+            encode_codeblock(planes[p][r0 : r0 + h, c0 : c0 + w], band,
+                             backend="vectorized")
+            for p, r0, c0, h, w, band in blocks
+        ]
 
+    want = serial()
+    out["serial"] = time_fn(serial, repeats)
     for workers in workers_list:
-        base, base_mode = run(workers, False)
-        shm, shm_mode = run(workers, True)
-        identical = all(
-            a.data == b.data and a.pass_lengths == b.pass_lengths
-            for a, b in zip(base, shm)
-        )
-        row = {
-            "pickle": time_fn(lambda w=workers: run(w, False), repeats),
-            "shared_memory": time_fn(lambda w=workers: run(w, True), repeats),
-            "pickle_mode": base_mode,
-            "shared_memory_mode": shm_mode,
-            "results_identical": identical,
-        }
-        pk = row["pickle"]["median_s"]
-        sm = row["shared_memory"]["median_s"]
-        row["shm_vs_pickle"] = pk / sm if sm > 0 else float("inf")
-        row["pickle_per_block_ms"] = pk / len(tasks) * 1e3
-        row["shm_per_block_ms"] = sm / len(tasks) * 1e3
+        with WorkerPool(workers, warmup=True) as pool:
+            queue = CodeBlockWorkQueue(pool, backend="vectorized")
+
+            def run():
+                return queue.encode_plane_groups(planes, blocks)
+
+            got = run()
+            row = {
+                "groups": time_fn(run, repeats),
+                "mode": queue.last_stats.dispatch,
+                "group_count": queue.last_stats.groups,
+                "results_identical": all(
+                    a.data == b.data and a.pass_lengths == b.pass_lengths
+                    for a, b in zip(want, got)
+                ),
+            }
+        row["per_block_ms"] = row["groups"]["median_s"] / len(blocks) * 1e3
         out["workers"][str(workers)] = row
     return out
 
@@ -221,20 +220,21 @@ def main(argv=None) -> int:
     plane_size = 512 if args.quick else 2048
     report["dispatch"] = bench_dispatch(workers_list, plane_size, repeats)
     ok = rc["truncations_identical"]
-    for w, row in report["dispatch"]["workers"].items():
+    dispatch = report["dispatch"]
+    print(f"dispatch {dispatch['blocks']} blocks in process:"
+          f" {dispatch['serial']['median_s']*1e3:8.1f} ms")
+    for w, row in dispatch["workers"].items():
         ok &= row["results_identical"]
-        print(f"dispatch {report['dispatch']['blocks']} blocks, {w} worker(s):"
-              f" pickle {row['pickle']['median_s']*1e3:8.1f} ms"
-              f"  shm {row['shared_memory']['median_s']*1e3:8.1f} ms"
-              f"  ({row['shm_vs_pickle']:.2f}x, modes "
-              f"{row['pickle_mode']}/{row['shared_memory_mode']})"
+        print(f"dispatch {dispatch['blocks']} blocks, {w} worker(s):"
+              f" {row['group_count']} groups {row['groups']['median_s']*1e3:8.1f} ms"
+              f"  (mode {row['mode']})"
               f"  identical: {row['results_identical']}")
     print(f"cpu_count={os.cpu_count()}")
 
     write_bench_json(report, "BENCH_rate.json", args.output)
 
     if not ok:
-        print("FAIL: vectorized/shared-memory results differ from reference")
+        print("FAIL: vectorized/group-dispatch results differ from reference")
         return 1
     if args.quick:
         if rc["speedup"] < QUICK_SPEEDUP_FLOOR:

@@ -219,13 +219,12 @@ def cmd_serve(args) -> int:
     if args.shards > 1 and workers is None:
         # Split the cores between the shards instead of letting every
         # shard's pool claim all of them.
-        import os
+        from repro.core.workpool import available_cores
 
-        workers = max(1, (os.cpu_count() or 1) // args.shards)
+        workers = max(1, available_cores() // args.shards)
 
     config = ServiceConfig(
         workers=workers,
-        backend=args.tier1_backend,
         cache_bytes=args.cache_mb * 2**20,
         max_queue=args.max_queue,
         admission_policy=args.admission,
@@ -356,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8000)
     p.add_argument("--workers", type=_workers, default=None, metavar="N",
                    help="pool worker processes; 'auto' (default) = one per core")
-    p.add_argument("--tier1-backend", default="auto",
-                   choices=("auto", "reference", "vectorized", "batched"))
     p.add_argument("--cache-mb", type=int, default=64,
                    help="result-cache byte budget in MiB (0 disables)")
     p.add_argument("--max-queue", type=int, default=32,

@@ -2,40 +2,38 @@
 
 This is the *executable* counterpart of the simulated SPE work queue in
 :mod:`repro.cell.workqueue`: the paper's Section 3 parallelizes EBCOT
-Tier-1 by treating each code block as an independent work item that idle
-SPEs pull from a dynamic queue.  Code blocks really are independent — the
-MQ coder state is per-block — so the same scheme works verbatim on host
+Tier-1 by treating code blocks as independent work items that idle SPEs
+pull from a dynamic queue.  Code blocks really are independent — the MQ
+coder state is per-block — so the same scheme works verbatim on host
 cores with :mod:`multiprocessing`.
 
-Determinism is non-negotiable: the codestream must be byte-identical for
-any worker count.  Workers may *finish* blocks in any order (that is the
-point of dynamic scheduling), so every task carries a sequence number and
-results are re-assembled into submission order before the encoder sees
-them.  Tier-1 itself is bit-exact across backends (differentially tested),
-so scheduling is the only ordering concern.
+One task type reaches a worker: a *block group*.  For encode a group is a
+run of blocks described as slices of subband planes that the parent
+publishes once in shared memory (inline coefficient slices when shared
+memory is unavailable or full); for decode it is a run of compressed
+blocks, sent inline because they are small.  Every group runs on one
+pool class, :class:`WorkerPool` — the library opens one for a single
+call, the encode service keeps one alive across requests.
 
-The pool path is only worth its process start-up and pickling cost for
-real encodes; callers pass ``workers=1`` (the default) to stay serial.
+Determinism is non-negotiable: the codestream must be byte-identical for
+any worker count.  Workers may *finish* groups in any order (that is the
+point of dynamic scheduling), so every block carries a sequence number
+and results are re-assembled into submission order before the caller
+sees them.  Tier-1 itself is bit-exact across backends (differentially
+tested), so scheduling is the only ordering concern.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from collections import OrderedDict
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.jpeg2000.tier1 import CodeBlockResult, encode_codeblock, resolve_backend
-
-#: Below this many blocks a pool cannot amortize worker start-up; encode
-#: serially no matter what ``workers`` says.
-MIN_BLOCKS_FOR_POOL = 2
-
-#: Set to ``"0"`` to force the pickled-block dispatch path even where
-#: ``multiprocessing.shared_memory`` is available.
-SHM_ENV = "REPRO_SHM_DISPATCH"
+from repro.jpeg2000.tier1 import CodeBlockResult, encode_codeblock
 
 #: Code blocks below which the Tier-1 pool cannot win: process start-up
 #: plus per-block pickling costs more than the blocks themselves
@@ -48,6 +46,25 @@ TIER1_AUTO_SERIAL_MIN_BLOCKS = 24
 #: small inputs or single-core machines); any other integer replaces the
 #: block-count threshold.
 TIER1_AUTO_SERIAL_ENV = "REPRO_TIER1_AUTO_SERIAL"
+
+#: Seconds a liveness ping may take before the pool is declared dead.
+PING_TIMEOUT_S = 10.0
+
+#: Seconds a caller waits for a group result before checking whether a
+#: worker died (a SIGKILLed worker's group never completes).
+LOST_WORKER_POLL_S = 0.2
+
+
+def available_cores() -> int:
+    """Cores this process may run on (its CPU affinity where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
+
+
+def default_workers() -> int:
+    """Worker count used for ``workers=None``: one per available core."""
+    return available_cores()
 
 
 def tier1_serial_threshold() -> int:
@@ -71,11 +88,11 @@ def tier1_serial_threshold() -> int:
 def tier1_auto_workers(workers: int | None, blocks: int) -> int:
     """Clamp Tier-1 dispatch to serial where a pool cannot win.
 
-    Returns ``1`` when the machine has a single core or ``blocks`` falls
-    below :func:`tier1_serial_threshold`, otherwise ``workers`` resolved
-    (``None`` means one per core).  ``REPRO_TIER1_AUTO_SERIAL=0`` disables
-    the clamp (including the single-core check); any other integer
-    replaces the block threshold.
+    Returns ``1`` when the process may run on a single core or ``blocks``
+    falls below :func:`tier1_serial_threshold`, otherwise ``workers``
+    resolved (``None`` means one per core).  ``REPRO_TIER1_AUTO_SERIAL=0``
+    disables the clamp (including the single-core check); any other
+    integer replaces the block threshold.
     """
     if workers is None:
         workers = default_workers()
@@ -84,101 +101,53 @@ def tier1_auto_workers(workers: int | None, blocks: int) -> int:
     threshold = tier1_serial_threshold()
     if threshold == 0:
         return workers
-    if (os.cpu_count() or 1) <= 1:
+    if available_cores() <= 1:
         return 1
     if blocks < threshold:
         return 1
     return workers
 
 
-@dataclass(frozen=True)
-class CodeBlockTask:
-    """One unit of Tier-1 work: a coefficient block and its subband."""
+def group_runs(keys: list, workers: int) -> list[list[int]]:
+    """Split block indices into groups: same key, about ``2 * workers`` runs.
 
-    seq: int
-    coeffs: np.ndarray
-    band: str
-
-
-@dataclass(frozen=True)
-class PlaneBlockTask:
-    """One unit of Tier-1 work described as a slice of a published plane.
-
-    Instead of carrying the coefficients, the task names the plane (by
-    index into the list handed to :meth:`CodeBlockWorkQueue.encode_plane_blocks`)
-    and the block's offsets/shape within it — the paper's DMA-minimizing
-    move of shipping each coefficient plane to the workers once and letting
-    them slice blocks locally.
+    Blocks sharing a key (their geometry) group together so the stacked
+    coders amortize NumPy overhead; large groups split into shards of
+    :func:`repro.jpeg2000.tier1_batch.group_shard_count` blocks so the
+    dynamic queue can still balance load.
     """
+    from repro.jpeg2000.tier1_batch import group_shard_count
 
-    seq: int
-    plane: int
-    row0: int
-    col0: int
-    height: int
-    width: int
-    band: str
-
-    def slice_of(self, plane: np.ndarray) -> np.ndarray:
-        return plane[self.row0 : self.row0 + self.height,
-                     self.col0 : self.col0 + self.width]
-
-
-@dataclass(frozen=True)
-class PlaneGroupTask:
-    """A *group* of plane-described blocks dispatched as one work item.
-
-    The batched Tier-1 backend amortizes NumPy overhead across blocks, so
-    sharding per block would throw that away — the unit of parallel work
-    is a geometry group (or a shard of a large one).  ``seqs[i]`` is the
-    submission sequence number of ``blocks[i]``; each block is
-    ``(plane, row0, col0, height, width, band)`` in the same plane-index
-    convention as :class:`PlaneBlockTask`.
-    """
-
-    seqs: tuple[int, ...]
-    blocks: tuple[tuple[int, int, int, int, int, str], ...]
+    by_key: dict = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    shard = group_shard_count(len(keys), workers)
+    return [
+        idxs[o : o + shard]
+        for idxs in by_key.values()
+        for o in range(0, len(idxs), shard)
+    ]
 
 
 @dataclass
 class QueueStats:
-    """Observed scheduling behaviour of one :meth:`encode_all` run."""
+    """Observed scheduling behaviour of one :class:`CodeBlockWorkQueue` run."""
 
     workers: int
     blocks: int
-    #: Blocks completed per worker process (keyed by pid; a single serial
-    #: run keys by this process).  Uneven counts on a busy machine are the
-    #: dynamic queue doing its job — the paper's Table 1 load imbalance.
+    groups: int = 0
+    #: Blocks completed per worker process (keyed by pid).  Uneven counts
+    #: on a busy machine are the dynamic queue doing its job — the paper's
+    #: Table 1 load imbalance.
     blocks_per_worker: dict[int, int] = field(default_factory=dict)
-    #: How blocks reached the workers: ``"serial"`` (no pool), ``"pickle"``
-    #: (coefficients serialized per task), or ``"shared_memory"`` (planes
-    #: published once, tasks carry descriptors).
-    dispatch: str = "serial"
-
-
-def _encode_task(payload):
-    """Worker entry point; module-level so it pickles under spawn."""
-    seq, coeffs, band, backend = payload
-    return seq, os.getpid(), encode_codeblock(coeffs, band, backend=backend)
-
-
-def _decode_block_task(payload):
-    """Worker entry point for Tier-1 *decode*; module-level for spawn.
-
-    Lazy import keeps the decoder stack out of encode-only workers.
-    """
-    from repro.jpeg2000.tier1_dec_vec import decode_codeblock_fast
-
-    seq, data, height, width, band, msbs, num_passes = payload
-    return seq, os.getpid(), decode_codeblock_fast(
-        data, height, width, band, msbs, num_passes
-    )
+    #: How encode blocks reached the workers: ``"shared_memory"`` (planes
+    #: published once, groups carry slice descriptors) or ``"pickle"``
+    #: (groups carry the coefficient slices; decode groups always do).
+    dispatch: str = "pickle"
 
 
 def shared_memory_available() -> bool:
-    """True when plane dispatch can use ``multiprocessing.shared_memory``."""
-    if os.environ.get(SHM_ENV, "1") == "0":
-        return False
+    """True when ``multiprocessing.shared_memory`` can be imported."""
     try:
         from multiprocessing import shared_memory  # noqa: F401
     except ImportError:
@@ -190,9 +159,11 @@ class _SharedPlanes:
     """Subband planes published once as named shared-memory segments.
 
     The parent copies each plane into a segment at construction; workers
-    attach by name (:func:`_attach_plane`).  :meth:`close` unlinks every
-    segment — callers must invoke it on success, error, and interrupt, so
-    construction itself cleans up if it fails partway.
+    attach by name, copy their blocks out and close.  :meth:`close`
+    unlinks every segment — callers must invoke it on success, error, and
+    interrupt, so construction itself cleans up if it fails partway (an
+    ``OSError`` from a full or missing ``/dev/shm`` propagates after that
+    cleanup).
     """
 
     def __init__(self, planes: list[np.ndarray]) -> None:
@@ -207,10 +178,10 @@ class _SharedPlanes:
                 seg = shared_memory.SharedMemory(
                     create=True, size=max(1, arr.nbytes)
                 )
+                self.segments.append(seg)
                 view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
                 view[...] = arr
                 del view
-                self.segments.append(seg)
                 self.descs.append((seg.name, arr.shape, arr.dtype.str))
         except BaseException:
             self.close()
@@ -250,10 +221,10 @@ def publish_shared_bytes(data: bytes):
 def read_shared_bytes(desc) -> bytes | None:
     """Copy a published blob out of its segment; ``None`` if it vanished.
 
-    Attach-copy-close, mirroring :func:`_encode_plane_task`'s discipline
-    of never keeping a live view pinned to the segment buffer.  A
-    concurrently evicted (unlinked) segment reads as ``None`` — callers
-    treat that as a cache miss.
+    Attach-copy-close, the same discipline as a group's block reads, so
+    no live view stays pinned to the segment buffer.  A concurrently
+    evicted (unlinked) segment reads as ``None`` — callers treat that as
+    a cache miss.
     """
     from multiprocessing import shared_memory
 
@@ -268,136 +239,290 @@ def read_shared_bytes(desc) -> bytes | None:
         seg.close()
 
 
-#: Worker-side cache of attached segments, keyed by segment name.  Bounded
-#: (LRU) so a long-lived worker serving many encodes cannot accumulate
-#: stale maps; one encode's planes comfortably fit.
-_ATTACH_CACHE: OrderedDict[str, tuple] = OrderedDict()
-_ATTACH_CACHE_MAX = 32
+def _copy_slice(seg, shape, dtype, row0, col0, height, width) -> np.ndarray:
+    """Copy one block out of an attached plane (the view dies here)."""
+    plane = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
+    return np.array(plane[row0 : row0 + height, col0 : col0 + width])
 
 
-def _attach_plane(desc) -> np.ndarray:
-    """Attach (or reuse) the named segment and view it as an array."""
+def _group_blocks(items) -> list[tuple[np.ndarray, str]]:
+    """Materialize an encode group's ``(coeffs, band)`` pairs.
+
+    Each item is ``(source, row0, col0, height, width, band)``; the source
+    is either the block itself (inline dispatch) or a published plane's
+    ``(name, shape, dtype)``.  Segments are attached once per group and
+    closed before returning, so a long-lived worker never pins the
+    segments of finished requests.  Attaching re-registers the name with
+    the resource tracker, which the parent shares (see
+    :meth:`WorkerPool._start`), so that is a no-op; the parent's unlink
+    removes the single entry.
+    """
     from multiprocessing import shared_memory
 
-    name, shape, dtype = desc
-    cached = _ATTACH_CACHE.get(name)
-    if cached is not None:
-        _ATTACH_CACHE.move_to_end(name)
-        return cached[1]
-    # Attaching re-registers the name with the resource tracker, but the
-    # tracker (and its name cache, a set) is shared with the parent, so
-    # that is an idempotent no-op; the parent's unlink after the encode
-    # removes the single entry.  Unregistering here instead would race the
-    # other workers and the parent for that one entry.
-    seg = shared_memory.SharedMemory(name=name)
-    arr = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-    while len(_ATTACH_CACHE) >= _ATTACH_CACHE_MAX:
-        _, (old_seg, old_arr) = _ATTACH_CACHE.popitem(last=False)
-        del old_arr  # release the exported buffer before closing
-        try:
-            old_seg.close()
-        except (BufferError, OSError):
-            pass
-    _ATTACH_CACHE[name] = (seg, arr)
-    return arr
+    segments: dict = {}
+    try:
+        out = []
+        for src, row0, col0, height, width, band in items:
+            if isinstance(src, np.ndarray):
+                out.append((src, band))
+                continue
+            name, shape, dtype = src
+            seg = segments.get(name)
+            if seg is None:
+                seg = segments[name] = shared_memory.SharedMemory(name=name)
+            out.append(
+                (_copy_slice(seg, shape, dtype, row0, col0, height, width), band)
+            )
+        return out
+    finally:
+        for seg in segments.values():
+            seg.close()
 
 
-def _encode_plane_task(payload):
-    """Worker entry point for shared-memory plane dispatch.
+def _group_task(payload):
+    """Worker entry point for every block group; module-level for spawn.
 
-    Copies the block slice out of the attached plane (so no live view pins
-    the segment buffer) and runs the ordinary Tier-1 encode.
+    ``payload`` is ``(op, seqs, backend, items)``.  ``"batched"`` runs the
+    stacked coder over the whole group; a per-block backend loops the
+    group.  Lazy imports keep each direction's stack out of workers that
+    never run it.
     """
-    seq, desc, row0, col0, height, width, band, backend = payload
-    plane = _attach_plane(desc)
-    coeffs = np.array(plane[row0 : row0 + height, col0 : col0 + width])
-    return seq, os.getpid(), encode_codeblock(coeffs, band, backend=backend)
-
-
-def _encode_plane_group_task(payload):
-    """Worker entry point for shared-memory *group* dispatch.
-
-    Slices every block of the group out of the attached planes and runs
-    the batched stack coder over them in one call.
-    """
-    from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
-
-    seqs, blocks = payload
-    items = []
-    for desc, row0, col0, height, width, band in blocks:
-        plane = _attach_plane(desc)
-        items.append(
-            (np.array(plane[row0 : row0 + height, col0 : col0 + width]), band)
+    op, seqs, backend, items = payload
+    if op == "decode":
+        from repro.jpeg2000.tier1_dec_vec import (
+            decode_codeblock_fast,
+            decode_codeblocks_batched,
         )
-    return seqs, os.getpid(), encode_codeblocks_batched(items)
+
+        if backend == "batched":
+            return seqs, os.getpid(), decode_codeblocks_batched(list(items))
+        return seqs, os.getpid(), [decode_codeblock_fast(*b) for b in items]
+    blocks = _group_blocks(items)
+    if backend == "batched":
+        from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
+
+        return seqs, os.getpid(), encode_codeblocks_batched(blocks)
+    return seqs, os.getpid(), [
+        encode_codeblock(coeffs, band, backend=backend)
+        for coeffs, band in blocks
+    ]
 
 
-def _encode_block_group_task(payload):
-    """Pickled-coefficients fallback of :func:`_encode_plane_group_task`."""
-    from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
-
-    seqs, items = payload
-    return seqs, os.getpid(), encode_codeblocks_batched(list(items))
+def _ping_task(i: int) -> int:
+    """Trivial worker task used for warm-up and health checks."""
+    return os.getpid()
 
 
-def default_workers() -> int:
-    """Worker count used for ``workers=None``: one per available core."""
-    return max(1, os.cpu_count() or 1)
+def _abandon(process_pool) -> None:
+    """Tear down a possibly-wedged ``multiprocessing.Pool`` without joining.
+
+    A worker SIGKILLed mid-queue-operation leaves the pool's shared queue
+    locks held forever, so ``Pool.terminate()`` (which puts a sentinel on
+    those queues and joins helper threads) can deadlock — observed on
+    CPython 3.11.  Kill the worker processes directly, then run the
+    built-in teardown on a daemon thread: it cleans up when the locks are
+    free and merely leaks one parked thread when they are not.
+    """
+    for proc in list(getattr(process_pool, "_pool", None) or []):
+        try:
+            proc.kill()
+        except Exception:
+            pass
+    threading.Thread(
+        target=process_pool.terminate, name="pool-reaper", daemon=True
+    ).start()
 
 
-class ReusableWorkerPool:
-    """A lazily started process pool reused across dispatch rounds.
+class WorkerLost(RuntimeError):
+    """A pool worker died while groups were outstanding; they are lost."""
 
-    Tiled encodes dispatch Tier-1 once per tile batch; a one-shot
-    ``ctx.Pool`` per dispatch would pay worker fork/startup for every
-    batch.  Handing a ``ReusableWorkerPool`` to
-    :class:`CodeBlockWorkQueue` (the ``mp_pool`` argument) makes every
-    dispatch run through the same workers.  Unlike an injected per-block
-    executor (the ``pool`` argument), this is a raw pool: the queue sends
-    it whatever task function the dispatch path needs, so per-block,
-    geometry-group, and decode payloads all work.
 
-    The pool starts on first use and must be released by the owner:
-    ``close()`` after a clean run, ``terminate()`` on error (both
-    idempotent; the context-manager form does this automatically).
+def _fail(lost: dict) -> None:
+    """Fail the groups a respawn lost (no pool lock held)."""
+    for error_callback in lost.values():
+        error_callback(WorkerLost("a pool worker died; its work was lost"))
+
+
+@dataclass
+class PoolStats:
+    """Lifetime counters of one :class:`WorkerPool`."""
+
+    #: Tasks (block groups and micro-batches) completed.
+    tasks_done: int = 0
+    respawns: int = 0
+    #: Blocks completed per worker pid across the pool's whole lifetime.
+    blocks_per_worker: dict[int, int] = field(default_factory=dict)
+
+
+class WorkerPool:
+    """The process pool every Tier-1 block group runs on.
+
+    The library opens one for a single ``encode``/``decode`` call and
+    closes it on return; the encode service keeps one alive across
+    requests (the paper's SPEs, loaded once, pulling work forever).
+    Processes start on first use, or at construction with ``warmup=True``,
+    which also waits until every worker has answered a ping so the first
+    real request does not pay process start-up latency.
+
+    A SIGKILLed worker's group never completes and may wedge the pool's
+    task queue, so callers waiting on results (:meth:`wait`) poll
+    :meth:`check_workers`: a dead worker fails every outstanding group
+    with :class:`WorkerLost` and the pool respawns.
+
+    Release the pool with :meth:`close` after a clean run and
+    :meth:`terminate` on error (both idempotent; the context-manager form
+    picks one).
     """
 
-    def __init__(self, workers: int | None = None,
-                 mp_context: str | None = None) -> None:
+    def __init__(self, workers: int | None = None, warmup: bool = False) -> None:
         if workers is None:
             workers = default_workers()
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.mp_context = mp_context
+        self._warmup = warmup
+        self._lock = threading.Lock()
         self._pool = None
+        self._procs: list = []
+        #: Submitted, unsettled groups: token -> error callback.
+        self._outstanding: dict[int, object] = {}
+        self._next_token = 0
+        self._closed = False
+        self.stats = PoolStats()
+        if warmup:
+            with self._lock:
+                self._start()
 
-    def pool(self):
-        """The live ``multiprocessing`` pool, started on first call."""
+    # -- lifecycle ---------------------------------------------------------
+
+    def _start(self) -> None:
+        """Fork the workers (caller holds the lock)."""
+        if shared_memory_available():
+            # Workers that attach a segment register it with a resource
+            # tracker.  Forked after the parent's tracker runs, they share
+            # it, so the parent's unlink retires the one entry; forked
+            # before, each would start its own, which warns about (and
+            # unlinks) every segment it ever attached when the worker exits.
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
+        self._pool = multiprocessing.get_context().Pool(processes=self.workers)
+        self._procs = list(self._pool._pool)
+        if self._warmup:
+            self.warm_up()
+
+    def warm_up(self) -> list[int]:
+        """Touch every worker once; returns the live worker pids."""
+        # chunksize=1 over >= workers items guarantees each process runs at
+        # least one task, forcing lazy imports (numpy, tier1) to happen now.
+        pids = self._pool.map(_ping_task, range(self.workers * 2), chunksize=1)
+        return sorted(set(pids))
+
+    def ping(self, timeout: float = PING_TIMEOUT_S) -> bool:
+        """True if the running pool answers a trivial task within ``timeout``."""
+        pool = self._pool
+        if pool is None or self._closed:
+            return False
+        try:
+            pool.apply_async(_ping_task, (0,)).get(timeout=timeout)
+            return True
+        except Exception:
+            return False
+
+    def _worker_died(self) -> bool:
+        return any(proc.exitcode is not None for proc in self._procs)
+
+    def ensure_healthy(self, timeout: float = PING_TIMEOUT_S) -> bool:
+        """Respawn the pool if a worker died or it stopped answering pings.
+
+        Returns True if a respawn happened.
+        """
+        if not self._worker_died() and self.ping(timeout=timeout):
+            return False
+        self.respawn()
+        return True
+
+    def check_workers(self) -> None:
+        """Respawn if a worker died; its group (maybe others) is lost."""
+        with self._lock:
+            if self._closed or self._pool is None or not self._worker_died():
+                return
+            lost = self._respawn_locked()
+        _fail(lost)
+
+    def respawn(self) -> None:
+        """Abandon the current worker set and start a fresh one.
+
+        The old pool is presumed wedged and never joined (see
+        :func:`_abandon`); every outstanding group fails with
+        :class:`WorkerLost`.
+        """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("pool is closed")
+            lost = self._respawn_locked()
+        _fail(lost)
+
+    def _respawn_locked(self) -> dict:
+        lost, self._outstanding = self._outstanding, {}
+        if self._pool is not None:
+            _abandon(self._pool)
+            self._pool = None
+        self.stats.respawns += 1
+        self._start()
+        return lost
+
+    def _live(self):
+        """The running pool and the groups lost getting it (lock held).
+
+        Starts the workers on first use, and respawns them if one died
+        since the last call — so work submitted after a worker's death
+        never waits on a pool it may have wedged.
+        """
+        if self._closed:
+            raise RuntimeError("pool is closed")
+        lost: dict = {}
         if self._pool is None:
-            ctx = (
-                multiprocessing.get_context(self.mp_context)
-                if self.mp_context
-                else multiprocessing.get_context()
-            )
-            self._pool = ctx.Pool(processes=self.workers)
-        return self._pool
+            self._start()
+        elif self._worker_died():
+            lost = self._respawn_locked()
+        return self._pool, lost
 
     def close(self) -> None:
-        """Shut the workers down cleanly (waits for them to exit)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
+        """Drain outstanding tasks and stop the workers (idempotent).
+
+        A pool that lost a worker may hold a group that never completes,
+        and a wedged one (e.g. a worker SIGKILLed while holding the shared
+        task-queue lock) cannot drain; rather than hang the shutdown path,
+        abandon either.
+        """
+        responsive = not self._worker_died() and self.ping(timeout=PING_TIMEOUT_S)
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            if self._pool is not None:
+                if responsive:
+                    self._pool.close()
+                    self._pool.join()
+                else:
+                    _abandon(self._pool)
+                self._pool = None
 
     def terminate(self) -> None:
-        """Kill the workers immediately (error paths / interrupts)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """Kill the workers without draining (idempotent).
 
-    def __enter__(self) -> "ReusableWorkerPool":
+        Uses the abandon path unconditionally: terminate is the abort
+        handler, and joining a pool that might be wedged trades a fast
+        exit for a potential deadlock.
+        """
+        with self._lock:
+            self._closed = True
+            if self._pool is not None:
+                _abandon(self._pool)
+                self._pool = None
+
+    def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -406,332 +531,200 @@ class ReusableWorkerPool:
         else:
             self.terminate()
 
+    # -- work submission ---------------------------------------------------
+
+    def submit(self, payload, callback, error_callback) -> None:
+        """Run one block group asynchronously.
+
+        ``callback`` receives ``(seqs, pid, results)``; ``error_callback``
+        the exception.  Either runs on the pool's result-handler thread —
+        or on the thread that notices a dead worker — exactly once.
+        """
+        with self._lock:
+            pool, lost = self._live()
+            token = self._next_token
+            self._next_token += 1
+            self._outstanding[token] = error_callback
+        _fail(lost)
+
+        def done(res) -> None:
+            if self._settle(token, res):
+                callback(res)
+
+        def failed(exc) -> None:
+            if self._settle(token):
+                error_callback(exc)
+
+        try:
+            pool.apply_async(
+                _group_task, (payload,), callback=done, error_callback=failed
+            )
+        except Exception as exc:  # pool torn down by a concurrent respawn
+            failed(exc)
+
+    def _settle(self, token: int, res=None) -> bool:
+        """Retire ``token``; False if a respawn already failed it."""
+        with self._lock:
+            if self._outstanding.pop(token, None) is None:
+                return False
+            if res is not None:
+                seqs, pid, _ = res
+                self.stats.tasks_done += 1
+                self.stats.blocks_per_worker[pid] = (
+                    self.stats.blocks_per_worker.get(pid, 0) + len(seqs)
+                )
+            return True
+
+    def wait(self, results: queue.Queue):
+        """Next item of ``results``, raising it if it is an exception.
+
+        Polls :meth:`check_workers` while waiting, so a dead worker turns
+        into :class:`WorkerLost` instead of a hang.
+        """
+        while True:
+            try:
+                item = results.get(timeout=LOST_WORKER_POLL_S)
+            except queue.Empty:
+                self.check_workers()
+                continue
+            if isinstance(item, BaseException):
+                raise item
+            return item
+
+    def imap_unordered(self, payloads):
+        """Yield ``(seqs, pid, results)`` as groups finish."""
+        payloads = list(payloads)
+        results: queue.Queue = queue.Queue()
+        for payload in payloads:
+            self.submit(payload, results.put, results.put)
+        for _ in payloads:
+            yield self.wait(results)
+
+    def run(self, fn, arg, timeout: float | None = None):
+        """Run ``fn(arg)`` on one worker and return its result (blocking).
+
+        The service's micro-batches of whole small images use this; Tier-1
+        work goes through :meth:`submit`.
+        """
+        with self._lock:
+            pool, lost = self._live()
+        _fail(lost)
+        result = pool.apply_async(fn, (arg,)).get(timeout=timeout)
+        with self._lock:
+            self.stats.tasks_done += 1
+        return result
+
+    def snapshot(self) -> dict:
+        """JSON-ready view for ``/stats``."""
+        with self._lock:
+            return {
+                "workers": self.workers,
+                "closed": self._closed,
+                "tasks_done": self.stats.tasks_done,
+                "respawns": self.stats.respawns,
+                "blocks_per_worker": {
+                    str(k): v
+                    for k, v in sorted(self.stats.blocks_per_worker.items())
+                },
+            }
+
 
 class CodeBlockWorkQueue:
-    """Dynamic code-block queue with deterministic reassembly.
+    """Dynamic queue of block groups with deterministic reassembly.
 
-    Parameters
-    ----------
-    workers:
-        Number of encoder processes.  ``1`` (default) encodes serially in
-        this process; ``None`` means one per CPU core.
-    backend:
-        Tier-1 backend name forwarded to every worker (resolved once here
-        so children do not re-read the environment).
-    mp_context:
-        Optional :func:`multiprocessing.get_context` name (``"fork"``,
-        ``"spawn"``, ...).  Default: the platform default.
-    pool:
-        Optional injected block executor that *outlives* this queue: any
-        object with a ``workers`` attribute and an ``imap_unordered(payloads)``
-        method yielding ``(seq, pid, CodeBlockResult)`` tuples (e.g.
-        :class:`repro.service.pool.PersistentWorkerPool`, or a scheduler
-        job handle).  When given, ``encode_all`` submits through it instead
-        of spawning a one-shot pool, and never closes it — the owner does.
-    mp_pool:
-        Optional :class:`ReusableWorkerPool` used in place of the one-shot
-        ``ctx.Pool`` every parallel dispatch would otherwise create (and
-        never closed here — the owner releases it).  Mutually exclusive
-        with ``pool``.
+    ``pool`` is anything with a ``workers`` count and an
+    ``imap_unordered(payloads)`` yielding ``(seqs, pid, results)`` — a
+    :class:`WorkerPool`, or a scheduler job of the encode service
+    (:class:`repro.service.scheduler.SchedulerJob`).  The queue never
+    codes blocks itself: in-process coding is the caller's serial path.
+    ``backend`` names the coder every group runs (``"batched"`` stacks the
+    group; ``"vectorized"``/``"reference"`` loop it block by block).
     """
 
-    def __init__(
-        self,
-        workers: int | None = 1,
-        backend: str | None = None,
-        mp_context: str | None = None,
-        pool=None,
-        use_shared_memory: bool | None = None,
-        mp_pool: "ReusableWorkerPool | None" = None,
-    ) -> None:
-        if pool is not None and mp_pool is not None:
-            raise ValueError("pool and mp_pool are mutually exclusive")
-        if pool is not None:
-            workers = pool.workers
-        elif mp_pool is not None:
-            workers = mp_pool.workers
-        elif workers is None:
-            workers = default_workers()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        # Resolve "auto"+env once in the parent; workers get an explicit
-        # name so codestreams cannot depend on per-child environments.
-        resolved = resolve_backend(backend)
-        self.backend: str = resolved
-        self.mp_context = mp_context
+    def __init__(self, pool, backend: str = "batched") -> None:
         self.pool = pool
-        self.mp_pool = mp_pool
-        #: ``None`` defers to platform/env detection at dispatch time.
-        self.use_shared_memory = use_shared_memory
+        self.backend = backend
         self.last_stats: QueueStats | None = None
 
-    def _run_pool(self, task_fn, payloads, consume) -> None:
-        """Drive ``payloads`` through the reusable or a one-shot pool."""
-        if self.mp_pool is not None:
-            try:
-                consume(
-                    self.mp_pool.pool().imap_unordered(
-                        task_fn, payloads, chunksize=1
-                    )
-                )
-            except BaseException:
-                # A failed dispatch leaves the shared pool in an unknown
-                # state; kill it so the owner's cleanup cannot hang.
-                self.mp_pool.terminate()
-                raise
-            return
-        ctx = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context
-            else multiprocessing.get_context()
-        )
-        pool = ctx.Pool(processes=self.workers)
-        try:
-            consume(pool.imap_unordered(task_fn, payloads, chunksize=1))
-            pool.close()
-        except BaseException:
-            # KeyboardInterrupt (and any other failure) must not leave
-            # orphaned encoder processes: kill the children before
-            # propagating so the CLI exits promptly.
-            pool.terminate()
-            raise
-        finally:
-            pool.join()
-
-    def encode_all(self, tasks: list[CodeBlockTask]) -> list[CodeBlockResult]:
-        """Encode every task, returning results in *submission* order.
-
-        Work is handed out block-by-block (``chunksize=1``): whichever
-        worker frees up first takes the next block, exactly like the
-        paper's SPEs pulling from the PPE-side queue.  Completion order is
-        nondeterministic; the returned list is not.
-        """
-        stats = QueueStats(workers=self.workers, blocks=len(tasks))
+    def _run(self, op: str, items: list, keys: list, dispatch: str) -> list:
+        """Group ``items`` by ``keys``, run the groups, reassemble in order."""
+        runs = group_runs(keys, self.pool.workers)
+        stats = QueueStats(workers=self.pool.workers, blocks=len(items),
+                           groups=len(runs), dispatch=dispatch)
         self.last_stats = stats
-        if not tasks:
-            return []
-        if self.pool is None and (
-            self.workers == 1 or len(tasks) < MIN_BLOCKS_FOR_POOL
-        ):
-            pid = os.getpid()
-            stats.blocks_per_worker[pid] = len(tasks)
-            return [
-                encode_codeblock(t.coeffs, t.band, backend=self.backend)
-                for t in tasks
-            ]
-        stats.dispatch = "pickle"
-        payloads = [(t.seq, t.coeffs, t.band, self.backend) for t in tasks]
-        return self._run_payloads(tasks, payloads, _encode_task, stats)
-
-    def encode_plane_blocks(
-        self, planes: list[np.ndarray], tasks: list[PlaneBlockTask]
-    ) -> list[CodeBlockResult]:
-        """Encode plane-described blocks, results in submission order.
-
-        Publishes every plane once via ``multiprocessing.shared_memory``
-        and hands workers ``(seq, plane descriptor, offsets, shape)``
-        tuples; workers slice blocks out of the attached planes locally.
-        Falls back to the pickled-block path when shared memory is
-        unavailable, disabled (``REPRO_SHM_DISPATCH=0``), or the blocks go
-        through an injected pool that does not advertise
-        ``supports_shared_memory``.  Codestreams are byte-identical on
-        every path.
-        """
-        stats = QueueStats(workers=self.workers, blocks=len(tasks))
-        self.last_stats = stats
-        if not tasks:
-            return []
-        if self.pool is None and (
-            self.workers == 1 or len(tasks) < MIN_BLOCKS_FOR_POOL
-        ):
-            pid = os.getpid()
-            stats.blocks_per_worker[pid] = len(tasks)
-            return [
-                encode_codeblock(t.slice_of(planes[t.plane]), t.band,
-                                 backend=self.backend)
-                for t in tasks
-            ]
-        want_shm = (
-            self.use_shared_memory
-            if self.use_shared_memory is not None
-            else shared_memory_available()
-        )
-        pool_ok = self.pool is None or getattr(
-            self.pool, "supports_shared_memory", False
-        )
-        if not (want_shm and pool_ok and shared_memory_available()):
-            stats.dispatch = "pickle"
-            payloads = [
-                (t.seq, t.slice_of(planes[t.plane]), t.band, self.backend)
-                for t in tasks
-            ]
-            return self._run_payloads(tasks, payloads, _encode_task, stats)
-        stats.dispatch = "shared_memory"
-        shared = _SharedPlanes(planes)
-        try:
-            payloads = [
-                (t.seq, shared.descs[t.plane], t.row0, t.col0,
-                 t.height, t.width, t.band, self.backend)
-                for t in tasks
-            ]
-            return self._run_payloads(tasks, payloads, _encode_plane_task, stats)
-        finally:
-            # Unlink on success, error, and KeyboardInterrupt alike: the
-            # segments must never outlive the encode.
-            shared.close()
-
-    def encode_plane_groups(
-        self, planes: list[np.ndarray], tasks: list[PlaneGroupTask]
-    ) -> list[CodeBlockResult]:
-        """Encode geometry groups via the batched backend, one per task.
-
-        Results come back indexed by each block's sequence number (which
-        must form ``0..n-1`` across the groups), so the returned list is
-        in submission order regardless of completion order.  Planes are
-        published once over shared memory exactly like
-        :meth:`encode_plane_blocks`; the pickled fallback ships each
-        group's coefficient slices instead.  Injected pools are per-block
-        executors and cannot run group payloads — callers route around
-        them (see :func:`repro.jpeg2000.encoder._encode_pending`).
-        """
-        if self.pool is not None:
-            raise ValueError(
-                "group dispatch requires a one-shot pool; injected pools "
-                "are per-block executors"
+        payloads = [
+            (op, tuple(run), self.backend, tuple(items[i] for i in run))
+            for run in runs
+        ]
+        results: list = [None] * len(items)
+        for seqs, pid, group_results in self.pool.imap_unordered(payloads):
+            for s, r in zip(seqs, group_results):
+                results[s] = r
+            stats.blocks_per_worker[pid] = (
+                stats.blocks_per_worker.get(pid, 0) + len(seqs)
             )
-        nblocks = sum(len(t.seqs) for t in tasks)
-        stats = QueueStats(workers=self.workers, blocks=nblocks)
-        self.last_stats = stats
-        if not tasks:
-            return []
-        all_seqs = [s for t in tasks for s in t.seqs]
-        if sorted(all_seqs) != list(range(nblocks)):
-            raise ValueError("group task seqs must cover 0..n-1 exactly once")
-        results: list[CodeBlockResult | None] = [None] * nblocks
-
-        def _consume(iterator) -> None:
-            for seqs, pid, group_results in iterator:
-                for s, r in zip(seqs, group_results):
-                    results[s] = r
-                stats.blocks_per_worker[pid] = (
-                    stats.blocks_per_worker.get(pid, 0) + len(seqs)
-                )
-
-        want_shm = (
-            self.use_shared_memory
-            if self.use_shared_memory is not None
-            else shared_memory_available()
-        )
-        if not (want_shm and shared_memory_available()):
-            stats.dispatch = "pickle"
-            payloads = [
-                (
-                    t.seqs,
-                    tuple(
-                        (
-                            np.array(planes[p][r0 : r0 + ht, c0 : c0 + wd]),
-                            band,
-                        )
-                        for p, r0, c0, ht, wd, band in t.blocks
-                    ),
-                )
-                for t in tasks
-            ]
-            task_fn = _encode_block_group_task
-            shared = None
-        else:
-            stats.dispatch = "shared_memory"
-            shared = _SharedPlanes(planes)
-            payloads = [
-                (
-                    t.seqs,
-                    tuple(
-                        (shared.descs[p], r0, c0, ht, wd, band)
-                        for p, r0, c0, ht, wd, band in t.blocks
-                    ),
-                )
-                for t in tasks
-            ]
-            task_fn = _encode_plane_group_task
-        try:
-            self._run_pool(task_fn, payloads, _consume)
-        finally:
-            if shared is not None:
-                shared.close()
-        missing = sum(r is None for r in results)
-        if missing:
-            raise RuntimeError(f"work queue lost {missing} block results")
-        return results  # type: ignore[return-value]
-
-    def decode_all(self, blocks) -> list:
-        """Decode code blocks, returning int32 planes in submission order.
-
-        ``blocks`` is a list of ``(data, height, width, band, msbs,
-        num_passes)`` tuples — exactly the arguments of
-        :func:`repro.jpeg2000.tier1_dec_vec.decode_codeblock_fast`.  Code
-        blocks are as independent on decode as on encode (per-block MQ
-        state), so the same dynamic queue applies: workers pull blocks
-        one at a time and results are re-assembled into submission order,
-        making the output sample-identical for any worker count.  The
-        serial path runs the batched stack decoder (the fastest
-        single-process route); the pool path ships each block's bytes
-        (cheap: compressed data, not coefficient planes).
-        """
-        if self.pool is not None:
-            raise ValueError(
-                "decode dispatch requires a one-shot pool; injected pools "
-                "are encode executors"
-            )
-        stats = QueueStats(workers=self.workers, blocks=len(blocks))
-        self.last_stats = stats
-        if not blocks:
-            return []
-        from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
-
-        if self.workers == 1 or len(blocks) < MIN_BLOCKS_FOR_POOL:
-            stats.blocks_per_worker[os.getpid()] = len(blocks)
-            return decode_codeblocks_batched(list(blocks))
-        stats.dispatch = "pickle"
-        payloads = [(seq,) + tuple(blk) for seq, blk in enumerate(blocks)]
-        results: list = [None] * len(blocks)
-
-        def _consume(iterator) -> None:
-            for seq, pid, res in iterator:
-                results[seq] = res
-                stats.blocks_per_worker[pid] = (
-                    stats.blocks_per_worker.get(pid, 0) + 1
-                )
-
-        self._run_pool(_decode_block_task, payloads, _consume)
         missing = sum(r is None for r in results)
         if missing:
             raise RuntimeError(f"work queue lost {missing} block results")
         return results
 
-    def _run_payloads(self, tasks, payloads, task_fn, stats) -> list[CodeBlockResult]:
-        """Drive payloads through the injected or one-shot pool."""
-        seq_to_pos = {t.seq: i for i, t in enumerate(tasks)}
-        if len(seq_to_pos) != len(tasks):
-            raise ValueError("duplicate task sequence numbers")
-        results: list[CodeBlockResult | None] = [None] * len(tasks)
+    def encode_plane_groups(
+        self, planes: list[np.ndarray], blocks: list[tuple]
+    ) -> list[CodeBlockResult]:
+        """Encode plane-described blocks in groups; results in block order.
 
-        def _consume(iterator) -> None:
-            for seq, pid, res in iterator:
-                results[seq_to_pos[seq]] = res
-                stats.blocks_per_worker[pid] = (
-                    stats.blocks_per_worker.get(pid, 0) + 1
-                )
+        ``blocks[i]`` is ``(plane index, row0, col0, height, width, band)``.
+        Every plane is published once in shared memory and groups carry
+        slice descriptors — the paper's DMA-minimizing move of shipping
+        each coefficient plane once and letting workers slice blocks
+        locally.  When shared memory is missing or publishing fails
+        (``OSError``: a full or absent ``/dev/shm``) the same groups carry
+        the coefficient slices instead.  Codestreams are byte-identical
+        either way.
+        """
+        shared = None
+        if shared_memory_available():
+            try:
+                shared = _SharedPlanes(planes)
+            except OSError:  # a full or missing /dev/shm: go inline
+                pass
+        try:
+            if shared is None:
+                dispatch = "pickle"
+                items = [
+                    (np.array(planes[p][r0 : r0 + h, c0 : c0 + w]),
+                     0, 0, h, w, band)
+                    for p, r0, c0, h, w, band in blocks
+                ]
+            else:
+                dispatch = "shared_memory"
+                items = [
+                    (shared.descs[p], r0, c0, h, w, band)
+                    for p, r0, c0, h, w, band in blocks
+                ]
+            keys = [(h, w) for _p, _r0, _c0, h, w, _band in blocks]
+            return self._run("encode", items, keys, dispatch)
+        finally:
+            # Unlink on success, error, and KeyboardInterrupt alike: the
+            # segments must never outlive the encode.
+            if shared is not None:
+                shared.close()
 
-        if self.pool is not None:
-            # Injected persistent pool: submit and leave it running.
-            _consume(self.pool.imap_unordered(payloads))
-        else:
-            self._run_pool(task_fn, payloads, _consume)
-        missing = sum(r is None for r in results)
-        if missing:
-            raise RuntimeError(f"work queue lost {missing} block results")
-        return results  # type: ignore[return-value]
+    # perfbench/tracing.py looks this name up; it goes with that reader.
+    encode_plane_blocks = encode_plane_groups
+
+    def decode_groups(self, blocks: list[tuple]) -> list[np.ndarray]:
+        """Decode code blocks in groups; int32 planes in block order.
+
+        ``blocks[i]`` is ``(data, height, width, band, msbs, num_passes)``
+        — the arguments of
+        :func:`repro.jpeg2000.tier1_dec_vec.decode_codeblock_fast`.  Code
+        blocks are as independent on decode as on encode, so the same
+        dynamic queue applies; compressed bytes are small, so groups
+        carry them inline.
+        """
+        keys = [(b[1], b[2]) for b in blocks]
+        return self._run("decode", list(blocks), keys, "pickle")
 
 
 class ChunkWorkQueue:
@@ -796,17 +789,3 @@ class ChunkWorkQueue:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def encode_blocks(
-    blocks: list[tuple[np.ndarray, str]],
-    workers: int | None = 1,
-    backend: str | None = None,
-) -> list[CodeBlockResult]:
-    """Convenience wrapper: encode ``(coeffs, band)`` pairs in order."""
-    queue = CodeBlockWorkQueue(workers=workers, backend=backend)
-    tasks = [
-        CodeBlockTask(seq=i, coeffs=coeffs, band=band)
-        for i, (coeffs, band) in enumerate(blocks)
-    ]
-    return queue.encode_all(tasks)

@@ -20,7 +20,7 @@ sample-identical (differentially tested):
     (:func:`repro.jpeg2000.tier1_dec_vec.decode_codeblocks_batched`), the
     default — code blocks are decoded per image, not per call.
 
-``decode(..., workers=N)`` additionally fans blocks out over
+``decode(..., workers=N)`` additionally fans block groups out over
 :class:`repro.core.workpool.CodeBlockWorkQueue` (process pool with
 sequence-numbered reassembly) and the inverse front end's chunk passes
 over threads; both are deterministic for any worker count, and small
@@ -160,6 +160,7 @@ def decode(
     backend: str | None = None,
     workers: int | None = 1,
     timings: DecodeStageTimings | None = None,
+    pool=None,
 ) -> np.ndarray:
     """Decode a codestream produced by :func:`repro.jpeg2000.encoder.encode`.
 
@@ -173,8 +174,11 @@ def decode(
     :data:`DEC_BACKENDS`; ``None``/``"auto"`` honours
     ``REPRO_DEC_BACKEND`` then defaults to ``"batched"``).  ``workers``
     fans code blocks out over a process pool and the inverse front end
-    over threads (``None`` = one per core); the output is sample-identical
-    for every backend and worker count.  ``timings`` (a
+    over threads (``None`` = one per core); ``pool`` (a
+    :class:`repro.core.workpool.WorkerPool` or a service scheduler job)
+    runs the Tier-1 block groups in place of a pool opened for this call.
+    The output is sample-identical for every backend, worker count and
+    pool.  ``timings`` (a
     :class:`repro.jpeg2000.dwt_fast.DecodeStageTimings`) accumulates
     per-stage wall time.
     """
@@ -185,7 +189,7 @@ def decode(
         if resolved == "reference":
             out = _decode_parsed(info)
         else:
-            out = _decode_parsed_fast(info, resolved, workers, timings)
+            out = _decode_parsed_fast(info, resolved, workers, timings, pool)
     except CodestreamError:
         raise
     except (ValueError, ArithmeticError, IndexError, KeyError, EOFError) as exc:
@@ -384,6 +388,7 @@ def _decode_parsed_fast(
     backend: str,
     workers: int | None,
     timings: DecodeStageTimings | None,
+    pool=None,
 ) -> np.ndarray:
     """Vectorized/batched decode: collect blocks, decode per image, fuse.
 
@@ -423,12 +428,23 @@ def _decode_parsed_fast(
     # Tier-1: per image, not per block or per tile.  The work queue path
     # reassembles by sequence number, so results are identical at any
     # worker count; tiny images clamp to serial exactly like the encoder.
-    from repro.core.workpool import CodeBlockWorkQueue, tier1_auto_workers
+    from repro.core.workpool import (
+        CodeBlockWorkQueue,
+        WorkerPool,
+        tier1_auto_workers,
+    )
 
-    eff_workers = tier1_auto_workers(workers, len(blocks_in))
-    if eff_workers > 1:
-        queue = CodeBlockWorkQueue(workers=eff_workers)
-        results = queue.decode_all(blocks_in)
+    tier1_workers = tier1_auto_workers(
+        pool.workers if pool is not None else workers, len(blocks_in)
+    )
+    if tier1_workers > 1:
+        if pool is not None:
+            results = CodeBlockWorkQueue(pool, backend).decode_groups(blocks_in)
+        else:
+            with WorkerPool(tier1_workers) as own_pool:
+                results = CodeBlockWorkQueue(own_pool, backend).decode_groups(
+                    blocks_in
+                )
     elif backend == "batched":
         from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
 

@@ -84,11 +84,11 @@ class WorkloadStats:
     blocks: list[BlockStats] = field(default_factory=list)
     codestream_bytes: int = 0
     raw_bytes: int = 0
-    #: How Tier-1 blocks reached the workers: ``"serial"``, ``"pickle"``,
-    #: ``"shared_memory"`` (per-block paths; see
-    #: :class:`repro.core.workpool.QueueStats`), ``"batched"`` (whole-image
-    #: in-process stacks), or ``"batched_shared_memory"``/
-    #: ``"batched_pickle"`` (geometry groups sharded across workers).
+    #: How Tier-1 blocks reached the coder: ``"serial"`` (in process, per
+    #: block), ``"batched"`` (whole-image in-process stacks), or block
+    #: groups on a worker pool — ``"shared_memory"``/``"pickle"`` for the
+    #: per-block backends, ``"batched_shared_memory"``/``"batched_pickle"``
+    #: for the stacked coder (see :class:`repro.core.workpool.QueueStats`).
     tier1_dispatch: str = "serial"
     #: Batched-backend occupancy: distinct geometry groups stacked and
     #: code blocks batched into them (0 when the batched path did not run).
@@ -219,10 +219,11 @@ def encode(
 ) -> EncodeResult:
     """Encode ``image`` (uint8/uint16, gray or RGB) to a JPEG2000 codestream.
 
-    ``pool`` optionally injects a persistent block executor (see
-    :class:`repro.core.workpool.CodeBlockWorkQueue`'s ``pool`` argument) —
-    the encode service routes Tier-1 work through its shared worker pool
-    this way.  The codestream is byte-identical with or without it.
+    ``pool`` optionally injects the worker pool Tier-1 block groups run
+    on (see :class:`repro.core.workpool.CodeBlockWorkQueue`) in place of
+    one opened for this call from ``params.workers`` — the encode service
+    passes a scheduler job of its shared pool this way.  The codestream
+    is byte-identical with or without it.
     """
     if params is None:
         params = EncoderParams.lossless_default()
@@ -281,15 +282,14 @@ def encode(
     else:
         batches = [[0]]
 
-    # Multi-batch parallel encodes reuse one process pool across batches
-    # instead of forking a fresh one per tile row.
-    mp_pool = None
-    if pool is None and len(batches) > 1:
-        from repro.core.workpool import ReusableWorkerPool, default_workers
+    # A parallel encode opens one worker pool for the call; it forks on
+    # first use, so clamped-serial encodes never start it, and every tile
+    # batch reuses it.
+    own_pool = None
+    if pool is None and params.workers != 1:
+        from repro.core.workpool import WorkerPool
 
-        eff = params.workers if params.workers is not None else default_workers()
-        if eff > 1:
-            mp_pool = ReusableWorkerPool(workers=eff)
+        pool = own_pool = WorkerPool(params.workers)
 
     tile_bodies: list[bytes] = [b""] * ntiles
     info: CodestreamInfo | None = None
@@ -343,7 +343,7 @@ def encode(
             # identical for any worker count.
             t0 = time.perf_counter()
             results = _encode_pending(batch_planned, planes, pending, params,
-                                      pool, stats, mp_pool=mp_pool)
+                                      pool, stats)
             timings.tier1 += time.perf_counter() - t0
 
             # Phase 3: reattach results in the original planning order.
@@ -425,12 +425,12 @@ def encode(
                 )
                 timings.tier2 += time.perf_counter() - t0
     except BaseException:
-        if mp_pool is not None:
-            mp_pool.terminate()
+        if own_pool is not None:
+            own_pool.terminate()
         raise
     else:
-        if mp_pool is not None:
-            mp_pool.close()
+        if own_pool is not None:
+            own_pool.close()
 
     assert info is not None
     t0 = time.perf_counter()
@@ -460,17 +460,14 @@ def _encode_pending(
     params: EncoderParams,
     pool=None,
     stats: WorkloadStats | None = None,
-    mp_pool=None,
 ) -> list[CodeBlockResult]:
-    """Tier-1 encode the collected blocks, honouring ``params.workers``.
+    """Tier-1 encode the collected blocks, in process or on ``pool``.
 
-    An injected ``pool`` overrides ``params.workers``: all blocks go
-    through it (the service's persistent pool / scheduler lane).  The
-    blocks are described as slices of whole subband planes so the work
-    queue can publish each plane once via shared memory and send workers
-    only ``(seq, plane, offsets, shape)`` descriptors.  ``mp_pool``
-    optionally carries a :class:`repro.core.workpool.ReusableWorkerPool`
-    so tiled encodes reuse one process pool across tile batches.
+    ``pool`` (a :class:`repro.core.workpool.WorkerPool` or a service
+    scheduler job) sets the worker count; ``None`` stays in process.
+    Past the :func:`repro.core.workpool.tier1_auto_workers` clamp the
+    blocks go to the pool as block groups over whole subband planes, so
+    the work queue publishes each plane once and workers slice locally.
     """
     from repro.jpeg2000.tier1 import resolve_backend
 
@@ -480,8 +477,36 @@ def _encode_pending(
     # stacked coder always beats per-block vectorized dispatch and is
     # byte-identical.  Explicit per-block backends are honoured verbatim.
     batched = backend == "batched" or (backend == "auto" and nblocks >= 2)
+    blocks = [
+        (pi, spec.row0, spec.col0, spec.height, spec.width, planned[pi].band)
+        for pi, spec in pending
+    ]
+    if pool is not None and nblocks >= 2:
+        # Lazily imported: the serial path must not pay the
+        # multiprocessing import.
+        from repro.core.workpool import CodeBlockWorkQueue, tier1_auto_workers
 
-    def run_batched_inprocess() -> list[CodeBlockResult]:
+        if tier1_auto_workers(pool.workers, nblocks) > 1:
+            queue = CodeBlockWorkQueue(
+                pool, backend="batched" if batched else backend
+            )
+            results = queue.encode_plane_groups(planes, blocks)
+            if stats is not None:
+                dispatch = queue.last_stats.dispatch
+                if batched:
+                    stats.tier1_dispatch = f"batched_{dispatch}"
+                    stats.tier1_batch_groups = len(
+                        {(h, w) for _p, _r, _c, h, w, _b in blocks}
+                    )
+                    stats.tier1_batch_blocks = nblocks
+                else:
+                    stats.tier1_dispatch = dispatch
+            return results
+
+    def block(pi, row0, col0, height, width):
+        return planes[pi][row0 : row0 + height, col0 : col0 + width]
+
+    if batched:
         from repro.jpeg2000.tier1_batch import (
             BatchOccupancy,
             encode_codeblocks_batched,
@@ -489,14 +514,7 @@ def _encode_pending(
 
         occ = BatchOccupancy()
         results = encode_codeblocks_batched(
-            [
-                (
-                    planes[pi][spec.row0 : spec.row0 + spec.height,
-                               spec.col0 : spec.col0 + spec.width],
-                    planned[pi].band,
-                )
-                for pi, spec in pending
-            ],
+            [(block(pi, r0, c0, h, w), band) for pi, r0, c0, h, w, band in blocks],
             occ,
         )
         if stats is not None:
@@ -504,125 +522,12 @@ def _encode_pending(
             stats.tier1_batch_groups = occ.groups
             stats.tier1_batch_blocks = occ.blocks
         return results
-
-    if pool is not None:
-        # Injected pool (the service's persistent workers / scheduler
-        # lane).  An explicitly batched backend still runs in-process for
-        # small images — the pool cannot amortize per-block pickling there
-        # — and degrades to byte-identical per-block coding through the
-        # pool above the threshold.
-        if backend == "batched":
-            from repro.core.workpool import tier1_serial_threshold
-
-            if nblocks < tier1_serial_threshold():
-                return run_batched_inprocess()
-        return _encode_pending_queue(planned, planes, pending, params, pool,
-                                     stats, params.workers, mp_pool)
-
-    workers = params.workers
-    if workers == 1 or nblocks < 2:
-        eff_workers = 1
-    else:
-        # Lazily imported like the queue below: the serial path must not
-        # pay the multiprocessing import.
-        from repro.core.workpool import tier1_auto_workers
-
-        eff_workers = tier1_auto_workers(workers, nblocks)
-
-    if batched:
-        if eff_workers == 1:
-            return run_batched_inprocess()
-        return _encode_pending_groups(planned, planes, pending, params,
-                                      stats, eff_workers, mp_pool)
-    if eff_workers == 1:
-        if stats is not None:
-            stats.tier1_dispatch = "serial"
-        return [
-            encode_codeblock(
-                planes[pi][spec.row0 : spec.row0 + spec.height,
-                           spec.col0 : spec.col0 + spec.width],
-                planned[pi].band,
-                backend=backend,
-            )
-            for pi, spec in pending
-        ]
-    return _encode_pending_queue(planned, planes, pending, params, None,
-                                 stats, eff_workers, mp_pool)
-
-
-def _encode_pending_queue(
-    planned, planes, pending, params, pool, stats, workers, mp_pool=None
-) -> list[CodeBlockResult]:
-    """Per-block dispatch through :class:`CodeBlockWorkQueue`."""
-    from repro.core.workpool import CodeBlockWorkQueue, PlaneBlockTask
-
-    queue = CodeBlockWorkQueue(
-        workers=workers, backend=params.tier1_backend, pool=pool,
-        mp_pool=mp_pool,
-    )
-    tasks = [
-        PlaneBlockTask(
-            seq=i, plane=pi, row0=spec.row0, col0=spec.col0,
-            height=spec.height, width=spec.width, band=planned[pi].band,
-        )
-        for i, (pi, spec) in enumerate(pending)
-    ]
-    results = queue.encode_plane_blocks(planes, tasks)
-    if stats is not None and queue.last_stats is not None:
-        stats.tier1_dispatch = queue.last_stats.dispatch
-    return results
-
-
-def _encode_pending_groups(
-    planned, planes, pending, params, stats, workers, mp_pool=None
-) -> list[CodeBlockResult]:
-    """Batched dispatch: shard geometry *groups* across workers.
-
-    Blocks are grouped by ``(height, width)`` and large groups split into
-    shards (policy: :func:`repro.jpeg2000.tier1_batch.group_shard_count`),
-    so every worker amortizes its NumPy overhead over a stack while the
-    dynamic queue still balances load.
-    """
-    from repro.core.workpool import CodeBlockWorkQueue, PlaneGroupTask
-    from repro.jpeg2000.tier1_batch import group_shard_count
-
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (pi, spec) in enumerate(pending):
-        groups.setdefault((spec.height, spec.width), []).append(i)
-    nblocks = len(pending)
-    shard = group_shard_count(nblocks, workers)
-    tasks = []
-    for idxs in groups.values():
-        for o in range(0, len(idxs), shard):
-            part = idxs[o : o + shard]
-            tasks.append(
-                PlaneGroupTask(
-                    seqs=tuple(part),
-                    blocks=tuple(
-                        (
-                            pending[i][0],
-                            pending[i][1].row0,
-                            pending[i][1].col0,
-                            pending[i][1].height,
-                            pending[i][1].width,
-                            planned[pending[i][0]].band,
-                        )
-                        for i in part
-                    ),
-                )
-            )
-    queue = CodeBlockWorkQueue(workers=workers, backend="batched",
-                               mp_pool=mp_pool)
-    results = queue.encode_plane_groups(planes, tasks)
     if stats is not None:
-        dispatch = (
-            queue.last_stats.dispatch if queue.last_stats is not None
-            else "shared_memory"
-        )
-        stats.tier1_dispatch = f"batched_{dispatch}"
-        stats.tier1_batch_groups = len(groups)
-        stats.tier1_batch_blocks = nblocks
-    return results
+        stats.tier1_dispatch = "serial"
+    return [
+        encode_codeblock(block(pi, r0, c0, h, w), band, backend=backend)
+        for pi, r0, c0, h, w, band in blocks
+    ]
 
 
 def _qcd_fields(planned: list[_PlannedSubband], ncomp: int) -> list[SubbandQuantField]:

@@ -1,17 +1,19 @@
 """Long-running encode service: the serving layer over the offline codec.
 
-One-shot CLI encodes spin up a worker pool per image; a server cannot.
-This package keeps a single :class:`PersistentWorkerPool` alive across
-requests (the paper's SPEs, loaded once), multiplexes concurrent requests
-onto it block-by-block through :class:`EncodeScheduler` (the paper's
-PPE-side dynamic queue), short-circuits repeated work through a
+One-shot CLI encodes open a worker pool per call; a server cannot.
+This package keeps a single :class:`repro.core.workpool.WorkerPool` alive
+across requests (the paper's SPEs, loaded once), multiplexes the block
+groups of concurrent encodes and decodes onto it through
+:class:`EncodeScheduler` (the paper's PPE-side dynamic queue),
+short-circuits repeated work through a
 content-addressed :class:`ResultCache`, bounds load with
 :class:`AdmissionController`, and observes it all via
 :class:`MetricsRegistry`.  :mod:`repro.service.http` puts a stdlib HTTP
 front end on top (``python -m repro serve``).
 
 Every codestream produced here is byte-identical to the offline
-:func:`repro.jpeg2000.encoder.encode` — determinism survives the pool,
+:func:`repro.jpeg2000.encoder.encode`, and every decode sample-identical
+to :func:`repro.jpeg2000.decoder.decode` — determinism survives the pool,
 the scheduler interleaving, and the cache by construction, and is
 enforced by tests.
 """
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.workpool import WorkerPool
 from repro.jpeg2000.dwt_fast import DecodeStageTimings, StageTimings
 from repro.jpeg2000.encoder import EncodeResult, encode
 from repro.jpeg2000.params import EncoderParams
@@ -37,7 +40,6 @@ from repro.service.admission import (
 )
 from repro.service.cache import ResultCache, cache_key
 from repro.service.metrics import MetricsRegistry
-from repro.service.pool import PersistentWorkerPool
 from repro.service.scheduler import EncodeScheduler, SchedulerClosed
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
     "EncodeService",
     "LoadShedder",
     "MetricsRegistry",
-    "PersistentWorkerPool",
     "QueueFullError",
     "ResultCache",
     "SchedulerClosed",
@@ -63,12 +64,9 @@ class ServiceConfig:
     """Tuning knobs of one :class:`EncodeService` (CLI ``serve`` flags)."""
 
     workers: int | None = None  # None = one per CPU core
-    backend: str | None = None
     cache_bytes: int = 64 * 2**20
     max_queue: int = 32
     admission_policy: str = "reject"
-    #: Blocks in flight inside the pool; None = 2 * workers (see scheduler).
-    max_inflight_blocks: int | None = None
     #: Identity of this service inside a shard cluster; None = unsharded.
     shard_id: int | None = None
     #: Unix-socket path of the cross-shard cache bus; None = no bus.
@@ -113,12 +111,8 @@ class EncodeService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        self.pool = PersistentWorkerPool(
-            workers=self.config.workers, backend=self.config.backend
-        )
-        self.scheduler = EncodeScheduler(
-            self.pool, max_inflight=self.config.max_inflight_blocks
-        )
+        self.pool = WorkerPool(workers=self.config.workers, warmup=True)
+        self.scheduler = EncodeScheduler(self.pool)
         self.cache = ResultCache(self.config.cache_bytes)
         self.admission = AdmissionController(
             self.config.max_queue, policy=self.config.admission_policy
@@ -378,18 +372,16 @@ class EncodeService:
                     pending.set()
 
     def decode_image(
-        self,
-        codestream: bytes,
-        backend: str | None = None,
-        workers: int | None = 1,
+        self, codestream: bytes, backend: str | None = None
     ) -> DecodeResponse:
         """Decode one codestream, with the same serving affordances as encode.
 
-        Decodes run inline on the request thread (block fan-out happens
-        inside :func:`repro.jpeg2000.decoder.decode` itself), but share the
-        encode path's admission control — a decode burst cannot starve the
-        pool queue unbounded — and a content-addressed cache keyed on the
-        codestream bytes alone: every backend reconstructs identical
+        Parsing and the inverse front end run on the request thread; past
+        the same auto-serial clamp as encode, the Tier-1 block groups go
+        through the scheduler onto the shared pool.  Decodes share the
+        encode path's admission control — a decode burst cannot starve
+        the pool queue unbounded — and a content-addressed cache keyed on
+        the codestream bytes alone: every backend reconstructs identical
         samples, so a hit is valid regardless of which backend filled it.
 
         Raises :class:`repro.jpeg2000.errors.CodestreamError` for malformed
@@ -419,9 +411,10 @@ class EncodeService:
         timings = DecodeStageTimings()
         t0 = time.perf_counter()
         try:
-            image = decode(
-                codestream, backend=resolved, workers=workers, timings=timings,
-            )
+            with self.scheduler.job() as job:
+                image = decode(
+                    codestream, backend=resolved, timings=timings, pool=job,
+                )
         except Exception:
             self._dec_errors.inc()
             self._errors.inc()

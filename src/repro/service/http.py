@@ -12,12 +12,13 @@ flags: ``lossy=1``, ``rate=0.1``, ``levels=5``, ``codeblock=64``,
 ``priority=5``.  ``verify=1``
 round-trips the served bytes through the decoder first; a failed check
 returns 422 with a structured JSON body instead of bad bytes.
-``/decode`` takes ``backend=batched|vectorized|reference`` and
-``workers=N|auto`` (every combination reconstructs identical samples) and
-answers 400 with the typed error name for malformed codestreams.  Each connection is handled on its own thread
-(``ThreadingHTTPServer``); actual Tier-1 work is interleaved block-by-block
-onto the shared persistent pool by the scheduler, so one huge upload
-cannot starve small ones.
+``/decode`` takes ``backend=batched|vectorized|reference`` (every backend
+reconstructs identical samples) and answers 400 with the typed error name
+for malformed codestreams.  Each connection is handled on its own thread
+(``ThreadingHTTPServer``); the Tier-1 work of encodes and decodes alike is
+interleaved group by group onto the shared worker pool by the scheduler,
+so one huge upload cannot starve small ones.  A worker that dies mid-request
+fails only the requests it held work for, with 503 and ``Retry-After``.
 
 ``run_server`` (the ``python -m repro serve`` entry) installs SIGTERM /
 SIGINT handlers that stop accepting connections, let in-flight requests
@@ -33,6 +34,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from repro.core.workpool import WorkerLost
 from repro.image import ImageFormatError, parse_image
 from repro.jpeg2000.params import EncoderParams
 from repro.service import EncodeService, ServiceConfig
@@ -216,6 +218,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except SchedulerClosed:
             self._error(503, "service is shutting down")
             return
+        except WorkerLost as exc:
+            self._error(503, str(exc), {"Retry-After": "1"})
+            return
         except VerificationError as exc:
             # The encode ran but its bytes failed the round-trip check:
             # the request was well-formed, the entity is not servable.
@@ -250,19 +255,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         service = self.server.service
         try:
             q = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-            unknown = set(q) - {"backend", "workers"}
+            unknown = set(q) - {"backend"}
             if unknown:
                 raise ValueError(f"unknown query parameters: {sorted(unknown)}")
             backend = q.get("backend", "auto")
-            workers_q = q.get("workers", "1")
-            workers = None if workers_q.lower() == "auto" else int(workers_q)
         except ValueError as exc:
             self._error(400, str(exc))
             return
         try:
-            response = service.decode_image(
-                body, backend=backend, workers=workers,
-            )
+            response = service.decode_image(body, backend=backend)
         except QueueFullError as exc:
             retry_after = getattr(exc, "retry_after_s", None)
             self._error(
@@ -272,6 +273,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         except SchedulerClosed:
             self._error(503, "service is shutting down")
+            return
+        except WorkerLost as exc:
+            self._error(503, str(exc), {"Retry-After": "1"})
             return
         except CodestreamError as exc:
             self._error(400, f"{type(exc).__name__}: {exc}")
@@ -329,7 +333,7 @@ def run_server(
     bound_port = server.server_address[1]
     print(
         f"repro encode service on http://{host}:{bound_port}  "
-        f"(workers={service.pool.workers}, backend={service.pool.backend}, "
+        f"(workers={service.pool.workers}, "
         f"cache={service.cache.max_bytes // 2**20} MiB, "
         f"max-queue={service.admission.max_queue})",
         flush=True,

@@ -1,24 +1,28 @@
-"""Fair block-level scheduler multiplexing concurrent encodes onto one pool.
+"""Fair group-level scheduler multiplexing concurrent requests onto one pool.
 
 The paper's PPE keeps a single dynamic queue of code blocks that idle SPEs
 pull from.  A server gets the same structure one level up: many requests
-are in flight at once, each contributing an independent batch of code
-blocks, and all of them share one :class:`PersistentWorkerPool`.  Simply
-letting each request dump its whole batch into the pool would serialize
-requests (multiprocessing's internal task queue is FIFO), so the first
-large image would starve everything behind it.
+are in flight at once, each contributing an independent batch of block
+groups (encode or decode), and all of them share one
+:class:`repro.core.workpool.WorkerPool`.  Simply letting each request dump
+its whole batch into the pool would serialize requests
+(multiprocessing's internal task queue is FIFO), so the first large
+image would starve everything behind it.
 
 Instead each request gets a *lane*; a dispatcher thread drains lanes one
-block at a time — highest priority first, round-robin within a priority
-class — and keeps only a small number of blocks in flight inside the pool
-so the interleaving decision stays here, not in the pool's FIFO.  That is
-block-level fair scheduling: an 8-block thumbnail overtakes a 3000-block
-photograph instead of queueing behind it.
+block group at a time — highest priority first, round-robin within a
+priority class — and keeps at most ``2 * workers`` groups in flight
+inside the pool so the interleaving decision stays here, not in the
+pool's FIFO.  That is group-level fair scheduling: a thumbnail's few
+groups overtake a photograph's instead of queueing behind them.  The
+group size (about ``2 * workers`` groups per request, see
+:func:`repro.core.workpool.group_runs`) trades one request's latency
+against throughput.
 
-Determinism: results are keyed by their per-job sequence number and
+Determinism: results are keyed by their per-request sequence numbers and
 reassembled in submission order by :class:`CodeBlockWorkQueue`, so the
-codestream of every request is byte-identical to an offline
-``encode()`` no matter how lanes interleave.
+output of every request is byte-identical to an offline ``encode()`` or
+``decode()`` no matter how lanes interleave.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import queue
 import threading
 from collections import deque
 
-from repro.service.pool import PersistentWorkerPool
+from repro.core.workpool import WorkerPool
 
 
 class SchedulerClosed(RuntimeError):
@@ -44,16 +48,16 @@ class _Lane:
         self.priority = priority
         self.pending: deque = deque()
         self.results: queue.Queue = queue.Queue()
-        self.last_pick = 0  # dispatcher tick of the last block taken
+        self.last_pick = 0  # dispatcher tick of the last group taken
 
 
 class SchedulerJob:
-    """One request's handle; doubles as an injectable pool.
+    """One request's handle; doubles as the pool of its work queue.
 
-    Implements the duck interface of
-    :class:`repro.core.workpool.CodeBlockWorkQueue`'s ``pool`` argument
-    (``workers`` + ``imap_unordered``), so the offline encoder routes its
-    Tier-1 batch through the scheduler without knowing it exists.
+    Implements what :class:`repro.core.workpool.CodeBlockWorkQueue` needs
+    of a pool (``workers`` + ``imap_unordered``), so the offline encoder
+    and decoder route their block groups through the scheduler without
+    knowing it exists.
     """
 
     def __init__(self, scheduler: "EncodeScheduler", lane: _Lane) -> None:
@@ -69,14 +73,11 @@ class SchedulerJob:
         return self._lane.priority
 
     def imap_unordered(self, payloads):
-        """Yield ``(seq, pid, result)`` for this job's blocks as they finish."""
+        """Yield ``(seqs, pid, results)`` for this job's groups as they finish."""
         payloads = list(payloads)
         self._scheduler._enqueue(self._lane, payloads)
         for _ in range(len(payloads)):
-            item = self._lane.results.get()
-            if isinstance(item, BaseException):
-                raise item
-            yield item
+            yield self._scheduler.pool.wait(self._lane.results)
 
     def close(self) -> None:
         self._scheduler._remove_lane(self._lane)
@@ -89,22 +90,20 @@ class SchedulerJob:
 
 
 class EncodeScheduler:
-    """Bounded, priority-aware dispatcher over a shared persistent pool.
+    """Bounded, priority-aware dispatcher over a shared worker pool.
 
     Parameters
     ----------
     pool:
-        The shared :class:`PersistentWorkerPool`.
+        The shared :class:`repro.core.workpool.WorkerPool`.
     max_inflight:
-        Maximum blocks handed to the pool but not yet completed.  Small
+        Maximum groups handed to the pool but not yet completed.  Small
         values maximize fairness (the dispatcher re-decides after every
-        block); the default ``2 * workers`` keeps every worker busy while
-        leaving at most one block per worker queued inside the pool.
+        group); the default ``2 * workers`` keeps every worker busy while
+        leaving at most one group per worker queued inside the pool.
     """
 
-    def __init__(
-        self, pool: PersistentWorkerPool, max_inflight: int | None = None
-    ) -> None:
+    def __init__(self, pool: WorkerPool, max_inflight: int | None = None) -> None:
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.pool = pool
@@ -115,6 +114,7 @@ class EncodeScheduler:
         self._tick = 0
         self._inflight = 0
         self._peak_inflight = 0
+        self._groups_dispatched = 0
         self._blocks_dispatched = 0
         self._closed = False
         self._dispatcher = threading.Thread(
@@ -174,29 +174,24 @@ class EncodeScheduler:
                 lane.last_pick = self._tick
                 self._inflight += 1
                 self._peak_inflight = max(self._peak_inflight, self._inflight)
-                self._blocks_dispatched += 1
+                self._groups_dispatched += 1
+                self._blocks_dispatched += len(payload[1])
             try:
                 self.pool.submit(
                     payload,
-                    callback=lambda res, _lane=lane: self._on_done(_lane, res),
-                    error_callback=lambda exc, _lane=lane: self._on_error(
+                    callback=lambda res, _lane=lane: self._settle(_lane, res),
+                    error_callback=lambda exc, _lane=lane: self._settle(
                         _lane, exc
                     ),
                 )
             except Exception as exc:  # pool closed/broken mid-dispatch
-                self._on_error(lane, exc)
+                self._settle(lane, exc)
 
-    def _on_done(self, lane: _Lane, res) -> None:
-        # Runs on the pool's result-handler thread.
-        seq, pid, result = res
-        self.pool.record_completion(pid)
-        lane.results.put((seq, pid, result))
-        with self._cond:
-            self._inflight -= 1
-            self._cond.notify_all()
-
-    def _on_error(self, lane: _Lane, exc: BaseException) -> None:
-        lane.results.put(exc)
+    def _settle(self, lane: _Lane, item) -> None:
+        """Hand a group's result (or exception) to its lane."""
+        # Runs on the pool's result-handler thread, or on the request
+        # thread that noticed a dead worker.
+        lane.results.put(item)
         with self._cond:
             self._inflight -= 1
             self._cond.notify_all()
@@ -221,11 +216,12 @@ class EncodeScheduler:
         with self._cond:
             return {
                 "open_lanes": len(self._lanes),
-                "pending_blocks": sum(
+                "pending_groups": sum(
                     len(l.pending) for l in self._lanes.values()
                 ),
-                "inflight_blocks": self._inflight,
-                "peak_inflight_blocks": self._peak_inflight,
+                "inflight_groups": self._inflight,
+                "peak_inflight_groups": self._peak_inflight,
+                "groups_dispatched": self._groups_dispatched,
                 "blocks_dispatched": self._blocks_dispatched,
                 "max_inflight": self.max_inflight,
                 "closed": self._closed,

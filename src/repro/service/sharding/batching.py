@@ -124,9 +124,10 @@ class MicroBatcher:
     Parameters
     ----------
     pool:
-        A :class:`repro.service.pool.PersistentWorkerPool` (its
-        :meth:`run_batch`), or ``None`` to always encode inline in the
-        flusher thread (used when the pool is unavailable).
+        A :class:`repro.core.workpool.WorkerPool` (each batch is one
+        :meth:`~repro.core.workpool.WorkerPool.run` task), or ``None`` to
+        always encode inline in the flusher thread (used when the pool is
+        unavailable).
     window_s:
         Fixed batch window in seconds, or ``None`` to size it from
         ``window_provider`` each flush.
@@ -238,8 +239,9 @@ class MicroBatcher:
         results: list[bytes] | None = None
         if self.pool is not None:
             try:
-                results = self.pool.run_batch(
-                    payload, timeout=self.dispatch_timeout_s
+                results = self.pool.run(
+                    _encode_batch_task, payload,
+                    timeout=self.dispatch_timeout_s,
                 )
                 self.pool_dispatches += 1
             except Exception:

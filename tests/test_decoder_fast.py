@@ -210,33 +210,54 @@ def _outcome(data, backend):
         return (type(exc).__name__,)
 
 
-class TestWorkpoolDecodeAll:
-    def test_injected_pool_rejected(self):
-        from repro.core.workpool import CodeBlockWorkQueue
+def _decode_blocks(seed=3, count=6):
+    from repro.jpeg2000.tier1 import encode_codeblock
 
-        class FakePool:
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for i in range(count):
+        h, w = (32, 24) if i % 3 else (16, 8)
+        vals = rng.integers(-80, 81, size=(h, w)).astype(np.int32)
+        enc = encode_codeblock(vals, "LL")
+        blocks.append((enc.data, h, w, "LL", enc.msbs, enc.num_passes))
+    return blocks
+
+
+class TestWorkpoolDecodeAll:
+    def test_injected_pool_accepted(self):
+        from repro.core.workpool import CodeBlockWorkQueue, _group_task
+        from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
+
+        class InlinePool:
+            """Duck-typed pool (like a service scheduler job)."""
             workers = 2
 
-        queue = CodeBlockWorkQueue(pool=FakePool())
-        with pytest.raises(ValueError, match="one-shot pool"):
-            queue.decode_all([])
+            def imap_unordered(self, payloads):
+                for p in payloads:
+                    assert p[0] == "decode"
+                    yield _group_task(p)
 
-    def test_serial_and_parallel_agree(self, monkeypatch):
-        from repro.core.workpool import CodeBlockWorkQueue
-        from repro.jpeg2000.tier1 import encode_codeblock
+        blocks = _decode_blocks()
+        queue = CodeBlockWorkQueue(InlinePool())
+        assert queue.decode_groups([]) == []
+        got = queue.decode_groups(blocks)
+        assert queue.last_stats.groups < len(blocks)
+        for g, w in zip(got, decode_codeblocks_batched(blocks)):
+            assert np.array_equal(g, w)
 
-        monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "0")
-        rng = np.random.default_rng(3)
-        blocks = []
-        for i in range(6):
-            vals = rng.integers(-80, 81, size=(32, 24)).astype(np.int32)
-            enc = encode_codeblock(vals, "LL")
-            blocks.append((enc.data, 32, 24, "LL", enc.msbs, enc.num_passes))
-        serial = CodeBlockWorkQueue(workers=1).decode_all(blocks)
-        parallel = CodeBlockWorkQueue(workers=3).decode_all(blocks)
-        assert len(serial) == len(parallel) == len(blocks)
-        for s, p in zip(serial, parallel):
-            assert np.array_equal(s, p)
+    def test_serial_and_parallel_agree(self):
+        from repro.core.workpool import CodeBlockWorkQueue, WorkerPool
+        from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
+
+        blocks = _decode_blocks()
+        serial = decode_codeblocks_batched(blocks)
+        with WorkerPool(3) as pool:
+            for backend in ("batched", "vectorized"):
+                queue = CodeBlockWorkQueue(pool, backend)
+                parallel = queue.decode_groups(blocks)
+                assert len(serial) == len(parallel) == len(blocks)
+                for s, p in zip(serial, parallel):
+                    assert np.array_equal(s, p)
 
 
 class TestMQDecodeRunParity:

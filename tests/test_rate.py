@@ -264,17 +264,40 @@ class TestByteIdentityAcrossDispatch:
         assert pooled.stats.tier1_dispatch == "batched"
 
     def test_pickle_fallback_is_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_DISPATCH", "0")
+        # A full /dev/shm makes segment creation fail with ENOSPC; the
+        # encode must fall back to inline groups, not fail.
+        import errno
+        import os
+        from multiprocessing import shared_memory
+
+        real = shared_memory.SharedMemory
+
+        def full(name=None, create=False, size=0):
+            if create:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(name=name, create=create, size=size)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", full)
         monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "0")
+        shm_dir = "/dev/shm"
+        before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
         img = watch_face_image(64, 64, channels=3)
         serial = encode(img, EncoderParams(lossless=False, rate=0.2, levels=3))
         pooled = encode(
             img, EncoderParams(lossless=False, rate=0.2, levels=3, workers=2)
         )
+        blockwise = encode(img, EncoderParams(
+            lossless=False, rate=0.2, levels=3, workers=2,
+            tier1_backend="vectorized",
+        ))
         assert pooled.codestream == serial.codestream
+        assert blockwise.codestream == serial.codestream
         # Default backend is auto -> whole-image batched; without shared
-        # memory the geometry groups ship pickled.
+        # memory the geometry groups ship their coefficients inline.
         assert pooled.stats.tier1_dispatch == "batched_pickle"
+        assert blockwise.stats.tier1_dispatch == "pickle"
+        after = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
+        assert after <= before
 
 
 class TestTruncatedStreamsDecode:

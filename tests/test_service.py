@@ -15,12 +15,18 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.workpool import (
+    CodeBlockWorkQueue,
+    WorkerLost,
+    WorkerPool,
+    _group_task,
+    available_cores,
+)
 from repro.image.synthetic import watch_face_image
 from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.params import EncoderParams
 from repro.service import EncodeService, ServiceConfig
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.service.pool import PersistentWorkerPool
 from repro.service.scheduler import EncodeScheduler, SchedulerClosed
 
 PARAMS = EncoderParams(levels=3)
@@ -50,11 +56,35 @@ def _no_cache(workers, **kw):
     return ServiceConfig(workers=workers, cache_bytes=0, **kw)
 
 
+@pytest.fixture
+def pool_path(monkeypatch):
+    """Send even the small test images through the pool (no clamp)."""
+    monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "0")
+
+
+def _shm_entries() -> set:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:
+        return set()
+
+
+def _group_payloads(n, seed=0, backend="reference"):
+    """``n`` one-block encode groups with inline coefficients."""
+    rng = np.random.default_rng(seed)
+    return [
+        ("encode", (i,), backend,
+         ((rng.integers(-50, 50, (8, 8)).astype(np.int32), 0, 0, 8, 8, "LL"),))
+        for i in range(n)
+    ]
+
+
 class TestConcurrentDeterminism:
     """Issue acceptance: N concurrent submitters, byte-identical output."""
 
     @pytest.mark.parametrize("workers", [1, 2, None], ids=["w1", "w2", "auto"])
-    def test_same_image_from_8_threads(self, workers, gray48, offline_gray48):
+    def test_same_image_from_8_threads(self, workers, gray48, offline_gray48,
+                                       pool_path):
         with EncodeService(_no_cache(workers)) as service:
             outputs = [None] * 8
             errors = []
@@ -77,7 +107,7 @@ class TestConcurrentDeterminism:
                 assert out.cache_hit is False  # cache disabled
 
     def test_mixed_images_and_priorities(
-        self, gray48, rgb48, offline_gray48, offline_rgb48
+        self, gray48, rgb48, offline_gray48, offline_rgb48, pool_path
     ):
         with EncodeService(_no_cache(2)) as service:
             outputs = {}
@@ -100,17 +130,37 @@ class TestConcurrentDeterminism:
             for got, want in outputs.values():
                 assert got == want
 
-    def test_sequential_requests_reuse_one_pool(self, gray48, rgb48):
+    def test_sequential_requests_reuse_one_pool(self, gray48, rgb48,
+                                                pool_path):
         with EncodeService(_no_cache(2)) as service:
+            warm = set(service.pool.warm_up())
             service.encode_image(gray48, PARAMS)
             service.encode_image(rgb48, PARAMS)
             snap = service.pool.snapshot()
             # Same worker pids across both images: the pool survived.
-            assert snap["images_served"] == 0  # scheduler path, not imap
+            assert {int(p) for p in snap["blocks_per_worker"]} <= warm
             assert snap["tasks_done"] > 0
             assert service.pool.stats.respawns == 0
 
-    def test_lossy_rate_through_service(self, rgb48):
+    def test_fresh_encode_uses_library_groups(self):
+        # 192x192x3 at cb 16 is ~900 blocks: past the clamp, the service
+        # runs the library's default stacked coder over block groups.
+        img = watch_face_image(192, 192, channels=3)
+        params = EncoderParams(codeblock_size=16)
+        offline = encode(img, params).codestream
+        with EncodeService(_no_cache(2)) as service:
+            out = service.encode_image(img, params)
+            snap = service.scheduler.snapshot()
+        assert out.codestream == offline
+        if available_cores() <= 1:
+            return  # the single-core clamp keeps Tier-1 in the request thread
+        assert out.result.stats.tier1_dispatch.startswith("batched_")
+        nblocks = len(out.result.stats.blocks)
+        assert nblocks >= 24
+        assert snap["blocks_dispatched"] == nblocks
+        assert 0 < snap["groups_dispatched"] < nblocks
+
+    def test_lossy_rate_through_service(self, rgb48, pool_path):
         params = EncoderParams.lossy_rate(0.2)
         offline = encode(rgb48, params).codestream
         with EncodeService(_no_cache(2)) as service:
@@ -119,29 +169,31 @@ class TestConcurrentDeterminism:
 
 class TestPersistentPool:
     def test_warm_up_reports_workers(self):
-        with PersistentWorkerPool(workers=2) as pool:
+        with WorkerPool(workers=2, warmup=True) as pool:
             pids = pool.warm_up()
             assert 1 <= len(pids) <= 2
             assert all(pid != os.getpid() for pid in pids)
 
     def test_imap_interface_matches_one_shot_queue(self):
-        from repro.core.workpool import CodeBlockTask, CodeBlockWorkQueue
-
         rng = np.random.default_rng(7)
-        tasks = [
-            CodeBlockTask(i, rng.integers(-99, 99, size=(8, 8)).astype(np.int32),
-                          "HL")
-            for i in range(6)
-        ]
-        one_shot = CodeBlockWorkQueue(workers=2).encode_all(tasks)
-        with PersistentWorkerPool(workers=2) as pool:
-            injected = CodeBlockWorkQueue(pool=pool).encode_all(tasks)
-            again = CodeBlockWorkQueue(pool=pool).encode_all(tasks)
+        planes = [rng.integers(-99, 99, size=(8, 48)).astype(np.int32)]
+        blocks = [(0, 0, c0, 8, 8, "HL") for c0 in range(0, 48, 8)]
+        # The library's pool: opened for one call, forked on first use.
+        with WorkerPool(workers=2) as one_shot_pool:
+            one_shot = CodeBlockWorkQueue(one_shot_pool).encode_plane_groups(
+                planes, blocks)
+        # The service's pool: warm, reused across calls.
+        with WorkerPool(workers=2, warmup=True) as pool:
+            injected = CodeBlockWorkQueue(pool).encode_plane_groups(
+                planes, blocks)
+            again = CodeBlockWorkQueue(pool).encode_plane_groups(
+                planes, blocks)
+            assert pool.stats.tasks_done >= 2
         assert injected == one_shot
-        assert again == one_shot  # pool reused across encode_all calls
+        assert again == one_shot  # pool reused across calls
 
     def test_ping_and_respawn(self):
-        pool = PersistentWorkerPool(workers=1)
+        pool = WorkerPool(workers=1, warmup=True)
         try:
             assert pool.ping()
             assert pool.ensure_healthy() is False  # healthy: no respawn
@@ -155,38 +207,94 @@ class TestPersistentPool:
         finally:
             pool.terminate()
 
-    def test_recovers_from_killed_worker(self):
-        # SIGKILLing a worker can poison the pool's shared task queue (an
-        # idle worker holds the queue lock while blocked reading), so the
-        # recovery contract is health-check + respawn, not tacit survival.
-        pool = PersistentWorkerPool(workers=2)
-        try:
-            victim = pool.warm_up()[0]
+    def test_recovers_from_killed_worker(self, pool_path):
+        # SIGKILLing a worker loses the group it held and can poison the
+        # pool's shared task queue (an idle worker holds the queue lock
+        # while blocked reading), so the contract is: the request in
+        # flight ends (bytes or WorkerLost, never a hang), its shared
+        # memory is unlinked, and the pool respawns for the next request.
+        img = watch_face_image(256, 256, channels=3)
+        params = EncoderParams(codeblock_size=16)
+        offline = encode(img, params).codestream
+        shm_before = _shm_entries()
+        with EncodeService(_no_cache(2)) as service:
+            victim = service.pool.warm_up()[0]
+            outcome = []
+
+            def request():
+                try:
+                    outcome.append(service.encode_image(img, params).codestream)
+                except WorkerLost as exc:
+                    outcome.append(exc)
+
+            thread = threading.Thread(target=request)
+            thread.start()
+            deadline = time.time() + 30
+            while (time.time() < deadline
+                   and not service.scheduler.snapshot()["groups_dispatched"]):
+                time.sleep(0.005)
             os.kill(victim, signal.SIGKILL)
-            deadline = time.time() + 10
-            while time.time() < deadline and not pool.ping(timeout=1.0):
-                pool.ensure_healthy(timeout=1.0)
-            assert pool.ping()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "killed request hung"
+            assert outcome and (outcome[0] == offline
+                                or isinstance(outcome[0], WorkerLost))
+            assert _shm_entries() <= shm_before, "killed request leaked shm"
+            again = service.encode_image(img, params)
+            assert again.codestream == offline
+            assert service.pool.stats.respawns >= 1
+            assert victim not in service.pool.warm_up()
+            assert service.healthy()
+
+    def test_concurrent_submitters_settle_every_group(self):
+        # More workers than cores, many submitting threads and a short
+        # switch interval: every group must settle exactly once, with the
+        # pool's bookkeeping intact.
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(workers=available_cores() + 2) as pool:
+                out = [None] * 8
+
+                def submit(i):
+                    out[i] = list(pool.imap_unordered(_group_payloads(6, i)))
+
+                threads = [threading.Thread(target=submit, args=(i,))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                for i, results in enumerate(out):
+                    want = [_group_task(p) for p in _group_payloads(6, i)]
+                    assert sorted(r[0] for r in results) == [
+                        (k,) for k in range(6)]
+                    assert sorted((r[0], r[2]) for r in results) == sorted(
+                        (w[0], w[2]) for w in want)
+                assert pool.stats.tasks_done == 8 * 6
+                assert sum(pool.stats.blocks_per_worker.values()) == 8 * 6
+                assert not pool._outstanding
         finally:
-            pool.terminate()
+            sys.setswitchinterval(interval)
 
     def test_closed_pool_refuses_work(self):
-        pool = PersistentWorkerPool(workers=1)
+        pool = WorkerPool(workers=1, warmup=True)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            list(pool.imap_unordered([(0, np.ones((2, 2), np.int32), "LL",
-                                       "reference")]))
+            list(pool.imap_unordered(_group_payloads(1)))
         assert not pool.ping()
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
-            PersistentWorkerPool(workers=0)
+            WorkerPool(workers=0)
 
 
 class TestScheduler:
-    def test_interleaves_two_jobs(self, gray48, rgb48):
+    def test_interleaves_two_jobs(self, gray48, rgb48, pool_path):
         """Two jobs running concurrently both finish and stay correct."""
-        with PersistentWorkerPool(workers=2) as pool:
+        with WorkerPool(workers=2, warmup=True) as pool:
             scheduler = EncodeScheduler(pool, max_inflight=2)
             try:
                 results = {}
@@ -201,16 +309,18 @@ class TestScheduler:
                 assert results["a"].codestream == encode(gray48, PARAMS).codestream
                 assert results["b"].codestream == encode(rgb48, PARAMS).codestream
                 snap = scheduler.snapshot()
-                assert snap["blocks_dispatched"] > 0
-                assert snap["inflight_blocks"] == 0
+                assert snap["groups_dispatched"] > 0
+                assert snap["blocks_dispatched"] >= snap["groups_dispatched"]
+                assert snap["inflight_groups"] == 0
+                assert snap["peak_inflight_groups"] <= 2
                 assert snap["open_lanes"] == 0
             finally:
                 scheduler.close()
 
     def test_priority_prefers_higher(self):
-        """With a saturated single worker, high-priority blocks dispatch
+        """With a saturated single worker, high-priority groups dispatch
         ahead of queued low-priority ones."""
-        with PersistentWorkerPool(workers=1) as pool:
+        with WorkerPool(workers=1, warmup=True) as pool:
             scheduler = EncodeScheduler(pool, max_inflight=1)
             try:
                 lo = scheduler.job(priority=0)
@@ -219,12 +329,7 @@ class TestScheduler:
                 # Both lanes race; completion of both proves the dispatcher
                 # serves multiple lanes.  (Strict ordering is not observable
                 # from outside without hooking the pool.)
-                rng = np.random.default_rng(0)
-                payloads = [
-                    (i, rng.integers(-50, 50, (8, 8)).astype(np.int32), "LL",
-                     "reference")
-                    for i in range(4)
-                ]
+                payloads = _group_payloads(4)
                 out_lo = []
                 out_hi = []
                 t1 = threading.Thread(
@@ -233,12 +338,15 @@ class TestScheduler:
                     target=lambda: out_hi.extend(hi.imap_unordered(payloads)))
                 t1.start(); t2.start(); t1.join(); t2.join()
                 assert len(out_lo) == len(out_hi) == 4
+                assert sorted(seqs for seqs, _pid, _res in out_hi) == [
+                    (0,), (1,), (2,), (3,)
+                ]
                 lo.close(); hi.close()
             finally:
                 scheduler.close()
 
     def test_closed_scheduler_rejects_jobs(self):
-        with PersistentWorkerPool(workers=1) as pool:
+        with WorkerPool(workers=1) as pool:
             scheduler = EncodeScheduler(pool)
             scheduler.close()
             with pytest.raises(SchedulerClosed):
@@ -246,7 +354,7 @@ class TestScheduler:
             scheduler.close()  # idempotent
 
     def test_invalid_max_inflight(self):
-        with PersistentWorkerPool(workers=1) as pool:
+        with WorkerPool(workers=1) as pool:
             with pytest.raises(ValueError, match="max_inflight"):
                 EncodeScheduler(pool, max_inflight=0)
 
@@ -265,6 +373,7 @@ class TestServiceLifecycle:
             service.encode_image(gray48, PARAMS)
             stats = service.stats()
             assert stats["pool"]["workers"] == 1
+            assert "backend" not in stats["pool"]
             assert stats["admission"]["admitted"] == 1
             assert stats["cache"]["misses"] == 1
             assert stats["uptime_s"] >= 0

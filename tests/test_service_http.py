@@ -17,6 +17,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.core.workpool import available_cores
 from repro.image.bmp import write_bmp
 from repro.image.pnm import write_pnm
 from repro.image.synthetic import watch_face_image
@@ -260,7 +261,18 @@ class TestObservabilityEndpoints:
         with urllib.request.urlopen(f"{base_url}/stats", timeout=30) as resp:
             stats = json.load(resp)
         assert stats["pool"]["workers"] == 2
+        assert "backend" not in stats["pool"]
         assert set(stats) >= {"pool", "scheduler", "cache", "admission"}
+
+    def test_serve_has_no_tier1_backend_flag(self, capsys):
+        # The per-request ?tier1_backend= picks the coder; a server-wide
+        # flag that nothing read is gone.
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--tier1-backend", "reference"])
+        assert exc.value.code == 2
+        assert "--tier1-backend" in capsys.readouterr().err
 
 
 class TestQueryParsing:
@@ -359,6 +371,34 @@ class TestDecodeEndpoint:
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(f"{base_url}/decode?speed=11", cs)
         assert err.value.code == 400
+
+    def test_workers_query_is_400_and_forks_nothing(self, base_url,
+                                                    rgb_stream):
+        import multiprocessing
+
+        _, cs = rgb_stream
+        before = {p.pid for p in multiprocessing.active_children()}
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(f"{base_url}/decode?workers=2", cs)
+        assert err.value.code == 400
+        assert "workers" in json.load(err.value)["error"]
+        assert {p.pid for p in multiprocessing.active_children()} == before
+
+    def test_large_decode_runs_groups_on_the_pool(self, base_url, server):
+        from repro.image.pnm import parse_pnm
+        from repro.jpeg2000.decoder import decode_reference
+
+        img = watch_face_image(96, 96, channels=3)
+        cs = encode(img, EncoderParams(levels=3, codeblock_size=16)).codestream
+        service = server.service
+        before = service.scheduler.snapshot()["blocks_dispatched"]
+        with _post(f"{base_url}/decode?backend=batched", cs) as resp:
+            assert resp.headers["X-Cache"] == "MISS"
+            out = parse_pnm(resp.read())
+        assert np.array_equal(out, decode_reference(cs))
+        dispatched = service.scheduler.snapshot()["blocks_dispatched"] - before
+        if available_cores() > 1:  # else the single-core clamp keeps it inline
+            assert dispatched >= 24  # ~ 3 x 48 blocks, past the serial clamp
 
     def test_decode_metrics_exported(self, base_url, rgb_stream):
         _, cs = rgb_stream

@@ -18,6 +18,7 @@ import pytest
 from repro.core.workpool import (
     TIER1_AUTO_SERIAL_ENV,
     TIER1_AUTO_SERIAL_MIN_BLOCKS,
+    available_cores,
     tier1_auto_workers,
     tier1_serial_threshold,
 )
@@ -200,6 +201,26 @@ class TestAutoSerialClamp:
         assert tier1_auto_workers(1, 1000) == 1
         assert tier1_auto_workers(4, tier1_serial_threshold() - 1) == 1
 
+    def test_cpu_affinity_counts_cores(self, monkeypatch):
+        # A cpuset-limited process sees every host core in os.cpu_count()
+        # but may run on one: workers=None and the single-core clamp must
+        # follow the affinity mask.
+        import os
+
+        from repro.core.workpool import default_workers
+
+        monkeypatch.delenv(TIER1_AUTO_SERIAL_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert default_workers() == 1
+        assert tier1_auto_workers(None, 1000) == 1
+        assert tier1_auto_workers(4, 1000) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert default_workers() == 3
+        assert tier1_auto_workers(None, 1000) == 3
+
     def test_threshold_defaults_to_constant(self, monkeypatch):
         monkeypatch.delenv(TIER1_AUTO_SERIAL_ENV, raising=False)
         assert TIER1_AUTO_SERIAL_MIN_BLOCKS == 24
@@ -211,7 +232,7 @@ class TestAutoSerialClamp:
 
     def test_env_overrides_threshold(self, monkeypatch):
         monkeypatch.setenv(TIER1_AUTO_SERIAL_ENV, "5")
-        if (__import__("os").cpu_count() or 1) > 1:
+        if available_cores() > 1:
             assert tier1_auto_workers(4, 5) == 4
         assert tier1_auto_workers(4, 4) == 1
 

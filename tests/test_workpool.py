@@ -8,15 +8,16 @@ suite stays fast on single-core CI machines.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.workpool import (
-    CodeBlockTask,
     CodeBlockWorkQueue,
     QueueStats,
+    WorkerPool,
     default_workers,
-    encode_blocks,
 )
 from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.params import EncoderParams
@@ -36,18 +37,59 @@ def _blocks(seed=0, count=12):
     ]
 
 
+def _as_planes(blocks):
+    """One plane per block, each described by a whole-plane slice."""
+    planes = [cb for cb, _band in blocks]
+    descs = [(i, 0, 0, cb.shape[0], cb.shape[1], band)
+             for i, (cb, band) in enumerate(blocks)]
+    return planes, descs
+
+
+def _encode_groups(blocks, workers, backend="vectorized"):
+    planes, descs = _as_planes(blocks)
+    with WorkerPool(workers) as pool:
+        queue = CodeBlockWorkQueue(pool, backend=backend)
+        return queue.encode_plane_groups(planes, descs), queue.last_stats
+
+
+@pytest.fixture(scope="module")
+def pool2():
+    with WorkerPool(2) as pool:
+        yield pool
+
+
+def _disable_shm_segments(monkeypatch):
+    """Make publishing a plane fail like a full ``/dev/shm`` does."""
+    import errno
+    from multiprocessing import shared_memory
+
+    real = shared_memory.SharedMemory
+
+    def full(name=None, create=False, size=0):
+        if create:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(name=name, create=create, size=size)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", full)
+
+
 class TestQueue:
     def test_serial_matches_direct_calls(self):
-        blocks = _blocks()
-        got = encode_blocks(blocks, workers=1)
-        want = [encode_codeblock(cb, band) for cb, band in blocks]
-        assert got == want
+        # workers=1 never opens a pool: per-block in-process coding.
+        img = np.random.default_rng(0).integers(0, 255, (40, 40), np.uint8)
+        params = EncoderParams(levels=2, codeblock_size=16,
+                               tier1_backend="vectorized")
+        res = encode(img, params)
+        assert res.stats.tier1_dispatch == "serial"
+        assert res.codestream == encode(img, EncoderParams(
+            levels=2, codeblock_size=16, tier1_backend="reference")).codestream
 
     def test_pool_matches_serial(self):
         blocks = _blocks(seed=1)
-        assert encode_blocks(blocks, workers=3) == encode_blocks(blocks, workers=1)
+        got, _ = _encode_groups(blocks, workers=3)
+        assert got == [encode_codeblock(cb, band) for cb, band in blocks]
 
-    def test_results_in_submission_order(self):
+    def test_results_in_submission_order(self, pool2):
         # Mix fast (tiny) and slow (big dense) blocks so completion order
         # under the pool almost certainly differs from submission order.
         rng = np.random.default_rng(2)
@@ -58,46 +100,72 @@ class TestQueue:
                                .astype(np.int32), "HH"))
             else:
                 blocks.append((np.ones((1, 1), dtype=np.int32), "LL"))
-        serial = encode_blocks(blocks, workers=1)
-        pooled = encode_blocks(blocks, workers=4)
+        planes, descs = _as_planes(blocks)
+        pooled = CodeBlockWorkQueue(pool2, "vectorized").encode_plane_groups(
+            planes, descs)
+        serial = [encode_codeblock(cb, band) for cb, band in blocks]
         for i, (a, b) in enumerate(zip(serial, pooled)):
             assert a == b, f"block {i} out of order or mismatched"
 
-    def test_queue_stats_recorded(self):
-        queue = CodeBlockWorkQueue(workers=2)
-        tasks = [CodeBlockTask(i, cb, band)
-                 for i, (cb, band) in enumerate(_blocks(seed=3, count=6))]
-        queue.encode_all(tasks)
+    def test_queue_stats_recorded(self, pool2):
+        queue = CodeBlockWorkQueue(pool2)
+        planes, descs = _as_planes(_blocks(seed=3, count=6))
+        queue.encode_plane_groups(planes, descs)
         stats = queue.last_stats
         assert isinstance(stats, QueueStats)
         assert stats.workers == 2
         assert stats.blocks == 6
+        assert 1 <= stats.groups <= 6
         assert sum(stats.blocks_per_worker.values()) == 6
 
-    def test_empty_and_single(self):
-        assert CodeBlockWorkQueue(workers=4).encode_all([]) == []
-        # A single block never pays for a pool.
-        [res] = encode_blocks(_blocks(count=1), workers=4)
-        cb, band = _blocks(count=1)[0]
-        assert res == encode_codeblock(cb, band)
+    def test_empty_and_single(self, pool2, watch_gray_64, monkeypatch):
+        queue = CodeBlockWorkQueue(pool2)
+        assert queue.encode_plane_groups([], []) == []
+        assert queue.decode_groups([]) == []
+        # A single block never pays for a pool, even with the clamp off.
+        monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "0")
+        img = watch_gray_64[:8, :8]
+        res = encode(img, EncoderParams(levels=0, workers=4,
+                                        tier1_backend="vectorized"))
+        assert len(res.stats.blocks) == 1
+        assert res.stats.tier1_dispatch == "serial"
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
-            CodeBlockWorkQueue(workers=0)
-        assert CodeBlockWorkQueue(workers=None).workers == default_workers()
+            WorkerPool(workers=0)
+        assert WorkerPool(workers=None).workers == default_workers()
         assert default_workers() >= 1
 
-    def test_backend_forwarded(self):
+    def test_backend_forwarded(self, pool2):
         blocks = _blocks(seed=4, count=4)
-        ref = encode_blocks(blocks, workers=2, backend="reference")
-        vec = encode_blocks(blocks, workers=2, backend="vectorized")
+        planes, descs = _as_planes(blocks)
+        ref = CodeBlockWorkQueue(pool2, "reference").encode_plane_groups(
+            planes, descs)
+        vec = CodeBlockWorkQueue(pool2, "vectorized").encode_plane_groups(
+            planes, descs)
+        bat = CodeBlockWorkQueue(pool2, "batched").encode_plane_groups(
+            planes, descs)
         assert ref == vec
+        assert [(r.data, r.pass_lengths) for r in bat] == [
+            (r.data, r.pass_lengths) for r in ref
+        ]
 
     def test_duplicate_seq_rejected(self):
-        cb = np.ones((2, 2), dtype=np.int32)
-        tasks = [CodeBlockTask(0, cb, "LL"), CodeBlockTask(0, cb, "HL")]
-        with pytest.raises(ValueError, match="duplicate"):
-            CodeBlockWorkQueue(workers=2).encode_all(tasks)
+        class RepeatingPool:
+            """Delivers the first group twice and drops the rest."""
+            workers = 2
+
+            def imap_unordered(self, payloads):
+                from repro.core.workpool import _group_task
+
+                first = _group_task(payloads[0])
+                yield first
+                yield first
+
+        planes, descs = _as_planes(_blocks(seed=5, count=8))
+        with pytest.raises(RuntimeError, match="lost"):
+            CodeBlockWorkQueue(RepeatingPool()).encode_plane_groups(
+                planes, descs)
 
 
 class TestEncoderIntegration:
@@ -150,18 +218,18 @@ class TestEncoderIntegration:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory plane dispatch (PR 4).
+# Shared-memory plane dispatch and its inline fallback.
 # ---------------------------------------------------------------------------
 
 from repro.core.workpool import (  # noqa: E402
-    PlaneBlockTask,
+    _group_blocks,
     _SharedPlanes,
     shared_memory_available,
 )
 
 
 def _planes_and_tasks(seed=3):
-    """Two oddly shaped planes tiled into 16x16 (and ragged-edge) tasks."""
+    """Two oddly shaped planes tiled into 16x16 (and ragged-edge) blocks."""
     rng = np.random.default_rng(seed)
     planes = [
         rng.integers(-300, 300, size=(40, 56)).astype(np.int32),
@@ -172,99 +240,126 @@ def _planes_and_tasks(seed=3):
     for pi, plane in enumerate(planes):
         for r0 in range(0, plane.shape[0], 16):
             for c0 in range(0, plane.shape[1], 16):
-                tasks.append(PlaneBlockTask(
-                    seq=len(tasks), plane=pi, row0=r0, col0=c0,
-                    height=min(16, plane.shape[0] - r0),
-                    width=min(16, plane.shape[1] - c0),
-                    band=bands[len(tasks) % 4],
+                tasks.append((
+                    pi, r0, c0,
+                    min(16, plane.shape[0] - r0),
+                    min(16, plane.shape[1] - c0),
+                    bands[len(tasks) % 4],
                 ))
     return planes, tasks
 
 
 def _serial_oracle(planes, tasks, backend="vectorized"):
     return [
-        encode_codeblock(t.slice_of(planes[t.plane]), t.band, backend=backend)
-        for t in tasks
+        encode_codeblock(planes[p][r0 : r0 + h, c0 : c0 + w], band,
+                         backend=backend)
+        for p, r0, c0, h, w, band in tasks
     ]
 
 
 def _same_results(a, b) -> bool:
-    return all(
+    return len(a) == len(b) and all(
         x.data == y.data and x.pass_lengths == y.pass_lengths
         and x.num_passes == y.num_passes
         for x, y in zip(a, b)
     )
 
 
-class TestPlaneBlockTask:
+def _shm_entries() -> set:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:
+        return set()
+
+
+class TestGroupBlockItems:
+    @pytest.mark.skipif(not shared_memory_available(),
+                        reason="shared memory unavailable")
     def test_slice_of(self):
+        # A group item names a published plane plus offsets/shape; the
+        # worker copies exactly that slice (and the inline form as is).
         plane = np.arange(12 * 10, dtype=np.int32).reshape(12, 10)
-        t = PlaneBlockTask(seq=0, plane=0, row0=4, col0=2,
-                           height=3, width=5, band="HL")
-        assert np.array_equal(t.slice_of(plane), plane[4:7, 2:7])
+        shared = _SharedPlanes([plane])
+        try:
+            [(got, band), (inline, _)] = _group_blocks([
+                (shared.descs[0], 4, 2, 3, 5, "HL"),
+                (plane[1:3, 1:4].copy(), 0, 0, 2, 3, "LL"),
+            ])
+        finally:
+            shared.close()
+        assert band == "HL"
+        assert np.array_equal(got, plane[4:7, 2:7])
+        assert np.array_equal(inline, plane[1:3, 1:4])
 
 
 class TestPlaneDispatch:
-    def test_serial_path_and_stats(self):
-        planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(workers=1)
-        res = queue.encode_plane_blocks(planes, tasks)
-        assert _same_results(res, _serial_oracle(planes, tasks))
-        assert queue.last_stats.dispatch == "serial"
+    def test_serial_path_and_stats(self, watch_rgb_64, monkeypatch):
+        # Below the clamp the encoder codes in process, never via a pool.
+        monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "1000")
+        res = encode(watch_rgb_64, EncoderParams(
+            levels=3, workers=2, tier1_backend="vectorized"))
+        assert res.stats.tier1_dispatch == "serial"
+        auto = encode(watch_rgb_64, EncoderParams(levels=3, workers=2))
+        assert auto.stats.tier1_dispatch == "batched"
+        assert auto.codestream == res.codestream
 
     @pytest.mark.skipif(not shared_memory_available(),
                         reason="shared memory unavailable")
-    def test_shared_memory_matches_serial(self):
+    def test_shared_memory_matches_serial(self, pool2):
         planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(workers=2, use_shared_memory=True)
-        res = queue.encode_plane_blocks(planes, tasks)
+        queue = CodeBlockWorkQueue(pool2, "vectorized")
+        res = queue.encode_plane_groups(planes, tasks)
         assert _same_results(res, _serial_oracle(planes, tasks))
         assert queue.last_stats.dispatch == "shared_memory"
         assert sum(queue.last_stats.blocks_per_worker.values()) == len(tasks)
 
-    def test_pickle_path_matches_serial(self):
+    def test_pickle_path_matches_serial(self, pool2, monkeypatch):
+        _disable_shm_segments(monkeypatch)
+        before = _shm_entries()
         planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(workers=2, use_shared_memory=False)
-        res = queue.encode_plane_blocks(planes, tasks)
+        queue = CodeBlockWorkQueue(pool2, "vectorized")
+        res = queue.encode_plane_groups(planes, tasks)
+        assert _same_results(res, _serial_oracle(planes, tasks))
+        assert queue.last_stats.dispatch == "pickle"
+        assert _shm_entries() <= before
+
+    def test_missing_shared_memory_forces_pickle(self, pool2, monkeypatch):
+        import repro.core.workpool as workpool
+
+        monkeypatch.setattr(workpool, "shared_memory_available", lambda: False)
+        planes, tasks = _planes_and_tasks()
+        queue = CodeBlockWorkQueue(pool2, "batched")
+        res = queue.encode_plane_groups(planes, tasks)
         assert _same_results(res, _serial_oracle(planes, tasks))
         assert queue.last_stats.dispatch == "pickle"
 
-    def test_env_kill_switch_forces_pickle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_DISPATCH", "0")
-        assert not shared_memory_available()
-        planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(workers=2)  # use_shared_memory=None
-        res = queue.encode_plane_blocks(planes, tasks)
-        assert _same_results(res, _serial_oracle(planes, tasks))
-        assert queue.last_stats.dispatch == "pickle"
-
-    def test_injected_pool_without_support_falls_back(self):
-        class FakePool:
-            """Duck-typed pool that only understands pickled payloads."""
+    @pytest.mark.skipif(not shared_memory_available(),
+                        reason="shared memory unavailable")
+    def test_injected_pool_runs_shared_memory_groups(self):
+        class InlinePool:
+            """Duck-typed pool that runs every group in this process."""
             workers = 2
-            # no supports_shared_memory attribute at all
 
             def imap_unordered(self, payloads):
-                from repro.core.workpool import _encode_task
+                from repro.core.workpool import _group_task
                 for p in payloads:
-                    yield _encode_task(p)
+                    yield _group_task(p)
 
         planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(pool=FakePool())
-        res = queue.encode_plane_blocks(planes, tasks)
+        queue = CodeBlockWorkQueue(InlinePool(), "vectorized")
+        res = queue.encode_plane_groups(planes, tasks)
         assert _same_results(res, _serial_oracle(planes, tasks))
-        assert queue.last_stats.dispatch == "pickle"
+        assert queue.last_stats.dispatch == "shared_memory"
 
-    def test_backend_forwarded_through_shm(self):
+    def test_backend_forwarded_through_shm(self, pool2):
         planes, tasks = _planes_and_tasks(seed=9)
         serial = _serial_oracle(planes, tasks, backend="reference")
-        queue = CodeBlockWorkQueue(workers=2, backend="reference",
-                                   use_shared_memory=True)
-        res = queue.encode_plane_blocks(planes, tasks)
+        queue = CodeBlockWorkQueue(pool2, "reference")
+        res = queue.encode_plane_groups(planes, tasks)
         assert _same_results(res, serial)
 
-    def test_empty_tasks(self):
-        assert CodeBlockWorkQueue(workers=2).encode_plane_blocks([], []) == []
+    def test_empty_tasks(self, pool2):
+        assert CodeBlockWorkQueue(pool2).encode_plane_groups([], []) == []
 
 
 class TestSharedPlanesLifecycle:
