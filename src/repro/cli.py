@@ -3,6 +3,7 @@ fuzz.
 
     python -m repro encode  input.bmp output.j2c [--lossy] [--rate 0.1]
                               [--tile 512] [--mem-budget MIB]
+                              [--workers auto] [--tier1-backend batched]
     python -m repro decode  input.j2c output.bmp [--backend batched]
                               [--workers auto]
     python -m repro simulate input.bmp [--spes 8] [--ppe-threads 1]
@@ -13,6 +14,14 @@ fuzz.
                               [--shed-target-p95 SECONDS]
     python -m repro verify  [--quick] [--rates 0.1,0.25,1.0] [--workers 1,2]
     python -m repro fuzz    [--cases 10000] [--seed 2008] [--artifacts DIR]
+
+The coding flags of ``encode`` and ``simulate`` are generated from
+:data:`repro.jpeg2000.params.CODING_FIELDS`: one flag per field with a
+wire spelling (the query key with ``-`` for ``_``), so they match the
+``/encode`` query keys wherever a field has one.  Execution flags
+(``--workers``, ``--tier1-backend``, ``--dwt-backend``, ``--dwt-chunk``,
+``--mem-budget``, ``--self-check``) exist only here, never on the wire:
+they change the cost of an encode, not its bytes.
 
 ``simulate`` prints the per-stage Cell/B.E. timeline for encoding the
 image; ``--estimate`` uses the fast Tier-1 workload estimator instead of
@@ -36,10 +45,15 @@ from repro.cell.machine import CellMachine
 from repro.core.pipeline import PipelineModel
 from repro.image.bmp import read_bmp, write_bmp
 from repro.image.pnm import read_pnm, write_pnm
-from repro.jpeg2000.decoder import decode
+from repro.jpeg2000.decoder import DEC_BACKENDS, decode
 from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.errors import CodestreamError
-from repro.jpeg2000.params import EncoderParams, choose_tile_size
+from repro.jpeg2000.params import (
+    CODING_FIELDS,
+    EncoderParams,
+    choose_tile_size,
+    parse_workers,
+)
 from repro.jpeg2000.tier1_stats import estimate_workload
 
 
@@ -64,85 +78,40 @@ def _write_image(path: str, image) -> None:
         raise SystemExit(f"unsupported output format: {path} (use .bmp/.pgm/.ppm)")
 
 
-def _workers(value: str) -> int | None:
-    if value.lower() in ("auto", "all", "0"):
-        return None  # one worker per CPU core
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {n}")
-    return n
-
-
 def _params(args, image=None) -> EncoderParams:
-    mem_budget = getattr(args, "mem_budget", None)
-    if mem_budget is not None:
-        mem_budget *= 2**20
-    tile = getattr(args, "tile", None)
-    if tile is None and mem_budget is not None and image is not None:
+    values = {f.name: getattr(args, f.name)
+              for f in CODING_FIELDS if hasattr(args, f.name)}
+    if values.get("rate") is not None:
+        values.setdefault("lossless", False)  # a target rate implies lossy
+    mem_budget = values.get("mem_budget")
+    if "tile_size" not in values and mem_budget is not None \
+            and image is not None:
         # --mem-budget without --tile: size the tiles so a streaming tile
         # row fits the budget.
         ncomp = 1 if image.ndim == 2 else image.shape[2]
-        tile = choose_tile_size(
+        values["tile_size"] = choose_tile_size(
             image.shape[0], image.shape[1], ncomp, mem_budget
         )
-    common = dict(levels=args.levels, codeblock_size=args.codeblock,
-                  tier1_backend=args.tier1_backend, workers=args.workers,
-                  dwt_backend=args.dwt_backend,
-                  dwt_chunk_cols=args.dwt_chunk,
-                  tile_size=tile,
-                  precinct_size=getattr(args, "precinct", None),
-                  progression=getattr(args, "progression", "lrcp").upper(),
-                  mem_budget=mem_budget,
-                  self_check=args.self_check)
-    if args.lossy or args.rate is not None:
-        return EncoderParams(lossless=False, rate=args.rate, **common)
-    return EncoderParams(lossless=True, **common)
+    return EncoderParams(**values)
 
 
 def _add_coding_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lossy", action="store_true",
-                   help="irreversible 9/7 + ICT path (-O mode=real)")
-    p.add_argument("--rate", type=float, default=None,
-                   help="target compressed fraction of raw size (implies --lossy)")
-    p.add_argument("--levels", type=int, default=5, help="DWT levels")
-    p.add_argument("--codeblock", type=int, default=64,
-                   help="code block size (64 = paper, 32 = Muta et al.)")
-    p.add_argument("--workers", type=_workers, default=1, metavar="N",
-                   help="Tier-1 worker processes; 'auto' = one per core "
-                        "(codestream is identical for any value)")
-    p.add_argument("--tier1-backend", default="auto",
-                   choices=("auto", "reference", "vectorized", "batched"),
-                   help="Tier-1 coder implementation (all are bit-exact); "
-                        "'batched' stacks same-geometry code blocks and "
-                        "codes them per image")
-    p.add_argument("--dwt-backend", default="auto",
-                   choices=("auto", "reference", "fused"),
-                   help="front-end (MCT+DWT+quantize) implementation; "
-                        "'fused' = interleaved lifting over column chunks "
-                        "(byte-identical to 'reference')")
-    p.add_argument("--dwt-chunk", type=int, default=None, metavar="COLS",
-                   help="fused front-end chunk width in samples (rounded up "
-                        "to a multiple of 32); default: automatic")
-    p.add_argument("--tile", type=int, default=None, metavar="SIZE",
-                   help="tile the image into SIZExSIZE tiles, each an "
-                        "independent codestream tile (random spatial access "
-                        "via TLM; tiles encode in parallel and stream in "
-                        "rows under --mem-budget)")
-    p.add_argument("--precinct", type=int, default=None, metavar="SIZE",
-                   help="precinct size in samples (power of two >= the code "
-                        "block size); partitions each resolution into "
-                        "independently addressable packets")
-    p.add_argument("--progression", default="lrcp",
-                   choices=("lrcp", "rpcl", "pcrl"),
-                   help="Tier-2 packet progression order (default lrcp)")
-    p.add_argument("--mem-budget", type=int, default=None, metavar="MIB",
-                   help="cap encoder working-set: tiles are encoded in "
-                        "batches sized to this budget; without --tile, "
-                        "picks a tile size so one tile row fits")
-    p.add_argument("--self-check", action="store_true",
-                   help="decode the output before writing it and verify the "
-                        "round trip (bit-exact lossless / PSNR-floored lossy); "
-                        "roughly doubles encode time")
+    """One flag per wire-spelled coding field; absent flags keep defaults."""
+    for f in CODING_FIELDS:
+        if f.wire is None:
+            continue
+        flag = "--" + f.wire.replace("_", "-")
+        if isinstance(f.default, bool):
+            # Boolean fields are bare flags: giving one means "yes".
+            p.add_argument(flag, dest=f.name, action="store_const",
+                           const=f.parse("yes"), default=argparse.SUPPRESS,
+                           help=f.help)
+            continue
+        # Named choice sets (backends, progressions) become argparse
+        # choices; EncoderParams range-checks the numbers.
+        names = f.domain() if callable(f.domain) else None
+        p.add_argument(flag, dest=f.name, type=f.parse, choices=names,
+                       default=argparse.SUPPRESS, help=f.help)
 
 
 def cmd_encode(args) -> int:
@@ -320,13 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a codestream to BMP/PNM")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--backend", default="auto",
-                   choices=("auto", "reference", "vectorized", "batched"),
+    p.add_argument("--backend", default="auto", choices=DEC_BACKENDS,
                    help="decoder implementation (all are sample-identical); "
-                        "'auto' honours REPRO_DEC_BACKEND then picks "
-                        "'batched', which decodes same-geometry code blocks "
-                        "stacked per image")
-    p.add_argument("--workers", type=_workers, default=1, metavar="N",
+                        "'auto' picks 'batched', which decodes "
+                        "same-geometry code blocks stacked per image")
+    p.add_argument("--workers", type=parse_workers, default=1, metavar="N",
                    help="Tier-1 decode worker processes; 'auto' = one per "
                         "core (output is identical for any value)")
     p.set_defaults(func=cmd_decode)
@@ -353,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000)
-    p.add_argument("--workers", type=_workers, default=None, metavar="N",
+    p.add_argument("--workers", type=parse_workers, default=None, metavar="N",
                    help="pool worker processes; 'auto' (default) = one per core")
     p.add_argument("--cache-mb", type=int, default=64,
                    help="result-cache byte budget in MiB (0 disables)")

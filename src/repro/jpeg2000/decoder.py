@@ -29,7 +29,6 @@ images auto-clamp to serial exactly like the encoder.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -61,19 +60,16 @@ from repro.jpeg2000.tier2 import (
 #: larger is a corrupt header, not a deep image).
 _MAX_BITPLANES = 38
 
-#: Environment variable consulted when the decode backend is ``"auto"``.
-DEC_BACKEND_ENV_VAR = "REPRO_DEC_BACKEND"
-
 #: Valid decoder backend names (all sample-identical).
 DEC_BACKENDS = ("auto", "reference", "vectorized", "batched")
 
 
 def resolve_dec_backend(backend: str | None) -> str:
-    """Resolve a decode backend name, honouring :data:`DEC_BACKEND_ENV_VAR`.
+    """Resolve a decode backend name.
 
-    ``None``/``"auto"`` reads the environment and otherwise picks
-    ``"batched"`` — the fastest path; every backend decodes to identical
-    samples, so the choice is purely a speed knob.
+    ``None``/``"auto"`` picks ``"batched"`` — the fastest path; every
+    backend decodes to identical samples, so the choice is purely a speed
+    knob.
     """
     if backend is None:
         backend = "auto"
@@ -81,15 +77,6 @@ def resolve_dec_backend(backend: str | None) -> str:
         raise ValueError(
             f"unknown decode backend {backend!r}; expected one of {DEC_BACKENDS}"
         )
-    if backend == "auto":
-        env = os.environ.get(DEC_BACKEND_ENV_VAR, "")
-        if env:
-            if env not in DEC_BACKENDS:
-                raise ValueError(
-                    f"{DEC_BACKEND_ENV_VAR}={env!r} invalid; expected one of "
-                    f"{DEC_BACKENDS}"
-                )
-            backend = env
     return "batched" if backend == "auto" else backend
 
 
@@ -171,8 +158,7 @@ def decode(
     allocation is sized by an unvalidated field.
 
     ``backend`` selects the Tier-1 decode implementation (see
-    :data:`DEC_BACKENDS`; ``None``/``"auto"`` honours
-    ``REPRO_DEC_BACKEND`` then defaults to ``"batched"``).  ``workers``
+    :data:`DEC_BACKENDS`; ``None``/``"auto"`` means ``"batched"``).  ``workers``
     fans code blocks out over a process pool and the inverse front end
     over threads (``None`` = one per core); ``pool`` (a
     :class:`repro.core.workpool.WorkerPool` or a service scheduler job)

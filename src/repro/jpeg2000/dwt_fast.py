@@ -67,9 +67,6 @@ def quantize_fast(coeffs: np.ndarray, step: float) -> np.ndarray:
     np.trunc(q, out=q)
     return q.astype(np.int32)
 
-#: Environment variable consulted when ``dwt_backend="auto"``.
-BACKEND_ENV_VAR = "REPRO_DWT_BACKEND"
-
 #: Valid DWT backend names.
 DWT_BACKENDS = ("auto", "reference", "fused")
 
@@ -123,22 +120,13 @@ def auto_serial_workers(workers, samples: int):
 
 
 def resolve_dwt_backend(backend: str | None) -> str:
-    """Resolve a backend name, honouring :data:`BACKEND_ENV_VAR` for auto."""
+    """Resolve a backend name; ``None`` and ``"auto"`` mean ``"fused"``."""
     if backend is None:
         backend = "auto"
     if backend not in DWT_BACKENDS:
         raise ValueError(
             f"unknown DWT backend {backend!r}; expected one of {DWT_BACKENDS}"
         )
-    if backend == "auto":
-        env = os.environ.get(BACKEND_ENV_VAR, "")
-        if env:
-            if env not in DWT_BACKENDS:
-                raise ValueError(
-                    f"{BACKEND_ENV_VAR}={env!r} invalid; expected one of "
-                    f"{DWT_BACKENDS}"
-                )
-            backend = env
     return "fused" if backend == "auto" else backend
 
 

@@ -26,6 +26,7 @@ from repro.jpeg2000.codestream import (
 )
 from repro.jpeg2000.dwt import effective_levels, synthesis_gain_sq
 from repro.jpeg2000.dwt_fast import StageTimings, run_frontend
+from repro.jpeg2000.errors import DEFAULT_LIMITS
 from repro.jpeg2000.params import EncoderParams
 from repro.jpeg2000.quantize import SubbandQuant
 from repro.jpeg2000.rate import RateModel, apportion_budget
@@ -236,6 +237,12 @@ def encode(
 
     grid = tile_grid(width, height, params.tile_size, params.tile_size)
     ntiles = len(grid)
+    if ntiles > DEFAULT_LIMITS.max_tiles:
+        # SOT Isot and TLM Ttlm are 16-bit tile indices.
+        raise ValueError(
+            f"{ntiles} tiles of {params.tile_size} exceed the codestream's "
+            f"{DEFAULT_LIMITS.max_tiles}-tile limit; use a larger tile_size"
+        )
     tiled = ntiles > 1
 
     stats = WorkloadStats(
@@ -469,9 +476,7 @@ def _encode_pending(
     blocks go to the pool as block groups over whole subband planes, so
     the work queue publishes each plane once and workers slice locally.
     """
-    from repro.jpeg2000.tier1 import resolve_backend
-
-    backend = resolve_backend(params.tier1_backend)
+    backend = params.tier1_backend
     nblocks = len(pending)
     # "auto" batches whole images: with more than one block in hand, the
     # stacked coder always beats per-block vectorized dispatch and is

@@ -1,8 +1,19 @@
-"""Encoder parameter objects (the analogue of Jasper's ``-O`` options)."""
+"""Encoder parameters (the analogue of Jasper's ``-O`` options).
+
+:data:`CODING_FIELDS` declares every :class:`EncoderParams` field once:
+its wire spelling, parser, default, domain, whether it changes the
+codestream, and its help text.  The CLI's coding flags, the ``/encode``
+query keys, the range checks of :class:`EncoderParams` and the service's
+cache key all derive from it.  Only fields that change the codestream
+have a query key: how an encode executes (workers, backends, chunking,
+batching, self-check) is the library's and the CLI's choice, never an
+HTTP client's.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field, make_dataclass
+from typing import Callable, NamedTuple
 
 #: Measured peak encoder working set per tile sample, in bytes.  The
 #: front end's int32/float planes account for ~8, but the batched Tier-1
@@ -35,184 +46,200 @@ def choose_tile_size(
     return ts
 
 
-@dataclass(frozen=True)
-class EncoderParams:
-    """Options controlling a JPEG2000 encode.
+def parse_bool(text: str) -> bool:
+    """Strict wire boolean: ``1/0``, ``true/false`` or ``yes/no``, any case."""
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
 
-    Attributes
-    ----------
-    lossless:
-        True selects reversible coding (5/3 DWT + RCT), the paper's
-        "default option".  False selects irreversible coding (9/7 DWT + ICT
-        + deadzone quantization), the paper's ``-O mode=real``.
-    rate:
-        Target compressed size as a fraction of the raw image size
-        (``-O rate=0.1`` in the paper).  ``None`` disables rate control;
-        it must be ``None`` for lossless encoding.
-    levels:
-        Number of DWT decomposition levels (Jasper default: 5).
-    codeblock_size:
-        Code block height/width.  The paper uses the standard maximum of
-        64x64; Muta et al. use 32x32 (Section 3.2 discussion).
-    guard_bits:
-        Number of guard bits signalled in the QCD marker.
-    base_quant_step:
-        Base quantization step for the irreversible path, before per-subband
-        scaling by synthesis gain.
-    tier1_backend:
-        Tier-1 coder implementation: ``"reference"`` (scalar, the
-        differential-testing oracle), ``"vectorized"`` (NumPy-batched hot
-        path, one block at a time), ``"batched"`` (whole-image stacks of
-        same-geometry blocks, :mod:`repro.jpeg2000.tier1_batch`), or
-        ``"auto"`` (default; also honours the ``REPRO_TIER1_BACKEND``
-        environment variable — picks the batched coder for whole-image
-        encodes and the vectorized coder per block).  All backends produce
-        byte-identical codestreams.
-    workers:
-        Worker parallelism — the executable analogue of the paper's SPE
-        count.  Controls both the Tier-1 code-block process pool and the
-        fused front end's chunk threads.  ``1`` (default) encodes
-        in-process; ``None`` uses one worker per CPU core.  The codestream
-        is byte-identical for any value.
-    dwt_backend:
-        Front-end (level shift + MCT + DWT + quantize) implementation:
-        ``"reference"`` (the naive per-stage oracle in
-        :mod:`repro.jpeg2000.dwt`), ``"fused"`` (interleaved lifting over
-        column chunks, :mod:`repro.jpeg2000.dwt_fast`), or ``"auto"``
-        (default; honours the ``REPRO_DWT_BACKEND`` environment variable,
-        otherwise fused).  Both backends produce byte-identical
-        codestreams.
-    dwt_chunk_cols:
-        Column-chunk width for the fused front end, rounded up to a
-        multiple of the 32-sample cache line.  ``None`` (default) picks
-        automatically: whole-plane when serial, about two chunks per
-        worker otherwise.
-    self_check:
-        When True, :func:`repro.jpeg2000.encoder.encode` decodes its own
-        output before returning and verifies the round trip — bit-exact
-        reconstruction for lossless, a per-rate PSNR floor for lossy (see
-        :mod:`repro.verify.roundtrip`).  A failed check raises
-        :class:`repro.verify.VerificationError` instead of returning a
-        bad codestream.  Off by default: it roughly doubles encode cost.
-    tile_size:
-        Edge length of the square tile grid (SIZ ``XTsiz``/``YTsiz``).
-        ``None`` (default) encodes the whole image as a single tile and
-        emits exactly the legacy codestream bytes.  When set, the image is
-        partitioned into ``tile_size x tile_size`` tiles (edge tiles may be
-        smaller), each coded independently and emitted as its own
-        SOT..SOD tile-part, with a TLM marker in the main header for
-        random spatial access.  Tiles shard across the Tier-1 work queue,
-        so a tiled encode parallelizes over spatial regions as well as
-        code blocks, and the streaming path bounds peak memory to a few
-        tile rows.
-    progression:
-        Tier-2 packet progression order written into COD and used when
-        sequencing packets: ``"LRCP"`` (default, layer-resolution-
-        component-position — the legacy order), ``"RPCL"``
-        (resolution-position-component-layer, the streaming-friendly
-        order), or ``"PCRL"`` (position-major, for spatial random access).
-        With one layer and one precinct all orders coincide, so the
-        default remains byte-identical.
-    precinct_size:
-        Precinct edge length at the highest resolution (halved once for
-        every lower resolution, floored at one code block).  ``None``
-        (default) uses maximal precincts (the whole subband — the legacy
-        layout, COD ``Scod`` bit 0 clear).  Must be a power of two and at
-        least ``codeblock_size``.
-    mem_budget:
-        Soft cap, in bytes, on the working set held in planes/coefficients
-        during a tiled encode.  Execution-only: it changes batching, never
-        bytes.  ``None`` (default) batches one tile row at a time when
-        tiled.  Requires ``tile_size`` to have an effect.
-    """
 
-    lossless: bool = True
-    rate: float | None = None
-    levels: int = 5
-    codeblock_size: int = 64
-    guard_bits: int = 2
-    base_quant_step: float = 1.0 / 128.0
-    tier1_backend: str = "auto"
-    workers: int | None = 1
-    dwt_backend: str = "auto"
-    dwt_chunk_cols: int | None = None
-    tile_size: int | None = None
-    progression: str = "LRCP"
-    precinct_size: int | None = None
-    mem_budget: int | None = None
-    self_check: bool = False
+def parse_lossy(text: str) -> bool:
+    """The ``lossy`` wire flag, stored inverted as ``lossless``."""
+    return not parse_bool(text)
 
-    def __post_init__(self) -> None:
-        if self.levels < 0 or self.levels > 32:
-            raise ValueError(f"levels must be in [0, 32], got {self.levels}")
-        cb = self.codeblock_size
-        if cb < 4 or cb > 64 or (cb & (cb - 1)) != 0:
-            raise ValueError(
-                f"codeblock_size must be a power of two in [4, 64], got {cb}"
-            )
-        if self.rate is not None:
-            if self.lossless:
-                raise ValueError(
-                    "lossless=True cannot be combined with rate control "
-                    f"(rate={self.rate}); use lossless=False or rate=None"
-                )
-            if not (0.0 < self.rate <= 1.0):
-                raise ValueError(f"rate must be in (0, 1], got {self.rate}")
-        if not (0 <= self.guard_bits <= 7):
-            raise ValueError(f"guard_bits must be in [0, 7], got {self.guard_bits}")
-        if self.base_quant_step <= 0 or self.base_quant_step >= 2.0:
-            raise ValueError(
-                f"base_quant_step must be in (0, 2), got {self.base_quant_step}"
-            )
-        from repro.jpeg2000.tier1 import BACKENDS  # lazy: avoids heavy import
 
-        if self.tier1_backend not in BACKENDS:
-            raise ValueError(
-                f"tier1_backend must be one of {BACKENDS}, "
-                f"got {self.tier1_backend!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1 or None, got {self.workers}")
-        from repro.jpeg2000.dwt_fast import DWT_BACKENDS  # lazy: avoids cycle
+def parse_workers(text: str) -> int | None:
+    """A worker count; ``auto``, ``all`` and ``0`` mean one per core (None)."""
+    if text.lower() in ("auto", "all"):
+        return None
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"expected a count >= 0 or auto, got {text!r}")
+    return n or None
 
-        if self.dwt_backend not in DWT_BACKENDS:
-            raise ValueError(
-                f"dwt_backend must be one of {DWT_BACKENDS}, "
-                f"got {self.dwt_backend!r}"
-            )
-        if self.dwt_chunk_cols is not None and self.dwt_chunk_cols < 1:
-            raise ValueError(
-                f"dwt_chunk_cols must be >= 1 or None, got {self.dwt_chunk_cols}"
-            )
-        if self.tile_size is not None and self.tile_size < 16:
-            raise ValueError(
-                f"tile_size must be >= 16 or None, got {self.tile_size}"
-            )
-        from repro.jpeg2000.codestream import PROGRESSIONS  # lazy: avoids cycle
 
-        if self.progression not in PROGRESSIONS:
-            raise ValueError(
-                f"progression must be one of {sorted(PROGRESSIONS)}, "
-                f"got {self.progression!r}"
-            )
-        ps = self.precinct_size
-        if ps is not None:
-            if ps < self.codeblock_size or ps > 32768 or (ps & (ps - 1)) != 0:
-                raise ValueError(
-                    "precinct_size must be a power of two in "
-                    f"[codeblock_size, 32768] or None, got {ps}"
-                )
-        if self.mem_budget is not None and self.mem_budget < (1 << 20):
-            raise ValueError(
-                f"mem_budget must be >= 1 MiB or None, got {self.mem_budget}"
-            )
+def parse_mib(text: str) -> int:
+    """A size given in MiB on the wire, stored in bytes."""
+    return int(text) * 2**20
 
-    @staticmethod
-    def lossless_default() -> "EncoderParams":
-        """The paper's lossless configuration (Jasper defaults)."""
-        return EncoderParams(lossless=True)
 
-    @staticmethod
-    def lossy_rate(rate: float = 0.1) -> "EncoderParams":
-        """The paper's lossy configuration: ``-O mode=real -O rate=0.1``."""
-        return EncoderParams(lossless=False, rate=rate)
+# Choice sets that live beside their implementations, imported lazily.
+def _tier1_backends() -> tuple[str, ...]:
+    from repro.jpeg2000.tier1 import BACKENDS  # lazy: avoids heavy import
+
+    return BACKENDS
+
+
+def _dwt_backends() -> tuple[str, ...]:
+    from repro.jpeg2000.dwt_fast import DWT_BACKENDS  # lazy: avoids cycle
+
+    return DWT_BACKENDS
+
+
+def _progressions() -> tuple[str, ...]:
+    from repro.jpeg2000.codestream import PROGRESSIONS  # lazy: avoids cycle
+
+    return tuple(PROGRESSIONS)
+
+
+class CodingField(NamedTuple):
+    """One :class:`EncoderParams` field, as every front end sees it."""
+
+    name: str
+    #: Query key; the CLI flag is ``--`` plus the key with ``_`` -> ``-``.
+    #: None: the library's only.
+    wire: str | None
+    #: Wire text -> value (also argparse's ``type``).
+    parse: Callable[[str], object]
+    default: object
+    #: An interval in math notation (``"(0, 1]"``, ``"[16, inf) or None"``),
+    #: a tuple of choices, a function returning that tuple, or None
+    #: (unchecked).
+    domain: object
+    #: True when the value changes the emitted codestream.
+    affects_bytes: bool
+    help: str
+
+
+#: Every EncoderParams field, in declaration order.
+CODING_FIELDS = (
+    CodingField(
+        "lossless", "lossy", parse_lossy, True, None, True,
+        "irreversible 9/7 DWT + ICT + deadzone quantization (-O mode=real) "
+        "instead of the paper's default reversible 5/3 DWT + RCT"),
+    CodingField(
+        "rate", "rate", float, None, "(0, 1] or None", True,
+        "target compressed size as a fraction of the raw image size "
+        "(-O rate=0.1); implies lossy coding; default: no rate control"),
+    CodingField(
+        "levels", "levels", int, 5, "[0, 32]", True,
+        "DWT decomposition levels (Jasper default: 5)"),
+    CodingField(
+        "codeblock_size", "codeblock", int, 64, (4, 8, 16, 32, 64), True,
+        "code block edge (64 = the paper, 32 = Muta et al.)"),
+    CodingField(
+        "guard_bits", None, int, 2, "[0, 7]", True,
+        "guard bits signalled in the QCD marker"),
+    CodingField(
+        "base_quant_step", None, float, 1.0 / 128.0, "(0, 2)", True,
+        "base quantization step of the irreversible path, before "
+        "per-subband scaling by synthesis gain"),
+    CodingField(
+        "tier1_backend", "tier1_backend", str, "auto", _tier1_backends, False,
+        "Tier-1 coder: reference (the scalar oracle), vectorized (one "
+        "block at a time), batched (stacks of same-geometry blocks) or "
+        "auto (batched for whole-image encodes, vectorized per block); "
+        "all byte-identical"),
+    CodingField(
+        "workers", "workers", parse_workers, 1, "[1, inf) or None", False,
+        "worker processes for Tier-1 code blocks and front-end chunk "
+        "threads, the paper's SPE count; auto = one per core; the "
+        "codestream is identical for any value"),
+    CodingField(
+        "dwt_backend", "dwt_backend", str, "auto", _dwt_backends, False,
+        "front end (level shift + MCT + DWT + quantize): reference (the "
+        "per-stage oracle), fused (interleaved lifting over column "
+        "chunks) or auto (fused); byte-identical"),
+    CodingField(
+        "dwt_chunk_cols", "dwt_chunk", int, None, "[1, inf) or None", False,
+        "fused front-end chunk width in samples, rounded up to a multiple "
+        "of the 32-sample cache line; default: the whole plane when "
+        "serial, about two chunks per worker otherwise"),
+    CodingField(
+        "tile_size", "tile", int, None, "[16, inf) or None", True,
+        "edge of the square tile grid: each tile is its own SOT..SOD "
+        "tile-part indexed by a TLM marker, tiles code in parallel and "
+        "stream in rows; default: one tile (the legacy bytes)"),
+    CodingField(
+        "progression", "progression", str.upper, "LRCP", _progressions, True,
+        "Tier-2 packet progression order: LRCP (legacy), RPCL "
+        "(streaming) or PCRL (position-major)"),
+    CodingField(
+        "precinct_size", "precinct", int, None,
+        (None, *(1 << k for k in range(2, 16))), True,
+        "precinct edge at the highest resolution, halved per lower "
+        "resolution; a power of two >= the code block size; default: "
+        "maximal precincts (the legacy layout)"),
+    CodingField(
+        "mem_budget", "mem_budget", parse_mib, None, "[1048576, inf) or None",
+        False,
+        "working-set cap (bytes; MiB on the CLI) that sizes the tile "
+        "batches of a tiled encode and never changes bytes; the CLI picks "
+        "a tile size from it when no tile size is given; default: one "
+        "tile row per batch"),
+    CodingField(
+        "self_check", "self_check", parse_bool, False, None, False,
+        "decode the output before returning it and verify the round trip "
+        "(bit-exact lossless, PSNR-floored lossy); roughly doubles encode "
+        "time"),
+)
+
+
+def _admits(domain: str | tuple, value) -> bool:
+    """True when ``value`` lies in a choice tuple or an interval string."""
+    if isinstance(domain, tuple):
+        return value in domain
+    interval, _, none = domain.partition(" or ")
+    if value is None:
+        return none == "None"
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
+
+
+def _check(params) -> None:
+    """Check every field against its domain, then the cross-field rules."""
+    for f in CODING_FIELDS:
+        value = getattr(params, f.name)
+        if f.domain is None:
+            continue
+        domain = f.domain() if callable(f.domain) else f.domain
+        if not _admits(domain, value):
+            expected = "in" if isinstance(domain, str) else "one of"
+            raise ValueError(
+                f"{f.name} must be {expected} {domain}, got {value!r}"
+            )
+    if params.rate is not None and params.lossless:
+        raise ValueError(
+            "lossless=True cannot be combined with rate control "
+            f"(rate={params.rate}); use lossless=False or rate=None"
+        )
+    if params.precinct_size is not None and \
+            params.precinct_size < params.codeblock_size:
+        raise ValueError(
+            f"precinct_size must be >= codeblock_size "
+            f"({params.codeblock_size}), got {params.precinct_size}"
+        )
+
+
+EncoderParams = make_dataclass(
+    "EncoderParams",
+    [(f.name, object, field(default=f.default)) for f in CODING_FIELDS],
+    namespace={
+        "__doc__": "Options controlling a JPEG2000 encode: one frozen field "
+                   "per CODING_FIELDS record, range-checked on construction.",
+        "__module__": __name__,  # where pickle finds the class
+        "__post_init__": _check,
+        # The paper's lossless configuration (Jasper defaults).
+        "lossless_default": staticmethod(lambda: EncoderParams(lossless=True)),
+        # The paper's lossy configuration: -O mode=real -O rate=0.1.
+        "lossy_rate": staticmethod(
+            lambda rate=0.1: EncoderParams(lossless=False, rate=rate)
+        ),
+    },
+    frozen=True,
+)

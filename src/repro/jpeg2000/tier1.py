@@ -16,18 +16,12 @@ segments.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.jpeg2000 import tier1_geom
 from repro.jpeg2000.mq import MQDecoder, MQEncoder
-
-#: Environment variable consulted when ``backend="auto"`` (see
-#: :func:`encode_codeblock`).  Values: ``"reference"``, ``"vectorized"``,
-#: ``"batched"``.
-BACKEND_ENV_VAR = "REPRO_TIER1_BACKEND"
 
 #: Valid Tier-1 encoder backend names.
 BACKENDS = ("auto", "reference", "vectorized", "batched")
@@ -102,26 +96,6 @@ def _validate_block(coeffs: np.ndarray) -> np.ndarray:
     return arr
 
 
-def resolve_backend(backend: str | None) -> str:
-    """Resolve a backend name, honouring :data:`BACKEND_ENV_VAR` for auto."""
-    if backend is None:
-        backend = "auto"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown tier-1 backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "auto":
-        env = os.environ.get(BACKEND_ENV_VAR, "")
-        if env:
-            if env not in BACKENDS:
-                raise ValueError(
-                    f"{BACKEND_ENV_VAR}={env!r} invalid; expected one of "
-                    f"{BACKENDS}"
-                )
-            return env
-    return backend
-
-
 def encode_codeblock(
     coeffs: np.ndarray, band: str, backend: str | None = None
 ) -> CodeBlockResult:
@@ -134,11 +108,15 @@ def encode_codeblock(
     ``"batched"`` is the whole-image stacked coder in
     :mod:`repro.jpeg2000.tier1_batch` (called here with a single-block
     batch; its real win comes from the encoder handing it every code block
-    of an image at once), and ``"auto"`` (default, also via the
-    ``REPRO_TIER1_BACKEND`` environment variable) picks the vectorized
+    of an image at once), and ``"auto"`` (default) picks the vectorized
     coder for all but tiny blocks.
     """
-    backend = resolve_backend(backend)
+    if backend is None:
+        backend = "auto"
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown tier-1 backend {backend!r}; expected one of {BACKENDS}"
+        )
     if backend == "auto":
         arr = _validate_block(coeffs)
         backend = (

@@ -103,7 +103,6 @@ class DecodeResponse:
     image: np.ndarray = field(repr=False)
     cache_hit: bool
     decode_s: float
-    backend: str
 
 
 class EncodeService:
@@ -371,9 +370,7 @@ class EncodeService:
                 if pending is not None:
                     pending.set()
 
-    def decode_image(
-        self, codestream: bytes, backend: str | None = None
-    ) -> DecodeResponse:
+    def decode_image(self, codestream: bytes) -> DecodeResponse:
         """Decode one codestream, with the same serving affordances as encode.
 
         Parsing and the inverse front end run on the request thread; past
@@ -381,26 +378,23 @@ class EncodeService:
         through the scheduler onto the shared pool.  Decodes share the
         encode path's admission control — a decode burst cannot starve
         the pool queue unbounded — and a content-addressed cache keyed on
-        the codestream bytes alone: every backend reconstructs identical
-        samples, so a hit is valid regardless of which backend filled it.
+        the codestream bytes alone.
 
         Raises :class:`repro.jpeg2000.errors.CodestreamError` for malformed
         input (HTTP 400), :class:`QueueFullError` when admission sheds the
         request (503), and :class:`SchedulerClosed` while shutting down.
         """
-        from repro.jpeg2000.decoder import decode, resolve_dec_backend
+        from repro.jpeg2000.decoder import decode
 
         if self._closed:
             raise SchedulerClosed("service is closed")
-        resolved = resolve_dec_backend(backend)
         self._dec_requests.inc()
         key = "dec:" + hashlib.sha256(codestream).hexdigest()
         cached = self.cache.get(key)
         if cached is not None:
             self._dec_cache_hits.inc()
             return DecodeResponse(
-                image=_unpack_image(cached), cache_hit=True,
-                decode_s=0.0, backend=resolved,
+                image=_unpack_image(cached), cache_hit=True, decode_s=0.0,
             )
         try:
             self.admission.acquire()
@@ -412,9 +406,7 @@ class EncodeService:
         t0 = time.perf_counter()
         try:
             with self.scheduler.job() as job:
-                image = decode(
-                    codestream, backend=resolved, timings=timings, pool=job,
-                )
+                image = decode(codestream, timings=timings, pool=job)
         except Exception:
             self._dec_errors.inc()
             self._errors.inc()
@@ -428,9 +420,7 @@ class EncodeService:
         for stage, hist in self._dec_stage_times.items():
             hist.observe(getattr(timings, stage))
         self.cache.put(key, _pack_image(image))
-        return DecodeResponse(
-            image=image, cache_hit=False, decode_s=decode_s, backend=resolved,
-        )
+        return DecodeResponse(image=image, cache_hit=False, decode_s=decode_s)
 
     @staticmethod
     def _is_micro(image, params) -> bool:

@@ -6,8 +6,10 @@ expensive enough (Tier-1 dominates, per the paper) that recomputing an
 identical codestream is pure waste.  The key is content-addressed:
 SHA-256 over the raw pixels (dtype, shape, bytes) plus the *canonical*
 encoder parameters.  Only parameters that change the codestream
-participate; ``workers`` and ``tier1_backend`` are deliberately excluded
-because every backend/worker-count combination is bit-exact (the repo's
+participate: the ``affects_bytes`` fields of
+:data:`repro.jpeg2000.params.CODING_FIELDS`.  Execution fields
+(``workers``, the backends, chunking, ``mem_budget``, ``self_check``)
+are left out because every execution strategy is bit-exact (the repo's
 central invariant) — a hit computed with 1 worker serves a request asking
 for 8.
 """
@@ -20,21 +22,16 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.jpeg2000.params import EncoderParams
+from repro.jpeg2000.params import CODING_FIELDS, EncoderParams
 
-#: EncoderParams fields that affect emitted bytes.  ``tier1_backend``,
-#: ``workers``, and ``mem_budget`` are execution strategy (batch sizing
-#: never changes the codestream), not coding parameters.
-_CODESTREAM_FIELDS = (
-    "lossless", "rate", "levels", "codeblock_size", "guard_bits",
-    "base_quant_step", "tile_size", "progression", "precinct_size",
-)
+#: EncoderParams fields that affect emitted bytes, in declaration order.
+CODESTREAM_FIELDS = tuple(f.name for f in CODING_FIELDS if f.affects_bytes)
 
 
 def canonical_params(params: EncoderParams) -> str:
     """Stable string of the codestream-affecting parameters."""
     return "|".join(
-        f"{name}={getattr(params, name)!r}" for name in _CODESTREAM_FIELDS
+        f"{name}={getattr(params, name)!r}" for name in CODESTREAM_FIELDS
     )
 
 

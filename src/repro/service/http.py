@@ -6,18 +6,23 @@
     GET  /metrics    JSON metrics snapshot (counters/gauges/histograms)
     GET  /stats      pool / scheduler / cache / admission rollup
 
-Coding parameters ride on the ``/encode`` query string and mirror the CLI
-flags: ``lossy=1``, ``rate=0.1``, ``levels=5``, ``codeblock=64``,
-``tier1_backend=batched``, ``dwt_backend=fused``, ``dwt_chunk=64``,
-``priority=5``.  ``verify=1``
-round-trips the served bytes through the decoder first; a failed check
-returns 422 with a structured JSON body instead of bad bytes.
-``/decode`` takes ``backend=batched|vectorized|reference`` (every backend
-reconstructs identical samples) and answers 400 with the typed error name
-for malformed codestreams.  Each connection is handled on its own thread
-(``ThreadingHTTPServer``); the Tier-1 work of encodes and decodes alike is
-interleaved group by group onto the shared worker pool by the scheduler,
-so one huge upload cannot starve small ones.  A worker that dies mid-request
+Coding parameters ride on the ``/encode`` query string, one key per
+:data:`repro.jpeg2000.params.CODING_FIELDS` field that changes the
+codestream, spelled like its CLI flag: ``lossy=1``, ``rate=0.1``,
+``levels=5``, ``codeblock=64``, ``tile=256``, ``precinct=128``,
+``progression=rpcl``; plus ``priority=5`` and ``verify=1``.  Booleans
+are ``1/0``, ``true/false`` or ``yes/no``.  How the shared pool executes
+an encode is the server's choice, so execution fields (``workers``,
+``tier1_backend``, ``dwt_backend``, ``dwt_chunk``, ``mem_budget``) answer
+400 like any unknown key.  ``verify=1`` round-trips the served bytes
+through the decoder first; a failed check returns 422 with a structured
+JSON body instead of bad bytes.  ``/decode`` takes no query keys and
+answers 400 with the typed error name for malformed codestreams.
+
+Each connection is handled on its own thread (``ThreadingHTTPServer``);
+the Tier-1 work of encodes and decodes alike is interleaved group by
+group onto the shared worker pool by the scheduler, so one huge upload
+cannot starve small ones.  A worker that dies mid-request
 fails only the requests it held work for, with 503 and ``Retry-After``.
 
 ``run_server`` (the ``python -m repro serve`` entry) installs SIGTERM /
@@ -36,7 +41,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.core.workpool import WorkerLost
 from repro.image import ImageFormatError, parse_image
-from repro.jpeg2000.params import EncoderParams
+from repro.jpeg2000.params import CODING_FIELDS, EncoderParams, parse_bool
 from repro.service import EncodeService, ServiceConfig
 from repro.service.admission import QueueFullError
 from repro.service.scheduler import SchedulerClosed
@@ -46,38 +51,33 @@ from repro.verify.roundtrip import VerificationError
 MAX_BODY_BYTES = 128 * 2**20
 
 
-def params_from_query(query: str) -> tuple[EncoderParams, int]:
-    """Translate an ``/encode`` query string into (params, priority)."""
+#: ``/encode`` query key -> coding field: only fields that change the
+#: codestream are on the wire.
+_QUERY_FIELDS = {
+    f.wire: f for f in CODING_FIELDS if f.affects_bytes and f.wire
+}
+
+
+def _parse_key(key: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"bad query parameter {key}={text!r}: {exc}") from None
+
+
+def params_from_query(query: str) -> tuple[EncoderParams, int, bool]:
+    """Translate an ``/encode`` query string into (params, priority, verify)."""
     q = {k: v[-1] for k, v in parse_qs(query).items()}
-    unknown = set(q) - {
-        "lossy", "rate", "levels", "codeblock", "priority",
-        "tier1_backend", "dwt_backend", "dwt_chunk", "verify",
-        "tile", "precinct", "progression", "mem_budget",
-    }
+    unknown = set(q) - set(_QUERY_FIELDS) - {"priority", "verify"}
     if unknown:
         raise ValueError(f"unknown query parameters: {sorted(unknown)}")
-    try:
-        rate = float(q["rate"]) if "rate" in q else None
-        lossy = q.get("lossy", "0").lower() in ("1", "true", "yes") or rate is not None
-        params = EncoderParams(
-            lossless=not lossy,
-            rate=rate,
-            levels=int(q.get("levels", 5)),
-            codeblock_size=int(q.get("codeblock", 64)),
-            tier1_backend=q.get("tier1_backend", "auto"),
-            dwt_backend=q.get("dwt_backend", "auto"),
-            dwt_chunk_cols=int(q["dwt_chunk"]) if "dwt_chunk" in q else None,
-            tile_size=int(q["tile"]) if "tile" in q else None,
-            precinct_size=int(q["precinct"]) if "precinct" in q else None,
-            progression=q.get("progression", "LRCP").upper(),
-            mem_budget=(
-                int(q["mem_budget"]) * 2**20 if "mem_budget" in q else None
-            ),
-        )
-        priority = int(q.get("priority", 0))
-    except ValueError:
-        raise
-    return params, priority
+    values = {f.name: _parse_key(key, f.parse, q[key])
+              for key, f in _QUERY_FIELDS.items() if key in q}
+    if values.get("rate") is not None:
+        values.setdefault("lossless", False)  # a target rate implies lossy
+    priority = _parse_key("priority", int, q.get("priority", "0"))
+    verify = _parse_key("verify", parse_bool, q.get("verify", "0"))
+    return EncoderParams(**values), priority, verify
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -190,9 +190,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _post_encode(self, parsed, body: bytes) -> None:
         service = self.server.service
         try:
-            params, priority = params_from_query(parsed.query)
-            q = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-            verify = q.get("verify", "0").lower() in ("1", "true", "yes")
+            params, priority, verify = params_from_query(parsed.query)
             image = parse_image(body)
         except ImageFormatError as exc:
             # Typed rejection of unsupported upload bytes: structured 4xx
@@ -253,17 +251,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         from repro.jpeg2000.errors import CodestreamError
 
         service = self.server.service
-        try:
-            q = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-            unknown = set(q) - {"backend"}
-            if unknown:
-                raise ValueError(f"unknown query parameters: {sorted(unknown)}")
-            backend = q.get("backend", "auto")
-        except ValueError as exc:
-            self._error(400, str(exc))
+        unknown = sorted(parse_qs(parsed.query))
+        if unknown:
+            self._error(400, f"unknown query parameters: {unknown}")
             return
         try:
-            response = service.decode_image(body, backend=backend)
+            response = service.decode_image(body)
         except QueueFullError as exc:
             retry_after = getattr(exc, "retry_after_s", None)
             self._error(
@@ -290,7 +283,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         headers = {
             "X-Cache": "HIT" if response.cache_hit else "MISS",
             "X-Decode-Seconds": f"{response.decode_s:.6f}",
-            "X-Backend": response.backend,
         }
         if image.dtype.itemsize > 2:
             # PNM tops out at 16-bit samples; the decode itself succeeded,

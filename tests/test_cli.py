@@ -87,6 +87,18 @@ class TestVersionAndSummary:
         assert args.cache_mb == 8 and args.max_queue == 4
         assert args.admission == "block"
 
+    @pytest.mark.parametrize("command", ["encode", "decode", "serve"])
+    def test_worker_counts(self, command):
+        from repro.cli import build_parser
+
+        files = [] if command == "serve" else ["in.pgm", "out.j2c"]
+        parse = build_parser().parse_args
+        for text, workers in (("3", 3), ("auto", None), ("0", None)):
+            args = parse([command, *files, "--workers", text])
+            assert args.workers == workers
+        with pytest.raises(SystemExit):
+            parse([command, *files, "--workers", "-1"])
+
 
 class TestErrorExits:
     """Operational failures: exit 1, one ``error:`` line, no traceback."""

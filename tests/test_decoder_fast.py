@@ -14,7 +14,6 @@ import pytest
 
 from repro.image.synthetic import gradient_image, watch_face_image
 from repro.jpeg2000.decoder import (
-    DEC_BACKEND_ENV_VAR,
     DEC_BACKENDS,
     decode,
     decode_reference,
@@ -37,23 +36,14 @@ def _roundtrip_stream(shape, lossless=True, levels=2, codeblock=64, seed=0):
 
 
 class TestBackendResolution:
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv(DEC_BACKEND_ENV_VAR, raising=False)
+    def test_default_is_batched(self):
         assert resolve_dec_backend(None) == "batched"
         assert resolve_dec_backend("auto") == "batched"
+        assert resolve_dec_backend("reference") == "reference"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(DEC_BACKEND_ENV_VAR, "reference")
-        assert resolve_dec_backend(None) == "reference"
-        # An explicit backend beats the environment.
-        assert resolve_dec_backend("batched") == "batched"
-
-    def test_invalid_names_raise(self, monkeypatch):
+    def test_invalid_names_raise(self):
         with pytest.raises(ValueError, match="unknown decode backend"):
             resolve_dec_backend("turbo")
-        monkeypatch.setenv(DEC_BACKEND_ENV_VAR, "turbo")
-        with pytest.raises(ValueError, match=DEC_BACKEND_ENV_VAR):
-            resolve_dec_backend("auto")
 
     def test_backends_constant(self):
         assert set(FAST_BACKENDS) < set(DEC_BACKENDS)

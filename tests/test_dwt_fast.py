@@ -201,15 +201,6 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             resolve_dwt_backend("simd")
 
-    def test_env_var_steers_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DWT_BACKEND", "reference")
-        assert resolve_dwt_backend("auto") == "reference"
-        # Explicit names win over the environment.
-        assert resolve_dwt_backend("fused") == "fused"
-        monkeypatch.setenv("REPRO_DWT_BACKEND", "bogus")
-        with pytest.raises(ValueError):
-            resolve_dwt_backend("auto")
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             EncoderParams(dwt_backend="simd")

@@ -23,7 +23,7 @@ from repro.image.pnm import write_pnm
 from repro.image.synthetic import watch_face_image
 from repro.jpeg2000.decoder import decode
 from repro.jpeg2000.encoder import encode
-from repro.jpeg2000.params import EncoderParams
+from repro.jpeg2000.params import CODING_FIELDS, EncoderParams
 from repro.service import EncodeService, ServiceConfig
 from repro.service.http import make_server, params_from_query
 
@@ -265,8 +265,8 @@ class TestObservabilityEndpoints:
         assert set(stats) >= {"pool", "scheduler", "cache", "admission"}
 
     def test_serve_has_no_tier1_backend_flag(self, capsys):
-        # The per-request ?tier1_backend= picks the coder; a server-wide
-        # flag that nothing read is gone.
+        # The server picks the coder; a server-wide flag that nothing read
+        # is gone, and so is the per-request query key.
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exc:
@@ -277,17 +277,17 @@ class TestObservabilityEndpoints:
 
 class TestQueryParsing:
     def test_defaults(self):
-        params, priority = params_from_query("")
+        params, priority, verify = params_from_query("")
         assert params == EncoderParams.lossless_default()
-        assert priority == 0
+        assert priority == 0 and verify is False
 
     def test_lossy_and_priority(self):
-        params, priority = params_from_query("lossy=1&levels=3&priority=7")
+        params, priority, _ = params_from_query("lossy=1&levels=3&priority=7")
         assert params.lossless is False and params.levels == 3
         assert priority == 7
 
     def test_rate_implies_lossy(self):
-        params, _ = params_from_query("rate=0.1")
+        params, _, _ = params_from_query("rate=0.1")
         assert params.lossless is False and params.rate == 0.1
 
     def test_unknown_key_raises(self):
@@ -295,17 +295,89 @@ class TestQueryParsing:
             params_from_query("speed=11")
 
     def test_verify_key_is_accepted(self):
-        params, priority = params_from_query("verify=1&levels=3")
-        assert params.levels == 3 and priority == 0
+        params, priority, verify = params_from_query("verify=1&levels=3")
+        assert params.levels == 3 and priority == 0 and verify is True
 
     def test_tiling_keys(self):
-        params, _ = params_from_query(
-            "tile=256&precinct=512&progression=pcrl&mem_budget=64"
+        params, _, _ = params_from_query(
+            "tile=256&precinct=512&progression=pcrl"
         )
         assert params.tile_size == 256
         assert params.precinct_size == 512
         assert params.progression == "PCRL"
-        assert params.mem_budget == 64 * 2**20
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("0", False), ("true", True), ("FALSE", False),
+        ("Yes", True), ("no", False),
+    ])
+    def test_strict_booleans(self, text, value):
+        params, _, verify = params_from_query(f"lossy={text}&verify={text}")
+        assert params.lossless is not value and verify is value
+
+    @pytest.mark.parametrize("key", ["lossy", "verify"])
+    @pytest.mark.parametrize("text", ["on", "2", "maybe", "t"])
+    def test_loose_booleans_name_the_key(self, key, text):
+        with pytest.raises(ValueError, match=f"bad query parameter {key}="):
+            params_from_query(f"{key}={text}")
+
+    def test_explicit_lossless_with_rate_is_rejected(self):
+        with pytest.raises(ValueError, match="lossless=True cannot"):
+            params_from_query("lossy=0&rate=0.1")
+
+
+class TestFrontEndParity:
+    """The CLI flags and the query keys derive from one field table."""
+
+    #: One valid non-default wire value per field with a query key.
+    WIRE_VALUES = {
+        "lossy": "1", "rate": "0.25", "levels": "3", "codeblock": "16",
+        "tile": "128", "progression": "rpcl", "precinct": "256",
+    }
+
+    def test_every_query_field_has_a_sample(self):
+        wire = {f.wire for f in CODING_FIELDS if f.affects_bytes and f.wire}
+        assert wire == set(self.WIRE_VALUES)
+
+    @pytest.mark.parametrize("key", sorted(WIRE_VALUES))
+    def test_cli_flag_and_query_key_agree(self, key):
+        from repro.cli import _params, build_parser
+
+        text = self.WIRE_VALUES[key]
+        flag = ["--" + key.replace("_", "-")]
+        if key != "lossy":  # booleans are bare flags on the CLI
+            flag.append(text)
+        args = build_parser().parse_args(["encode", "in.pgm", "out.j2c", *flag])
+        from_query, _, _ = params_from_query(f"{key}={text}")
+        assert _params(args) == from_query
+        assert from_query != EncoderParams()
+
+    @pytest.mark.parametrize(
+        "key", [f.wire for f in CODING_FIELDS if not f.affects_bytes]
+    )
+    def test_execution_fields_are_not_query_keys(self, key):
+        with pytest.raises(ValueError, match="unknown query parameters"):
+            params_from_query(f"{key}=1")
+
+    @pytest.mark.parametrize("query, key", [
+        ("tier1_backend=reference", "tier1_backend"),
+        ("dwt_backend=reference", "dwt_backend"),
+        ("dwt_chunk=64", "dwt_chunk"),
+        ("tile=128&mem_budget=4096", "mem_budget"),
+    ])
+    def test_execution_keys_are_400_over_http(self, base_url, pgm_bytes,
+                                              query, key):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(f"{base_url}/encode?{query}", pgm_bytes)
+        assert err.value.code == 400
+        message = json.load(err.value)["error"]
+        assert "unknown query parameters" in message and key in message
+
+    def test_cache_key_fields_are_the_byte_fields(self):
+        from repro.service.cache import CODESTREAM_FIELDS
+
+        assert set(CODESTREAM_FIELDS) == {
+            f.name for f in CODING_FIELDS if f.affects_bytes
+        }
 
 
 class TestDecodeEndpoint:
@@ -318,11 +390,10 @@ class TestDecodeEndpoint:
         from repro.image.pnm import parse_pnm
 
         img, cs = rgb_stream
-        with _post(f"{base_url}/decode?backend=batched", cs) as resp:
+        with _post(f"{base_url}/decode", cs) as resp:
             body = resp.read()
             assert resp.status == 200
             assert resp.headers["Content-Type"] == "image/x-portable-pixmap"
-            assert resp.headers["X-Backend"] == "batched"
             assert float(resp.headers["X-Decode-Seconds"]) >= 0.0
         assert np.array_equal(parse_pnm(body), img)
 
@@ -361,10 +432,12 @@ class TestDecodeEndpoint:
         assert "Error" in json.load(err.value)["error"]  # typed class name
 
     def test_bad_backend_is_400(self, base_url, rgb_stream):
+        # The server picks the decoder: even a valid backend is no key.
         _, cs = rgb_stream
         with pytest.raises(urllib.error.HTTPError) as err:
-            _post(f"{base_url}/decode?backend=turbo", cs)
+            _post(f"{base_url}/decode?backend=batched", cs)
         assert err.value.code == 400
+        assert "backend" in json.load(err.value)["error"]
 
     def test_unknown_query_key_is_400(self, base_url, rgb_stream):
         _, cs = rgb_stream
@@ -392,7 +465,7 @@ class TestDecodeEndpoint:
         cs = encode(img, EncoderParams(levels=3, codeblock_size=16)).codestream
         service = server.service
         before = service.scheduler.snapshot()["blocks_dispatched"]
-        with _post(f"{base_url}/decode?backend=batched", cs) as resp:
+        with _post(f"{base_url}/decode", cs) as resp:
             assert resp.headers["X-Cache"] == "MISS"
             out = parse_pnm(resp.read())
         assert np.array_equal(out, decode_reference(cs))

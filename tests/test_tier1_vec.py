@@ -22,7 +22,6 @@ from repro.jpeg2000.tier1 import (
     decode_codeblock,
     encode_codeblock,
     encode_codeblock_reference,
-    resolve_backend,
 )
 from repro.jpeg2000.tier1_vec import encode_codeblock_vectorized
 
@@ -120,18 +119,7 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="backend"):
             encode_codeblock(np.zeros((2, 2), np.int32), "LL", backend="simd")
 
-    def test_env_var_steers_auto(self, monkeypatch):
-        monkeypatch.setenv(tier1.BACKEND_ENV_VAR, "reference")
-        assert resolve_backend("auto") == "reference"
-        assert resolve_backend(None) == "reference"
-        # Explicit names win over the environment.
-        assert resolve_backend("vectorized") == "vectorized"
-        monkeypatch.setenv(tier1.BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match="REPRO_TIER1_BACKEND"):
-            resolve_backend("auto")
-
     def test_auto_picks_scalar_for_tiny_blocks(self, monkeypatch):
-        monkeypatch.delenv(tier1.BACKEND_ENV_VAR, raising=False)
         calls = []
         real = encode_codeblock_reference
         monkeypatch.setattr(

@@ -327,6 +327,17 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             EncoderParams(mem_budget=1024)
 
+    def test_too_many_tiles_rejected_before_coding(self):
+        # SOT Isot / TLM Ttlm are u16: 65,536 tiles cannot be indexed, and
+        # the encode must say so before the front end runs, not after.
+        import time
+
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="65535-tile limit"):
+            encode(np.zeros((16, 16 * 65536), np.uint8),
+                   EncoderParams(tile_size=16))
+        assert time.perf_counter() - t0 < 1.0
+
 
 # -- tile sizing and cache integration ----------------------------------------
 
