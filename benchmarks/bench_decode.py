@@ -1,4 +1,4 @@
-"""Decode-path benchmark: scalar reference vs vectorized/batched decoder.
+"""Decode-path benchmark: scalar reference vs the batched decoder.
 
 The decoder acceptance bar mirrors the encoder's: the batched backend must
 decode the paper's working set (2048x2048x3 lossless, 5 levels) at least
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     assert np.array_equal(expected, image), "reference decode != input"
 
     backends = {}
-    for backend in ("vectorized", "batched"):
+    for backend in ("batched",):
         out = decode(codestream, backend=backend, workers=1)
         identical = bool(np.array_equal(out, expected))
         timing = time_fn(

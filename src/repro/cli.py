@@ -290,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--backend", default="auto", choices=DEC_BACKENDS,
-                   help="decoder implementation (all are sample-identical); "
-                        "'auto' picks 'batched', which decodes "
-                        "same-geometry code blocks stacked per image")
+                   help="decoder implementation (both are sample-identical); "
+                        "'auto' picks 'batched', which decodes every code "
+                        "block of the image in one call")
     p.add_argument("--workers", type=parse_workers, default=1, metavar="N",
                    help="Tier-1 decode worker processes; 'auto' = one per "
                         "core (output is identical for any value)")

@@ -282,21 +282,17 @@ def _group_blocks(items) -> list[tuple[np.ndarray, str]]:
 def _group_task(payload):
     """Worker entry point for every block group; module-level for spawn.
 
-    ``payload`` is ``(op, seqs, backend, items)``.  ``"batched"`` runs the
-    stacked coder over the whole group; a per-block backend loops the
-    group.  Lazy imports keep each direction's stack out of workers that
-    never run it.
+    ``payload`` is ``(op, seqs, backend, items)``.  Decode groups run the
+    one block decoder.  Encode groups run the stacked coder when
+    ``backend`` is ``"batched"`` and loop the group block by block
+    otherwise.  Lazy imports keep each direction's stack out of workers
+    that never run it.
     """
     op, seqs, backend, items = payload
     if op == "decode":
-        from repro.jpeg2000.tier1_dec_vec import (
-            decode_codeblock_fast,
-            decode_codeblocks_batched,
-        )
+        from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
 
-        if backend == "batched":
-            return seqs, os.getpid(), decode_codeblocks_batched(list(items))
-        return seqs, os.getpid(), [decode_codeblock_fast(*b) for b in items]
+        return seqs, os.getpid(), decode_codeblocks_batched(items)
     blocks = _group_blocks(items)
     if backend == "batched":
         from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
@@ -412,11 +408,12 @@ class WorkerPool:
             self.warm_up()
 
     def warm_up(self) -> list[int]:
-        """Touch every worker once; returns the live worker pids."""
-        # chunksize=1 over >= workers items guarantees each process runs at
-        # least one task, forcing lazy imports (numpy, tier1) to happen now.
-        pids = self._pool.map(_ping_task, range(self.workers * 2), chunksize=1)
-        return sorted(set(pids))
+        """Run a round of pings through the pool; returns the worker pids."""
+        # One round of pings per worker warms whichever processes answer;
+        # nothing makes every worker take one (a fast worker can answer
+        # them all), so the live set is read from the processes themselves.
+        self._pool.map(_ping_task, range(self.workers * 2), chunksize=1)
+        return sorted(proc.pid for proc in self._procs)
 
     def ping(self, timeout: float = PING_TIMEOUT_S) -> bool:
         """True if the running pool answers a trivial task within ``timeout``."""
@@ -637,8 +634,9 @@ class CodeBlockWorkQueue:
     :class:`WorkerPool`, or a scheduler job of the encode service
     (:class:`repro.service.scheduler.SchedulerJob`).  The queue never
     codes blocks itself: in-process coding is the caller's serial path.
-    ``backend`` names the coder every group runs (``"batched"`` stacks the
-    group; ``"vectorized"``/``"reference"`` loop it block by block).
+    ``backend`` names the coder every encode group runs (``"batched"``
+    stacks the group; ``"vectorized"``/``"reference"`` loop it block by
+    block); decode groups have one decoder.
     """
 
     def __init__(self, pool, backend: str = "batched") -> None:
@@ -718,7 +716,7 @@ class CodeBlockWorkQueue:
 
         ``blocks[i]`` is ``(data, height, width, band, msbs, num_passes)``
         — the arguments of
-        :func:`repro.jpeg2000.tier1_dec_vec.decode_codeblock_fast`.  Code
+        :func:`repro.jpeg2000.tier1.decode_codeblock`.  Code
         blocks are as independent on decode as on encode, so the same
         dynamic queue applies; compressed bytes are small, so groups
         carry them inline.

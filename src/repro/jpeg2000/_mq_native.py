@@ -19,9 +19,11 @@ Design constraints:
   environment sets ``REPRO_MQ_NATIVE=0``, :data:`native_encode_run` is
   ``None`` and callers fall back to the pure-Python tight loop.  No
   third-party packages are involved — only the system C compiler.
-* **Cached**: the shared object is built once per source hash in a
-  per-user cache directory, so repeated processes (and multiprocessing
-  workers under ``spawn``) just ``dlopen`` it.
+* **Cached**: :func:`build_library` builds the shared object once per
+  source hash in a per-user cache directory, so repeated processes (and
+  multiprocessing workers under ``spawn``) just ``dlopen`` it.  The
+  whole-block decode kernel (:mod:`repro.jpeg2000._t1_dec_native`) loads
+  through the same routine.
 """
 
 from __future__ import annotations
@@ -94,70 +96,6 @@ long mq_encode_run(int32_t *index, int32_t *mps,
     *areg = a; *creg = c; *ctreg = ct; *breg = b;
     return olen;
 }}
-
-long mq_decode_run(int32_t *index, int32_t *mps,
-                   uint32_t *areg, uint32_t *creg,
-                   int32_t *ctreg, long *bpreg, int32_t *breg,
-                   const uint8_t *data, long dlen,
-                   const uint8_t *ctxs, long nsym,
-                   uint8_t *out_bits)
-{{
-    uint32_t a = *areg, c = *creg;
-    int32_t ct = *ctreg;
-    long bp = *bpreg;
-    int32_t b = *breg;
-    for (long k = 0; k < nsym; k++) {{
-        int cx = ctxs[k];
-        int idx = index[cx];
-        uint32_t qe = QE[idx];
-        int d;
-        a -= qe;
-        if (((c >> 16) & 0xFFFFu) < qe) {{
-            if (a < qe) {{
-                d = mps[cx];
-                index[cx] = NMPS[idx];
-            }} else {{
-                d = 1 - mps[cx];
-                if (SWITCH_[idx]) mps[cx] = d;
-                index[cx] = NLPS[idx];
-            }}
-            a = qe;
-        }} else {{
-            c -= qe << 16;
-            if (a & 0x8000u) {{ out_bits[k] = (uint8_t)mps[cx]; continue; }}
-            if (a < qe) {{
-                d = 1 - mps[cx];
-                if (SWITCH_[idx]) mps[cx] = d;
-                index[cx] = NLPS[idx];
-            }} else {{
-                d = mps[cx];
-                index[cx] = NMPS[idx];
-            }}
-        }}
-        do {{
-            if (ct == 0) {{
-                if (b == 0xFF) {{
-                    if (((bp + 1 < dlen) ? data[bp + 1] : 0xFFu) > 0x8Fu) {{
-                        c += 0xFF00u; ct = 8;
-                    }} else {{
-                        bp += 1; b = data[bp];
-                        c += ((uint32_t)b) << 9; ct = 7;
-                    }}
-                }} else {{
-                    bp += 1;
-                    b = (bp < dlen) ? data[bp] : 0xFF;
-                    c += ((uint32_t)b) << 8; ct = 8;
-                }}
-            }}
-            a = (a << 1) & 0xFFFFu;
-            c = c << 1;
-            ct -= 1;
-        }} while (!(a & 0x8000u));
-        out_bits[k] = (uint8_t)d;
-    }}
-    *areg = a; *creg = c; *ctreg = ct; *bpreg = bp; *breg = b;
-    return nsym;
-}}
 """
 
 
@@ -171,17 +109,26 @@ def _c_source() -> str:
     )
 
 
-def _build_library():
-    """Compile (or load the cached) shared object; None on any failure."""
-    src = _c_source()
+def build_library(src: str, stem: str):
+    """Compile ``src`` (or load its cached build); the ``CDLL`` or None.
+
+    The shared object is cached per source hash in a per-user directory,
+    so later processes (and ``spawn``-ed workers) only ``dlopen`` it.  No
+    compiler, a failed build, an unloadable object or
+    ``REPRO_MQ_NATIVE=0`` in the environment all return None, and callers
+    fall back to Python.  Every compiled kernel of the package loads
+    through here.
+    """
+    if os.environ.get("REPRO_MQ_NATIVE", "1") == "0":
+        return None
     tag = hashlib.sha256(src.encode()).hexdigest()[:16]
     cache_dir = os.path.join(
         tempfile.gettempdir(), f"repro-mq-native-{os.getuid()}"
     )
-    so_path = os.path.join(cache_dir, f"mq_{tag}.so")
+    so_path = os.path.join(cache_dir, f"{stem}_{tag}.so")
     if not os.path.exists(so_path):
         os.makedirs(cache_dir, mode=0o700, exist_ok=True)
-        c_path = os.path.join(cache_dir, f"mq_{tag}_{os.getpid()}.c")
+        c_path = os.path.join(cache_dir, f"{stem}_{tag}_{os.getpid()}.c")
         tmp_so = so_path + f".{os.getpid()}.tmp"
         try:
             with open(c_path, "w") as fh:
@@ -202,8 +149,14 @@ def _build_library():
                 except OSError:
                     pass
     try:
-        lib = ctypes.CDLL(so_path)
+        return ctypes.CDLL(so_path)
     except OSError:
+        return None
+
+
+def _load():
+    lib = build_library(_c_source(), "mq")
+    if lib is None:
         return None
     fn = lib.mq_encode_run
     fn.restype = ctypes.c_long
@@ -219,23 +172,7 @@ def _build_library():
         ctypes.c_long,  # nsym
         ctypes.POINTER(ctypes.c_uint8),  # out
     ]
-    dfn = lib.mq_decode_run
-    dfn.restype = ctypes.c_long
-    dfn.argtypes = [
-        ctypes.POINTER(ctypes.c_int32),  # index
-        ctypes.POINTER(ctypes.c_int32),  # mps
-        ctypes.POINTER(ctypes.c_uint32),  # a
-        ctypes.POINTER(ctypes.c_uint32),  # c
-        ctypes.POINTER(ctypes.c_int32),  # ct
-        ctypes.POINTER(ctypes.c_long),  # bp
-        ctypes.POINTER(ctypes.c_int32),  # b
-        ctypes.c_char_p,  # data
-        ctypes.c_long,  # dlen
-        ctypes.c_char_p,  # ctxs
-        ctypes.c_long,  # nsym
-        ctypes.POINTER(ctypes.c_uint8),  # out_bits
-    ]
-    return fn, dfn
+    return fn
 
 
 def _make_wrapper(fn):
@@ -267,42 +204,8 @@ def _make_wrapper(fn):
     return native_encode_run
 
 
-def _make_decode_wrapper(fn):
-    def native_decode_run(dec, cseq: bytes) -> bytes:
-        """Drive the compiled decode loop with ``dec``'s state, sync back."""
-        ncx = len(dec._index)
-        index = (ctypes.c_int32 * ncx)(*dec._index)
-        mps = (ctypes.c_int32 * ncx)(*dec._mps)
-        a = ctypes.c_uint32(dec._a)
-        c = ctypes.c_uint32(dec._c)
-        ct = ctypes.c_int32(dec._ct)
-        bp = ctypes.c_long(dec._bp)
-        b = ctypes.c_int32(dec._b)
-        n = len(cseq)
-        out = (ctypes.c_uint8 * n)()
-        fn(index, mps, ctypes.byref(a), ctypes.byref(c),
-           ctypes.byref(ct), ctypes.byref(bp), ctypes.byref(b),
-           bytes(dec._data), len(dec._data), bytes(cseq), n, out)
-        dec._index[:] = index
-        dec._mps[:] = mps
-        dec._a = a.value
-        dec._c = c.value
-        dec._ct = ct.value
-        dec._bp = bp.value
-        dec._b = b.value
-        return ctypes.string_at(out, n)
-
-    return native_decode_run
-
+#: The compiled ``mq_encode_run``, or None when unavailable.
+_fns = _load()
 
 #: Callable ``(MQEncoder, bytes, bytes) -> None`` or None when unavailable.
-native_encode_run = None
-
-#: Callable ``(MQDecoder, bytes) -> bytes`` or None when unavailable.
-native_decode_run = None
-
-if os.environ.get("REPRO_MQ_NATIVE", "1") != "0":
-    _fns = _build_library()
-    if _fns is not None:
-        native_encode_run = _make_wrapper(_fns[0])
-        native_decode_run = _make_decode_wrapper(_fns[1])
+native_encode_run = None if _fns is None else _make_wrapper(_fns)

@@ -1,42 +1,38 @@
-"""Optional compiled kernel for whole-block Tier-1 decoding.
+"""Compiled kernel for whole-block Tier-1 decoding.
 
 Tier-1 *decoding* is inherently serial: every decoded bit updates the MQ
 coder's (A, C) registers and the significance state that contextualizes
 the next bit, so unlike the encoder there is no whole-pass NumPy form.
-:mod:`repro.jpeg2000.tier1_dec_vec` therefore runs tight scalar loops —
-and this module, when a C compiler is present, compiles the *entire* pass
-loop of one code block (SPP/MRP/CUP over all bit planes, MQ decoder
-included) to native code at first use and drives it through :mod:`ctypes`.
-One call decodes one block; Python only reconstructs the output samples
-from the returned magnitude/precision/sign arrays (vectorized, batched
-across blocks).
+When a C compiler is present this module compiles the *entire* decode of
+one code block (SPP/MRP/CUP over all bit planes, the MQ decoder and the
+midpoint reconstruction) to native code at first use and drives it
+through :mod:`ctypes`.  One call decodes one block to its int32 samples,
+with a fixed per-block state footprint, like the paper's constant
+Local-Store footprint per code block.
 
 Design constraints mirror :mod:`repro.jpeg2000._mq_native`:
 
 * **Bit-exact**: the C code is a transliteration of the scalar reference
-  decoder (:func:`repro.jpeg2000.tier1.decode_codeblock`) with the same
-  incremental context-key scheme as the Python fast path; the MQ state
-  tables and context constants are generated from
-  :mod:`repro.jpeg2000.mq` / :mod:`repro.jpeg2000.tier1` so there is one
-  source of truth.  Differential tests pin all three implementations
-  (reference, Python fast path, this kernel) to identical samples.
+  decoder (:func:`repro.jpeg2000.tier1.decode_codeblock`), with
+  incremental neighbour-count context keys in place of the reference's
+  per-visit eight-neighbour sums; the MQ state tables and context
+  constants are generated from :mod:`repro.jpeg2000.mq` /
+  :mod:`repro.jpeg2000.tier1` so there is one source of truth.
+  Differential tests pin it to the reference sample for sample.
 * **Optional**: if no compiler is available, compilation fails, or the
   environment sets ``REPRO_MQ_NATIVE=0``, :data:`native_decode_block` is
-  ``None`` and callers fall back to the pure-Python fast path.
-* **Cached**: the shared object is built once per source hash in a
-  per-user cache directory.
+  ``None`` and :mod:`repro.jpeg2000.tier1_dec_vec` falls back to the
+  scalar reference decoder.
+* **Cached**: built and loaded by :func:`repro.jpeg2000._mq_native.build_library`.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 
 import numpy as np
 
+from repro.jpeg2000._mq_native import build_library
 from repro.jpeg2000.mq import STATE_TABLE
 from repro.jpeg2000.tier1 import (
     CTX_RUNLEN,
@@ -128,27 +124,35 @@ static const uint8_t SIGN_XOR[9] = {{{sign_xor}}};
     sgn[_i] = (uint8_t)(_sd ^ SIGN_XOR[_k9]); \
     sig[_i] = 1; \
     mag[_i] = (int64_t)1 << p; \
-    prec[_i] = p; \
+    prec[_i] = (uint8_t)p; \
     key[_nb[0]] += 15; key[_nb[1]] += 15; \
     key[_nb[2]] += 5;  key[_nb[3]] += 5; \
     key[_nb[4]] += 1;  key[_nb[5]] += 1; \
     key[_nb[6]] += 1;  key[_nb[7]] += 1; \
 }} while (0)
 
+/* Decode one block to its midpoint-reconstructed int32 samples.  The
+   caller guarantees 1 <= msbs <= 62 (MAX_MSBS), 1 <= num_passes <=
+   1 + 3 * (msbs - 1) and height * width <= MAXN. */
 int t1_decode_block(const uint8_t *data, long dlen,
                     int height, int width, int msbs, int num_passes,
-                    const uint8_t *lut, const int32_t *nbr,
-                    int64_t *mag, int64_t *prec, uint8_t *sgn)
+                    const uint8_t *lut, const int32_t *nbr, int32_t *out)
 {{
     long n = (long)height * width;
     int32_t sig[MAXN + 1];
     int32_t key[MAXN + 1];
     uint8_t visited[MAXN];
     uint8_t refined[MAXN];
+    uint8_t sgn[MAXN];
+    uint8_t prec[MAXN];
+    int64_t mag[MAXN];
     memset(sig, 0, (n + 1) * sizeof(int32_t));
     memset(key, 0, (n + 1) * sizeof(int32_t));
     memset(visited, 0, n);
     memset(refined, 0, n);
+    memset(sgn, 0, n);
+    memset(prec, 0, n);
+    memset(mag, 0, n * sizeof(int64_t));
 
     int32_t index_[NCX];
     int32_t mps[NCX];
@@ -209,7 +213,7 @@ int t1_decode_block(const uint8_t *data, long dlen,
                         MQ_DECODE(cx, d);
                         mag[i] |= ((int64_t)d) << p;
                         refined[i] = 1;
-                        prec[i] = p;
+                        prec[i] = (uint8_t)p;
                     }}
                 }}
             }}
@@ -252,6 +256,18 @@ int t1_decode_block(const uint8_t *data, long dlen,
         passes_done += 1;
         if (passes_done >= num_passes) break;
     }}
+
+    /* Midpoint reconstruction in int64, then narrowed to the low 32 bits
+       two's complement, exactly as the reference's .astype(np.int32)
+       (GCC and Clang define the signed conversion as modulo 2^32). */
+    for (long i = 0; i < n; i++) {{
+        int64_t v = 0;
+        if (mag[i]) {{
+            v = mag[i] + ((((int64_t)1) << prec[i]) >> 1);
+            if (sgn[i]) v = -v;
+        }}
+        out[i] = (int32_t)(uint32_t)(uint64_t)v;
+    }}
     return 0;
 }}
 """
@@ -277,39 +293,9 @@ def _c_source() -> str:
     )
 
 
-def _build_library():
-    """Compile (or load the cached) shared object; None on any failure."""
-    src = _c_source()
-    tag = hashlib.sha256(src.encode()).hexdigest()[:16]
-    cache_dir = os.path.join(
-        tempfile.gettempdir(), f"repro-mq-native-{os.getuid()}"
-    )
-    so_path = os.path.join(cache_dir, f"t1dec_{tag}.so")
-    if not os.path.exists(so_path):
-        os.makedirs(cache_dir, mode=0o700, exist_ok=True)
-        c_path = os.path.join(cache_dir, f"t1dec_{tag}_{os.getpid()}.c")
-        tmp_so = so_path + f".{os.getpid()}.tmp"
-        try:
-            with open(c_path, "w") as fh:
-                fh.write(src)
-            subprocess.run(
-                ["cc", "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
-                check=True,
-                capture_output=True,
-                timeout=60,
-            )
-            os.replace(tmp_so, so_path)  # atomic vs. concurrent builders
-        except (OSError, subprocess.SubprocessError):
-            return None
-        finally:
-            for path in (c_path, tmp_so):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-    try:
-        lib = ctypes.CDLL(so_path)
-    except OSError:
+def _load():
+    lib = build_library(_c_source(), "t1dec")
+    if lib is None:
         return None
     fn = lib.t1_decode_block
     fn.restype = ctypes.c_int
@@ -320,45 +306,41 @@ def _build_library():
         ctypes.c_int,  # width
         ctypes.c_int,  # msbs
         ctypes.c_int,  # num_passes
-        ctypes.c_char_p,  # lut
+        ctypes.POINTER(ctypes.c_uint8),  # lut
         ctypes.POINTER(ctypes.c_int32),  # nbr
-        ctypes.POINTER(ctypes.c_int64),  # mag
-        ctypes.POINTER(ctypes.c_int64),  # prec
-        ctypes.POINTER(ctypes.c_uint8),  # sgn
+        ctypes.POINTER(ctypes.c_int32),  # out
     ]
     return fn
 
 
 def _make_wrapper(fn):
     _i32p = ctypes.POINTER(ctypes.c_int32)
-    _i64p = ctypes.POINTER(ctypes.c_int64)
     _u8p = ctypes.POINTER(ctypes.c_uint8)
 
     def native_decode_block(
         data: bytes, height: int, width: int, lut: np.ndarray,
         nbr: np.ndarray, msbs: int, num_passes: int,
-    ):
-        """Decode one block; returns flat ``(mag, prec, sgn)`` arrays."""
-        n = height * width
-        mag = np.zeros(n, dtype=np.int64)
-        prec = np.zeros(n, dtype=np.int64)
-        sgn = np.zeros(n, dtype=np.uint8)
+    ) -> np.ndarray:
+        """Decode one block to its ``(height, width)`` int32 samples."""
+        out = np.empty((height, width), dtype=np.int32)
         fn(
             bytes(data), len(data), height, width, msbs, num_passes,
-            lut.tobytes(), nbr.ctypes.data_as(_i32p),
-            mag.ctypes.data_as(_i64p), prec.ctypes.data_as(_i64p),
-            sgn.ctypes.data_as(_u8p),
+            lut.ctypes.data_as(_u8p), nbr.ctypes.data_as(_i32p),
+            out.ctypes.data_as(_i32p),
         )
-        return mag, prec, sgn
+        return out
 
     return native_decode_block
 
 
-#: Callable ``(data, h, w, lut, nbr, msbs, num_passes) -> (mag, prec, sgn)``
-#: or None when unavailable.
-native_decode_block = None
+#: Deepest block the kernel takes: its int64 magnitude plus the half
+#: interval of the reconstruction stays in range up to 62 bit planes.
+#: Parsed codestreams stop at 38 (``decoder._MAX_BITPLANES``).
+MAX_MSBS = 62
 
-if os.environ.get("REPRO_MQ_NATIVE", "1") != "0":
-    _fn = _build_library()
-    if _fn is not None:
-        native_decode_block = _make_wrapper(_fn)
+#: The compiled ``t1_decode_block``, or None when unavailable.
+_fn = _load()
+
+#: Callable ``(data, h, w, lut, nbr, msbs, num_passes) -> int32 samples``
+#: or None when unavailable.
+native_decode_block = None if _fn is None else _make_wrapper(_fn)

@@ -4,21 +4,18 @@ Mirrors :mod:`repro.jpeg2000.encoder` exactly: marker parsing, packet
 parsing, Tier-1 decoding, dequantization, inverse DWT, inverse MCT, level
 unshift.  Lossless codestreams reconstruct bit exactly.
 
-The decoder has the same backend ladder as the encoder and every rung is
-sample-identical (differentially tested):
+The decoder has two backends, sample-identical (differentially tested):
 
 ``reference``
     The original all-scalar path, preserved verbatim as the oracle
     (:func:`decode_reference`).
-``vectorized``
-    :func:`repro.jpeg2000.tier1_dec_vec.decode_codeblock_fast` per block
-    (incremental context keys, inlined MQ decoding, native whole-block
-    kernel where the C compiler is available) plus the fused inverse
-    DWT + MCT front end (:func:`repro.jpeg2000.dwt_fast.run_inverse_frontend`).
 ``batched``
-    The same fast block decoder driven through same-geometry stacking
-    (:func:`repro.jpeg2000.tier1_dec_vec.decode_codeblocks_batched`), the
-    default — code blocks are decoded per image, not per call.
+    The default.  The code blocks of the whole image go to
+    :func:`repro.jpeg2000.tier1_dec_vec.decode_codeblocks_batched` in one
+    call: the native whole-block kernel per block where a C compiler is
+    available, the scalar oracle per block where not.  The fused inverse
+    DWT + MCT front end
+    (:func:`repro.jpeg2000.dwt_fast.run_inverse_frontend`) follows.
 
 ``decode(..., workers=N)`` additionally fans block groups out over
 :class:`repro.core.workpool.CodeBlockWorkQueue` (process pool with
@@ -61,7 +58,7 @@ from repro.jpeg2000.tier2 import (
 _MAX_BITPLANES = 38
 
 #: Valid decoder backend names (all sample-identical).
-DEC_BACKENDS = ("auto", "reference", "vectorized", "batched")
+DEC_BACKENDS = ("auto", "reference", "batched")
 
 
 def resolve_dec_backend(backend: str | None) -> str:
@@ -175,7 +172,7 @@ def decode(
         if resolved == "reference":
             out = _decode_parsed(info)
         else:
-            out = _decode_parsed_fast(info, resolved, workers, timings, pool)
+            out = _decode_parsed_fast(info, workers, timings, pool)
     except CodestreamError:
         raise
     except (ValueError, ArithmeticError, IndexError, KeyError, EOFError) as exc:
@@ -312,8 +309,8 @@ def _decode_tile_reference(
     """Scalar reference decode of one tile body to component planes.
 
     Per-sample Tier-1 (:func:`decode_codeblock`) and per-stage full-pass
-    inverse DWT (:func:`inverse_dwt2d`) — the oracle the vectorized and
-    batched paths are differentially tested against.
+    inverse DWT (:func:`inverse_dwt2d`) — the oracle the batched path is
+    differentially tested against.
     """
     layouts = _subband_layouts(info, height, width)
     coeff = _empty_coeff(info, layouts)
@@ -371,12 +368,11 @@ def _stack_output(comps: list[np.ndarray], bit_depth: int) -> np.ndarray:
 
 def _decode_parsed_fast(
     info: CodestreamInfo,
-    backend: str,
     workers: int | None,
     timings: DecodeStageTimings | None,
     pool=None,
 ) -> np.ndarray:
-    """Vectorized/batched decode: collect blocks, decode per image, fuse.
+    """Batched decode: collect blocks, decode per image, fuse.
 
     The packet walk (:func:`_iter_tile_blocks`, shared with the reference
     path) *collects* block tasks instead of decoding inline, so every
@@ -425,20 +421,14 @@ def _decode_parsed_fast(
     )
     if tier1_workers > 1:
         if pool is not None:
-            results = CodeBlockWorkQueue(pool, backend).decode_groups(blocks_in)
+            results = CodeBlockWorkQueue(pool).decode_groups(blocks_in)
         else:
             with WorkerPool(tier1_workers) as own_pool:
-                results = CodeBlockWorkQueue(own_pool, backend).decode_groups(
-                    blocks_in
-                )
-    elif backend == "batched":
+                results = CodeBlockWorkQueue(own_pool).decode_groups(blocks_in)
+    else:
         from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
 
         results = decode_codeblocks_batched(blocks_in)
-    else:
-        from repro.jpeg2000.tier1_dec_vec import decode_codeblock_fast
-
-        results = [decode_codeblock_fast(*blk) for blk in blocks_in]
     t2 = time.perf_counter()
 
     # Dequantize + place (elementwise; identical to the reference's

@@ -306,96 +306,6 @@ class MQDecoder:
             self._c += self._b << 8
             self._ct = 8
 
-    def decode_run(self, ctxs) -> bytes:
-        """Decode a batch of binary decisions in one tight loop.
-
-        ``ctxs`` is a byte sequence of context numbers (``bytes``,
-        ``bytearray``, or a uint8 NumPy array); the return value is the
-        decoded bits as a ``bytes`` of 0/1, bit-exact with calling
-        :meth:`decode` once per context.  The EBCOT magnitude-refinement
-        pass produces its whole context stream up front (refinement never
-        changes significance state), which is what makes a batch decode
-        form possible at all; the per-call overhead it removes dominates
-        the pure-Python decoder.  When the optional native kernel is
-        available (see :mod:`repro.jpeg2000._mq_native`) the loop runs in
-        compiled code.
-        """
-        cseq = ctxs if isinstance(ctxs, (bytes, bytearray)) else bytes(ctxs)
-        if not cseq:
-            return b""
-        ncx = len(self._index)
-        if cseq.translate(None, bytes(range(ncx))):
-            raise IndexError(
-                f"context {max(cseq)} out of range for {ncx} contexts"
-            )
-        from repro.jpeg2000 import _mq_native
-
-        if _mq_native.native_decode_run is not None:
-            return _mq_native.native_decode_run(self, cseq)
-        return self._decode_run_py(cseq)
-
-    def _decode_run_py(self, cseq) -> bytes:
-        """Pure-Python batch loop: :meth:`decode` + ``_renorm`` + ``_bytein``
-        inlined with all hot state in locals."""
-        index = self._index
-        mps = self._mps
-        qe_t, nmps_t, nlps_t, switch_t = _QE, _NMPS, _NLPS, _SWITCH
-        data = self._data
-        dlen = len(data)
-        a, c, ct, bp, b = self._a, self._c, self._ct, self._bp, self._b
-        out = bytearray(len(cseq))
-        for k, cx in enumerate(cseq):
-            idx = index[cx]
-            qe = qe_t[idx]
-            a -= qe
-            if ((c >> 16) & 0xFFFF) < qe:
-                if a < qe:
-                    d = mps[cx]
-                    index[cx] = nmps_t[idx]
-                else:
-                    d = 1 - mps[cx]
-                    if switch_t[idx]:
-                        mps[cx] = d
-                    index[cx] = nlps_t[idx]
-                a = qe
-            else:
-                c -= qe << 16
-                if a & 0x8000:
-                    out[k] = mps[cx]
-                    continue
-                if a < qe:
-                    d = 1 - mps[cx]
-                    if switch_t[idx]:
-                        mps[cx] = d
-                    index[cx] = nlps_t[idx]
-                else:
-                    d = mps[cx]
-                    index[cx] = nmps_t[idx]
-            while True:
-                if ct == 0:
-                    if b == 0xFF:
-                        if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                            c += 0xFF00
-                            ct = 8
-                        else:
-                            bp += 1
-                            b = data[bp]
-                            c += b << 9
-                            ct = 7
-                    else:
-                        bp += 1
-                        b = data[bp] if bp < dlen else 0xFF
-                        c += b << 8
-                        ct = 8
-                a = (a << 1) & 0xFFFF
-                c = (c << 1) & 0xFFFFFFFF
-                ct -= 1
-                if a & 0x8000:
-                    break
-            out[k] = d
-        self._a, self._c, self._ct, self._bp, self._b = a, c, ct, bp, b
-        return bytes(out)
-
     def decode(self, cx: int) -> int:
         """Decode one binary decision in context ``cx``."""
         idx = self._index[cx]

@@ -460,8 +460,9 @@ def decode_codeblock(
     return values.reshape(height, width).astype(np.int32)
 
 
-#: The scalar decoder above is the pinned oracle for every fast decode
-#: backend (:mod:`repro.jpeg2000.tier1_dec_vec` is differentially tested
-#: against it sample by sample); the alias mirrors
-#: :func:`encode_codeblock_reference` on the encode side.
+#: The scalar decoder above is the pinned oracle of the block decoder
+#: (:func:`repro.jpeg2000.tier1_dec_vec.decode_codeblocks_batched`, whose
+#: native kernel is differentially tested against it sample by sample)
+#: and that decoder's fallback on hosts without a C compiler; the alias
+#: mirrors :func:`encode_codeblock_reference` on the encode side.
 decode_codeblock_reference = decode_codeblock

@@ -1,869 +1,61 @@
-"""Fast EBCOT Tier-1 *decoder* backend (sample-identical to the reference).
+"""The Tier-1 block decoder: sample-identical to the scalar reference.
 
-The scalar reference decoder (:func:`repro.jpeg2000.tier1.decode_codeblock`)
-re-derives every sample's significance context from its eight neighbours on
-every visit of every pass of every bit plane — a closure call plus eight
-list lookups per sample visit, three passes per plane.  Decoding cannot be
-vectorized the way encoding was (:mod:`repro.jpeg2000.tier1_vec` knows all
-bits up front and iterates context modelling to a fixpoint; a decoder
-learns each bit only from the MQ coder, whose (A, C) registers make it
-inherently serial), so this backend attacks the constant factor instead:
+Tier-1 decoding cannot be vectorized the way encoding was
+(:mod:`repro.jpeg2000.tier1_vec` knows all bits up front and iterates
+context modelling to a fixpoint; a decoder learns each bit only from the
+MQ coder, whose (A, C) registers make it inherently serial).  Speed
+therefore comes from a tight per-block loop plus parallelism across
+blocks, which :mod:`repro.core.workpool` supplies.  The per-block loop is
+the compiled whole-block kernel of :mod:`repro.jpeg2000._t1_dec_native`:
+all passes, the MQ decoder and the midpoint reconstruction run in C and
+return the block's int32 samples.  On a host without a C compiler (or
+with ``REPRO_MQ_NATIVE=0``) every block goes to the scalar oracle,
+:func:`repro.jpeg2000.tier1.decode_codeblock`, instead.
 
-* **Incremental context keys.**  One flat array ``key[i] = 15*h + 5*v + d``
-  (significant horizontal/vertical/diagonal neighbour counts) is maintained
-  incrementally: when a sample becomes significant its eight neighbours'
-  keys are bumped by +15/+5/+1.  A significance context is then a single
-  LUT index, and the all-zero-context tests of the significance and
-  cleanup passes collapse to ``key[i] == 0`` (context 0 ⇔ key 0 in every
-  band's LUT).  Out-of-block neighbours point at a sentinel slot that
-  absorbs the updates.
-* **Inlined MQ decoding.**  The significance-propagation and cleanup loops
-  keep the whole MQ decoder state (A, C, CT, byte pointer) in locals and
-  inline ``decode``/``_renorm``/``_bytein`` at each decision site — no
-  per-bit method calls.
-* **Batched magnitude refinement.**  MRP never changes significance state,
-  so its full candidate list and context stream are known before the pass:
-  the bits come back from one :meth:`repro.jpeg2000.mq.MQDecoder.decode_run`
-  call (compiled via :mod:`repro.jpeg2000._mq_native` when available) and
-  are applied with vectorized NumPy updates.
-* **Vectorized reconstruction** of the decoded magnitudes/signs, stacked
-  across same-geometry code blocks by :func:`decode_codeblocks_batched`
-  (the cross-block strategy of :mod:`repro.jpeg2000.tier1_batch`, applied
-  to the decode side).
-
-Every path is differentially pinned against the scalar oracle: identical
-int32 samples for any ``(data, geometry, band, msbs, num_passes)``,
-including truncated segments.
+Both paths are differentially pinned to identical int32 samples for any
+``(data, geometry, band, msbs, num_passes)``, including truncated
+segments.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
-
 from repro.jpeg2000 import _t1_dec_native, tier1_geom
-from repro.jpeg2000.mq import _NLPS, _NMPS, _QE, _SWITCH, MQDecoder
-from repro.jpeg2000.tier1 import (
-    CTX_RUNLEN,
-    CTX_UNIFORM,
-    INITIAL_STATES,
-    NUM_CONTEXTS,
-)
-
-_SIGN_LUT = tier1_geom.SIGN_LUT
-
-
-@lru_cache(maxsize=None)
-def _scan_lists(h: int, w: int):
-    """Python-native scan structures for an ``h x w`` block.
-
-    Returns ``(order, nbr, cup_groups)``: the flat T.800 scan order as a
-    plain list, per-sample neighbour tuples (W, E, N, S, NW, NE, SW, SE;
-    sentinel ``h*w`` for out-of-block), and the cleanup pass's
-    stripe-column sample groups (4-tuples for full stripes, shorter at the
-    bottom edge).  Plain lists/tuples index faster than NumPy scalars in
-    the scalar hot loops below; the underlying arrays come from the shared
-    geometry cache.
-    """
-    geo = tier1_geom.geometry(h, w)
-    order = geo.order.tolist()
-    nbr = [tuple(row) for row in geo.nbr.tolist()]
-    groups = []
-    for top in range(0, h, 4):
-        nrows = min(4, h - top)
-        for col in range(w):
-            base = top * w + col
-            groups.append(tuple(base + k * w for k in range(nrows)))
-    return order, nbr, tuple(groups)
-
-
-def _spp(mq: MQDecoder, p: int, sig, key, sgn, visited,
-         order, nbr, lut) -> list:
-    """Significance propagation pass; returns newly significant indices."""
-    index = mq._index
-    mps = mq._mps
-    data = mq._data
-    dlen = len(data)
-    a, c, ct, bp, b = mq._a, mq._c, mq._ct, mq._bp, mq._b
-    qe_t, nmps_t, nlps_t, switch_t = _QE, _NMPS, _NLPS, _SWITCH
-    sign_lut = _SIGN_LUT
-    new_sigs = []
-    append = new_sigs.append
-    for i in order:
-        if sig[i]:
-            visited[i] = 0
-            continue
-        k = key[i]
-        if not k:
-            visited[i] = 0
-            continue
-        cx = lut[k]
-        # -- inline MQ decode (significance bit) --------------------------
-        idx = index[cx]
-        qe = qe_t[idx]
-        a -= qe
-        if ((c >> 16) & 0xFFFF) < qe:
-            if a < qe:
-                d = mps[cx]
-                index[cx] = nmps_t[idx]
-            else:
-                d = 1 - mps[cx]
-                if switch_t[idx]:
-                    mps[cx] = d
-                index[cx] = nlps_t[idx]
-            a = qe
-            while True:
-                if ct == 0:
-                    if b == 0xFF:
-                        if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                            c += 0xFF00
-                            ct = 8
-                        else:
-                            bp += 1
-                            b = data[bp]
-                            c += b << 9
-                            ct = 7
-                    else:
-                        bp += 1
-                        b = data[bp] if bp < dlen else 0xFF
-                        c += b << 8
-                        ct = 8
-                a = (a << 1) & 0xFFFF
-                c = (c << 1) & 0xFFFFFFFF
-                ct -= 1
-                if a & 0x8000:
-                    break
-        else:
-            c -= qe << 16
-            if a & 0x8000:
-                d = mps[cx]
-            else:
-                if a < qe:
-                    d = 1 - mps[cx]
-                    if switch_t[idx]:
-                        mps[cx] = d
-                    index[cx] = nlps_t[idx]
-                else:
-                    d = mps[cx]
-                    index[cx] = nmps_t[idx]
-                while True:
-                    if ct == 0:
-                        if b == 0xFF:
-                            if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                c += 0xFF00
-                                ct = 8
-                            else:
-                                bp += 1
-                                b = data[bp]
-                                c += b << 9
-                                ct = 7
-                        else:
-                            bp += 1
-                            b = data[bp] if bp < dlen else 0xFF
-                            c += b << 8
-                            ct = 8
-                    a = (a << 1) & 0xFFFF
-                    c = (c << 1) & 0xFFFFFFFF
-                    ct -= 1
-                    if a & 0x8000:
-                        break
-        if d:
-            nb = nbr[i]
-            w_ = nb[0]
-            e_ = nb[1]
-            n_ = nb[2]
-            s_ = nb[3]
-            hc = ((sig[w_] and (1 - 2 * sgn[w_]))
-                  + (sig[e_] and (1 - 2 * sgn[e_])))
-            vc = ((sig[n_] and (1 - 2 * sgn[n_]))
-                  + (sig[s_] and (1 - 2 * sgn[s_])))
-            if hc > 1:
-                hc = 1
-            elif hc < -1:
-                hc = -1
-            if vc > 1:
-                vc = 1
-            elif vc < -1:
-                vc = -1
-            cx, xor = sign_lut[(hc + 1) * 3 + (vc + 1)]
-            # -- inline MQ decode (sign bit) ------------------------------
-            idx = index[cx]
-            qe = qe_t[idx]
-            a -= qe
-            if ((c >> 16) & 0xFFFF) < qe:
-                if a < qe:
-                    d = mps[cx]
-                    index[cx] = nmps_t[idx]
-                else:
-                    d = 1 - mps[cx]
-                    if switch_t[idx]:
-                        mps[cx] = d
-                    index[cx] = nlps_t[idx]
-                a = qe
-                while True:
-                    if ct == 0:
-                        if b == 0xFF:
-                            if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                c += 0xFF00
-                                ct = 8
-                            else:
-                                bp += 1
-                                b = data[bp]
-                                c += b << 9
-                                ct = 7
-                        else:
-                            bp += 1
-                            b = data[bp] if bp < dlen else 0xFF
-                            c += b << 8
-                            ct = 8
-                    a = (a << 1) & 0xFFFF
-                    c = (c << 1) & 0xFFFFFFFF
-                    ct -= 1
-                    if a & 0x8000:
-                        break
-            else:
-                c -= qe << 16
-                if a & 0x8000:
-                    d = mps[cx]
-                else:
-                    if a < qe:
-                        d = 1 - mps[cx]
-                        if switch_t[idx]:
-                            mps[cx] = d
-                        index[cx] = nlps_t[idx]
-                    else:
-                        d = mps[cx]
-                        index[cx] = nmps_t[idx]
-                    while True:
-                        if ct == 0:
-                            if b == 0xFF:
-                                if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                    c += 0xFF00
-                                    ct = 8
-                                else:
-                                    bp += 1
-                                    b = data[bp]
-                                    c += b << 9
-                                    ct = 7
-                            else:
-                                bp += 1
-                                b = data[bp] if bp < dlen else 0xFF
-                                c += b << 8
-                                ct = 8
-                        a = (a << 1) & 0xFFFF
-                        c = (c << 1) & 0xFFFFFFFF
-                        ct -= 1
-                        if a & 0x8000:
-                            break
-            sgn[i] = d ^ xor
-            sig[i] = 1
-            append(i)
-            key[w_] += 15
-            key[e_] += 15
-            key[n_] += 5
-            key[s_] += 5
-            key[nb[4]] += 1
-            key[nb[5]] += 1
-            key[nb[6]] += 1
-            key[nb[7]] += 1
-        visited[i] = 1
-    mq._a, mq._c, mq._ct, mq._bp, mq._b = a, c, ct, bp, b
-    return new_sigs
-
-
-def _cup(mq: MQDecoder, p: int, sig, key, sgn, visited,
-         cup_groups, nbr, lut) -> list:
-    """Cleanup pass; returns newly significant indices."""
-    index = mq._index
-    mps = mq._mps
-    data = mq._data
-    dlen = len(data)
-    a, c, ct, bp, b = mq._a, mq._c, mq._ct, mq._bp, mq._b
-    qe_t, nmps_t, nlps_t, switch_t = _QE, _NMPS, _NLPS, _SWITCH
-    sign_lut = _SIGN_LUT
-    new_sigs = []
-    append = new_sigs.append
-    for idxs in cup_groups:
-        start = 0
-        nrows = len(idxs)
-        if nrows == 4:
-            i0, i1, i2, i3 = idxs
-            if not (sig[i0] or visited[i0] or key[i0]
-                    or sig[i1] or visited[i1] or key[i1]
-                    or sig[i2] or visited[i2] or key[i2]
-                    or sig[i3] or visited[i3] or key[i3]):
-                # Run-length mode.
-                cx = CTX_RUNLEN
-                # -- inline MQ decode (run-length bit) --------------------
-                idx = index[cx]
-                qe = qe_t[idx]
-                a -= qe
-                if ((c >> 16) & 0xFFFF) < qe:
-                    if a < qe:
-                        d = mps[cx]
-                        index[cx] = nmps_t[idx]
-                    else:
-                        d = 1 - mps[cx]
-                        if switch_t[idx]:
-                            mps[cx] = d
-                        index[cx] = nlps_t[idx]
-                    a = qe
-                    while True:
-                        if ct == 0:
-                            if b == 0xFF:
-                                if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                    c += 0xFF00
-                                    ct = 8
-                                else:
-                                    bp += 1
-                                    b = data[bp]
-                                    c += b << 9
-                                    ct = 7
-                            else:
-                                bp += 1
-                                b = data[bp] if bp < dlen else 0xFF
-                                c += b << 8
-                                ct = 8
-                        a = (a << 1) & 0xFFFF
-                        c = (c << 1) & 0xFFFFFFFF
-                        ct -= 1
-                        if a & 0x8000:
-                            break
-                else:
-                    c -= qe << 16
-                    if a & 0x8000:
-                        d = mps[cx]
-                    else:
-                        if a < qe:
-                            d = 1 - mps[cx]
-                            if switch_t[idx]:
-                                mps[cx] = d
-                            index[cx] = nlps_t[idx]
-                        else:
-                            d = mps[cx]
-                            index[cx] = nmps_t[idx]
-                        while True:
-                            if ct == 0:
-                                if b == 0xFF:
-                                    if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                        c += 0xFF00
-                                        ct = 8
-                                    else:
-                                        bp += 1
-                                        b = data[bp]
-                                        c += b << 9
-                                        ct = 7
-                                else:
-                                    bp += 1
-                                    b = data[bp] if bp < dlen else 0xFF
-                                    c += b << 8
-                                    ct = 8
-                            a = (a << 1) & 0xFFFF
-                            c = (c << 1) & 0xFFFFFFFF
-                            ct -= 1
-                            if a & 0x8000:
-                                break
-                if not d:
-                    continue
-                first = 0
-                for _ in (0, 1):
-                    cx = CTX_UNIFORM
-                    # -- inline MQ decode (uniform bit) -------------------
-                    idx = index[cx]
-                    qe = qe_t[idx]
-                    a -= qe
-                    if ((c >> 16) & 0xFFFF) < qe:
-                        if a < qe:
-                            d = mps[cx]
-                            index[cx] = nmps_t[idx]
-                        else:
-                            d = 1 - mps[cx]
-                            if switch_t[idx]:
-                                mps[cx] = d
-                            index[cx] = nlps_t[idx]
-                        a = qe
-                        while True:
-                            if ct == 0:
-                                if b == 0xFF:
-                                    if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                        c += 0xFF00
-                                        ct = 8
-                                    else:
-                                        bp += 1
-                                        b = data[bp]
-                                        c += b << 9
-                                        ct = 7
-                                else:
-                                    bp += 1
-                                    b = data[bp] if bp < dlen else 0xFF
-                                    c += b << 8
-                                    ct = 8
-                            a = (a << 1) & 0xFFFF
-                            c = (c << 1) & 0xFFFFFFFF
-                            ct -= 1
-                            if a & 0x8000:
-                                break
-                    else:
-                        c -= qe << 16
-                        if a & 0x8000:
-                            d = mps[cx]
-                        else:
-                            if a < qe:
-                                d = 1 - mps[cx]
-                                if switch_t[idx]:
-                                    mps[cx] = d
-                                index[cx] = nlps_t[idx]
-                            else:
-                                d = mps[cx]
-                                index[cx] = nmps_t[idx]
-                            while True:
-                                if ct == 0:
-                                    if b == 0xFF:
-                                        if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                            c += 0xFF00
-                                            ct = 8
-                                        else:
-                                            bp += 1
-                                            b = data[bp]
-                                            c += b << 9
-                                            ct = 7
-                                    else:
-                                        bp += 1
-                                        b = data[bp] if bp < dlen else 0xFF
-                                        c += b << 8
-                                        ct = 8
-                                a = (a << 1) & 0xFFFF
-                                c = (c << 1) & 0xFFFFFFFF
-                                ct -= 1
-                                if a & 0x8000:
-                                    break
-                    first = (first << 1) | d
-                i = idxs[first]
-                nb = nbr[i]
-                w_ = nb[0]
-                e_ = nb[1]
-                n_ = nb[2]
-                s_ = nb[3]
-                hc = ((sig[w_] and (1 - 2 * sgn[w_]))
-                      + (sig[e_] and (1 - 2 * sgn[e_])))
-                vc = ((sig[n_] and (1 - 2 * sgn[n_]))
-                      + (sig[s_] and (1 - 2 * sgn[s_])))
-                if hc > 1:
-                    hc = 1
-                elif hc < -1:
-                    hc = -1
-                if vc > 1:
-                    vc = 1
-                elif vc < -1:
-                    vc = -1
-                cx, xor = sign_lut[(hc + 1) * 3 + (vc + 1)]
-                # -- inline MQ decode (sign bit, run-length sample) -------
-                idx = index[cx]
-                qe = qe_t[idx]
-                a -= qe
-                if ((c >> 16) & 0xFFFF) < qe:
-                    if a < qe:
-                        d = mps[cx]
-                        index[cx] = nmps_t[idx]
-                    else:
-                        d = 1 - mps[cx]
-                        if switch_t[idx]:
-                            mps[cx] = d
-                        index[cx] = nlps_t[idx]
-                    a = qe
-                    while True:
-                        if ct == 0:
-                            if b == 0xFF:
-                                if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                    c += 0xFF00
-                                    ct = 8
-                                else:
-                                    bp += 1
-                                    b = data[bp]
-                                    c += b << 9
-                                    ct = 7
-                            else:
-                                bp += 1
-                                b = data[bp] if bp < dlen else 0xFF
-                                c += b << 8
-                                ct = 8
-                        a = (a << 1) & 0xFFFF
-                        c = (c << 1) & 0xFFFFFFFF
-                        ct -= 1
-                        if a & 0x8000:
-                            break
-                else:
-                    c -= qe << 16
-                    if a & 0x8000:
-                        d = mps[cx]
-                    else:
-                        if a < qe:
-                            d = 1 - mps[cx]
-                            if switch_t[idx]:
-                                mps[cx] = d
-                            index[cx] = nlps_t[idx]
-                        else:
-                            d = mps[cx]
-                            index[cx] = nmps_t[idx]
-                        while True:
-                            if ct == 0:
-                                if b == 0xFF:
-                                    if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                        c += 0xFF00
-                                        ct = 8
-                                    else:
-                                        bp += 1
-                                        b = data[bp]
-                                        c += b << 9
-                                        ct = 7
-                                else:
-                                    bp += 1
-                                    b = data[bp] if bp < dlen else 0xFF
-                                    c += b << 8
-                                    ct = 8
-                            a = (a << 1) & 0xFFFF
-                            c = (c << 1) & 0xFFFFFFFF
-                            ct -= 1
-                            if a & 0x8000:
-                                break
-                sgn[i] = d ^ xor
-                sig[i] = 1
-                append(i)
-                key[w_] += 15
-                key[e_] += 15
-                key[n_] += 5
-                key[s_] += 5
-                key[nb[4]] += 1
-                key[nb[5]] += 1
-                key[nb[6]] += 1
-                key[nb[7]] += 1
-                start = first + 1
-        for k_ in range(start, nrows):
-            i = idxs[k_]
-            if sig[i] or visited[i]:
-                continue
-            cx = lut[key[i]]
-            # -- inline MQ decode (significance bit) ----------------------
-            idx = index[cx]
-            qe = qe_t[idx]
-            a -= qe
-            if ((c >> 16) & 0xFFFF) < qe:
-                if a < qe:
-                    d = mps[cx]
-                    index[cx] = nmps_t[idx]
-                else:
-                    d = 1 - mps[cx]
-                    if switch_t[idx]:
-                        mps[cx] = d
-                    index[cx] = nlps_t[idx]
-                a = qe
-                while True:
-                    if ct == 0:
-                        if b == 0xFF:
-                            if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                c += 0xFF00
-                                ct = 8
-                            else:
-                                bp += 1
-                                b = data[bp]
-                                c += b << 9
-                                ct = 7
-                        else:
-                            bp += 1
-                            b = data[bp] if bp < dlen else 0xFF
-                            c += b << 8
-                            ct = 8
-                    a = (a << 1) & 0xFFFF
-                    c = (c << 1) & 0xFFFFFFFF
-                    ct -= 1
-                    if a & 0x8000:
-                        break
-            else:
-                c -= qe << 16
-                if a & 0x8000:
-                    d = mps[cx]
-                else:
-                    if a < qe:
-                        d = 1 - mps[cx]
-                        if switch_t[idx]:
-                            mps[cx] = d
-                        index[cx] = nlps_t[idx]
-                    else:
-                        d = mps[cx]
-                        index[cx] = nmps_t[idx]
-                    while True:
-                        if ct == 0:
-                            if b == 0xFF:
-                                if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                    c += 0xFF00
-                                    ct = 8
-                                else:
-                                    bp += 1
-                                    b = data[bp]
-                                    c += b << 9
-                                    ct = 7
-                            else:
-                                bp += 1
-                                b = data[bp] if bp < dlen else 0xFF
-                                c += b << 8
-                                ct = 8
-                        a = (a << 1) & 0xFFFF
-                        c = (c << 1) & 0xFFFFFFFF
-                        ct -= 1
-                        if a & 0x8000:
-                            break
-            if d:
-                nb = nbr[i]
-                w_ = nb[0]
-                e_ = nb[1]
-                n_ = nb[2]
-                s_ = nb[3]
-                hc = ((sig[w_] and (1 - 2 * sgn[w_]))
-                      + (sig[e_] and (1 - 2 * sgn[e_])))
-                vc = ((sig[n_] and (1 - 2 * sgn[n_]))
-                      + (sig[s_] and (1 - 2 * sgn[s_])))
-                if hc > 1:
-                    hc = 1
-                elif hc < -1:
-                    hc = -1
-                if vc > 1:
-                    vc = 1
-                elif vc < -1:
-                    vc = -1
-                cx, xor = sign_lut[(hc + 1) * 3 + (vc + 1)]
-                # -- inline MQ decode (sign bit) --------------------------
-                idx = index[cx]
-                qe = qe_t[idx]
-                a -= qe
-                if ((c >> 16) & 0xFFFF) < qe:
-                    if a < qe:
-                        d = mps[cx]
-                        index[cx] = nmps_t[idx]
-                    else:
-                        d = 1 - mps[cx]
-                        if switch_t[idx]:
-                            mps[cx] = d
-                        index[cx] = nlps_t[idx]
-                    a = qe
-                    while True:
-                        if ct == 0:
-                            if b == 0xFF:
-                                if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                    c += 0xFF00
-                                    ct = 8
-                                else:
-                                    bp += 1
-                                    b = data[bp]
-                                    c += b << 9
-                                    ct = 7
-                            else:
-                                bp += 1
-                                b = data[bp] if bp < dlen else 0xFF
-                                c += b << 8
-                                ct = 8
-                        a = (a << 1) & 0xFFFF
-                        c = (c << 1) & 0xFFFFFFFF
-                        ct -= 1
-                        if a & 0x8000:
-                            break
-                else:
-                    c -= qe << 16
-                    if a & 0x8000:
-                        d = mps[cx]
-                    else:
-                        if a < qe:
-                            d = 1 - mps[cx]
-                            if switch_t[idx]:
-                                mps[cx] = d
-                            index[cx] = nlps_t[idx]
-                        else:
-                            d = mps[cx]
-                            index[cx] = nmps_t[idx]
-                        while True:
-                            if ct == 0:
-                                if b == 0xFF:
-                                    if (data[bp + 1] if bp + 1 < dlen else 0xFF) > 0x8F:
-                                        c += 0xFF00
-                                        ct = 8
-                                    else:
-                                        bp += 1
-                                        b = data[bp]
-                                        c += b << 9
-                                        ct = 7
-                                else:
-                                    bp += 1
-                                    b = data[bp] if bp < dlen else 0xFF
-                                    c += b << 8
-                                    ct = 8
-                            a = (a << 1) & 0xFFFF
-                            c = (c << 1) & 0xFFFFFFFF
-                            ct -= 1
-                            if a & 0x8000:
-                                break
-                sgn[i] = d ^ xor
-                sig[i] = 1
-                append(i)
-                key[w_] += 15
-                key[e_] += 15
-                key[n_] += 5
-                key[s_] += 5
-                key[nb[4]] += 1
-                key[nb[5]] += 1
-                key[nb[6]] += 1
-                key[nb[7]] += 1
-    mq._a, mq._c, mq._ct, mq._bp, mq._b = a, c, ct, bp, b
-    return new_sigs
+from repro.jpeg2000.tier1 import decode_codeblock
 
 
 def _validate(height: int, width: int, msbs: int, num_passes: int) -> None:
-    """Argument validation identical to the scalar reference decoder."""
+    """The reference decoder's checks for a block with ``msbs > 0``."""
     if height <= 0 or width <= 0 or height > 64 or width > 64:
         raise ValueError(f"invalid code block dims {height}x{width}")
-    if msbs < 0:
-        raise ValueError(f"msbs must be non-negative, got {msbs}")
-    if msbs == 0 or num_passes == 0:
-        return
     max_passes = 1 + 3 * (msbs - 1)
     if num_passes > max_passes:
         raise ValueError(f"num_passes {num_passes} exceeds maximum {max_passes}")
 
 
-def _decode_state(
-    data: bytes, height: int, width: int, band: str, msbs: int,
-    num_passes: int,
-):
-    """Run the pass loop; returns ``(mag, prec, sgn)`` or None if empty.
-
-    ``mag``/``prec`` are flat int64 arrays, ``sgn`` a flat uint8 array.
-    Reconstruction is left to the caller so that
-    :func:`decode_codeblocks_batched` can vectorize it across a whole
-    same-geometry stack.  When the compiled whole-block kernel is present
-    (:mod:`repro.jpeg2000._t1_dec_native`) the entire pass loop runs in C;
-    the Python loops below are the bit-exact fallback.
-    """
-    _validate(height, width, msbs, num_passes)
-    if msbs == 0 or num_passes == 0:
-        return None
-    if _t1_dec_native.native_decode_block is not None:
-        return _t1_dec_native.native_decode_block(
-            data, height, width, tier1_geom.sig_lut_array(band),
-            tier1_geom.geometry(height, width).nbr, msbs, num_passes,
-        )
-    n = height * width
-    lut = tier1_geom.sig_lut_for_band(band)
-    order, nbr, cup_groups = _scan_lists(height, width)
-    geo = tier1_geom.geometry(height, width)
-    ord_arr = geo.order
-    nbr_arr = geo.nbr
-
-    sig = [0] * (n + 1)       # +1 sentinel slot
-    key = [0] * (n + 1)       # incremental 15h+5v+d context keys
-    visited = [0] * n
-    sgn = [0] * n
-    sig_arr = np.zeros(n + 1, dtype=np.uint8)
-    refined = np.zeros(n, dtype=np.uint8)
-    mag = np.zeros(n, dtype=np.int64)
-    prec = np.zeros(n, dtype=np.int64)
-
-    mq = MQDecoder(data, NUM_CONTEXTS, INITIAL_STATES)
-    passes_done = 0
-
-    def apply_new(new_sigs: list, p: int) -> None:
-        idx = np.asarray(new_sigs, dtype=np.int64)
-        sig_arr[idx] = 1
-        mag[idx] = 1 << p
-        prec[idx] = p
-
-    for p in range(msbs - 1, -1, -1):
-        if p != msbs - 1:
-            new_sigs = _spp(mq, p, sig, key, sgn, visited, order, nbr, lut)
-            # MRP candidates are exactly the samples significant *before*
-            # this plane's SPP ran (SPP marks everything else visited), so
-            # snapshot before folding in the SPP updates.
-            cand = ord_arr[sig_arr[ord_arr] != 0]
-            if new_sigs:
-                apply_new(new_sigs, p)
-            passes_done += 1
-            if passes_done >= num_passes:
-                break
-            if cand.size:
-                anys = sig_arr[nbr_arr[cand]].any(axis=1)
-                ctxs = np.where(
-                    refined[cand] != 0, 16, np.where(anys, 15, 14)
-                ).astype(np.uint8)
-                bits = np.frombuffer(
-                    mq.decode_run(ctxs.tobytes()), dtype=np.uint8
-                )
-                mag[cand] |= bits.astype(np.int64) << p
-                refined[cand] = 1
-                prec[cand] = p
-            passes_done += 1
-            if passes_done >= num_passes:
-                break
-        new_sigs = _cup(mq, p, sig, key, sgn, visited, cup_groups, nbr, lut)
-        if new_sigs:
-            apply_new(new_sigs, p)
-        passes_done += 1
-        if passes_done >= num_passes:
-            break
-    return mag, prec, np.asarray(sgn, dtype=np.uint8)
-
-
-def _reconstruct(mag: np.ndarray, prec: np.ndarray,
-                 sgn: np.ndarray) -> np.ndarray:
-    """Midpoint reconstruction, vectorized; works on flat or stacked axes."""
-    half = np.left_shift(np.int64(1), prec) >> 1
-    values = np.where(mag != 0, mag + half, np.int64(0))
-    return np.where(sgn != 0, -values, values)
-
-
-def decode_codeblock_fast(
-    data: bytes,
-    height: int,
-    width: int,
-    band: str,
-    msbs: int,
-    num_passes: int,
-) -> np.ndarray:
-    """Fast Tier-1 decode, sample-identical to the scalar reference."""
-    state = _decode_state(data, height, width, band, msbs, num_passes)
-    if state is None:
-        return np.zeros((height, width), dtype=np.int32)
-    mag, prec, sgn = state
-    values = _reconstruct(mag, prec, sgn)
-    return values.reshape(height, width).astype(np.int32)
-
-
 def decode_codeblocks_batched(blocks) -> list:
-    """Decode many code blocks, batching same-geometry reconstruction.
+    """Decode code blocks to int32 sample planes, in input order.
 
     ``blocks`` is a sequence of ``(data, height, width, band, msbs,
-    num_passes)`` tuples.  The MQ pass loop is inherently serial per block,
-    but blocks sharing a geometry stack their decoded magnitude/precision
-    state so the final midpoint reconstruction runs as a handful of NumPy
-    ops over ``(nblocks, h*w)`` arrays instead of once per block — the
-    decode-side analogue of :mod:`repro.jpeg2000.tier1_batch`'s
-    same-geometry stacking.  Results keep input order.
+    num_passes)`` tuples, the arguments of
+    :func:`repro.jpeg2000.tier1.decode_codeblock`.  Each block runs
+    through the native kernel.  The scalar oracle takes the blocks the
+    kernel does not: all of them when it is missing, empty blocks (all
+    zeros, band unchecked) and blocks deeper than
+    :data:`repro.jpeg2000._t1_dec_native.MAX_MSBS`, which no parsed
+    codestream reaches.
     """
-    results: list = [None] * len(blocks)
-    groups: dict = {}
-    for pos, blk in enumerate(blocks):
-        groups.setdefault((blk[1], blk[2]), []).append(pos)
-    for (h, w), members in groups.items():
-        stacked: list = []
-        for pos in members:
-            state = _decode_state(*blocks[pos])
-            if state is None:
-                results[pos] = np.zeros((h, w), dtype=np.int32)
-            else:
-                stacked.append((pos, state))
-        if not stacked:
+    kernel = _t1_dec_native.native_decode_block
+    out = []
+    for blk in blocks:
+        data, height, width, band, msbs, num_passes = blk
+        if kernel is None or num_passes == 0 or not (
+            0 < msbs <= _t1_dec_native.MAX_MSBS
+        ):
+            out.append(decode_codeblock(*blk))
             continue
-        mag = np.stack([st[0] for _, st in stacked])
-        prec = np.stack([st[1] for _, st in stacked])
-        sgn = np.asarray([st[2] for _, st in stacked], dtype=np.int64)
-        values = _reconstruct(mag, prec, sgn).astype(np.int32)
-        for row, (pos, _) in enumerate(stacked):
-            results[pos] = values[row].reshape(h, w)
-    return results
+        _validate(height, width, msbs, num_passes)
+        out.append(kernel(
+            data, height, width, tier1_geom.sig_lut_array(band),
+            tier1_geom.geometry(height, width).nbr, msbs, num_passes,
+        ))
+    return out

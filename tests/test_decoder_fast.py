@@ -24,7 +24,7 @@ from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.errors import CodestreamError, DecodeLimits
 from repro.jpeg2000.params import EncoderParams
 
-FAST_BACKENDS = ("vectorized", "batched")
+FAST_BACKENDS = ("batched",)
 
 
 def _roundtrip_stream(shape, lossless=True, levels=2, codeblock=64, seed=0):
@@ -242,31 +242,81 @@ class TestWorkpoolDecodeAll:
         blocks = _decode_blocks()
         serial = decode_codeblocks_batched(blocks)
         with WorkerPool(3) as pool:
-            for backend in ("batched", "vectorized"):
-                queue = CodeBlockWorkQueue(pool, backend)
-                parallel = queue.decode_groups(blocks)
-                assert len(serial) == len(parallel) == len(blocks)
-                for s, p in zip(serial, parallel):
-                    assert np.array_equal(s, p)
+            parallel = CodeBlockWorkQueue(pool).decode_groups(blocks)
+        assert len(serial) == len(parallel) == len(blocks)
+        for s, p in zip(serial, parallel):
+            assert np.array_equal(s, p)
 
 
-class TestMQDecodeRunParity:
-    def test_decode_run_matches_scalar_decode(self):
-        from repro.jpeg2000.mq import MQDecoder, MQEncoder
+class TestBlockDecoderDifferential:
+    """:func:`decode_codeblocks_batched` against the scalar oracle, block
+    by block: the native kernel where it loads, the oracle fallback where
+    it does not."""
 
-        rng = np.random.default_rng(11)
-        bits = rng.integers(0, 2, size=400).tolist()
-        ctxs = rng.integers(0, 14, size=400).tolist()
-        enc = MQEncoder(19)
-        for bit, ctx in zip(bits, ctxs):
-            enc.encode(bit, ctx)
-        data = enc.flush()
-        cseq = bytes(ctxs)
+    @staticmethod
+    def _assert_matches_oracle(blocks):
+        from repro.jpeg2000.tier1 import decode_codeblock
+        from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
 
-        scalar = MQDecoder(data, 19)
-        expected = bytes(scalar.decode(c) for c in ctxs)
-        run_dec = MQDecoder(data, 19)
-        assert run_dec.decode_run(cseq) == expected
-        py_dec = MQDecoder(data, 19)
-        assert py_dec._decode_run_py(cseq) == expected
-        assert expected == bytes(bits)
+        got = decode_codeblocks_batched(blocks)
+        assert len(got) == len(blocks)
+        for blk, g in zip(blocks, got):
+            want = decode_codeblock(*blk)
+            assert g.dtype == want.dtype and g.shape == want.shape
+            assert np.array_equal(g, want), blk[1:]
+
+    @pytest.mark.parametrize("band", ["LL", "HL", "LH", "HH"])
+    @pytest.mark.parametrize("shape", [(1, 1), (13, 10), (16, 64), (64, 64)])
+    def test_every_truncation(self, shape, band):
+        from repro.jpeg2000.tier1 import encode_codeblock
+
+        rng = np.random.default_rng([*shape, len(band), ord(band[0])])
+        vals = rng.integers(-300, 301, size=shape).astype(np.int32)
+        vals[rng.random(shape) < 0.5] = 0
+        enc = encode_codeblock(vals, band)
+        h, w = shape
+        blocks = [(enc.data, h, w, band, enc.msbs, k)
+                  for k in range(enc.num_passes + 1)]
+        self._assert_matches_oracle(blocks)
+
+    @pytest.mark.parametrize("band", ["LL", "HL", "LH", "HH"])
+    def test_coefficients_near_two_to_the_30(self, band):
+        from repro.jpeg2000.tier1 import encode_codeblock
+
+        rng = np.random.default_rng(30)
+        vals = rng.integers(-3, 4, size=(13, 10)).astype(np.int32)
+        vals[::3, ::2] = (1 << 30) - rng.integers(0, 1 << 20, size=(5, 5))
+        vals[1::4, 1::3] *= -1
+        enc = encode_codeblock(vals, band)
+        assert enc.msbs == 30
+        blocks = [(enc.data, 13, 10, band, enc.msbs, k)
+                  for k in range(enc.num_passes + 1)]
+        self._assert_matches_oracle(blocks)
+
+    @pytest.mark.parametrize("msbs", [31, 32, 35, 38])
+    def test_random_bytes_deep_planes(self, msbs):
+        # Samples made significant above plane 31 reconstruct past the
+        # int32 range; the int32 narrowing must wrap exactly as the
+        # oracle's astype does.  38 is the decoder's header cap.
+        rng = np.random.default_rng(msbs)
+        max_passes = 1 + 3 * (msbs - 1)
+        blocks = []
+        for band in ("LL", "HL", "LH", "HH"):
+            for h, w in ((1, 1), (13, 10), (16, 64)):
+                data = rng.integers(0, 256, size=int(rng.integers(0, 400)),
+                                    dtype=np.uint8).tobytes()
+                for k in (1, 2, 3, 4, max_passes // 2, max_passes):
+                    blocks.append((data, h, w, band, msbs, k))
+        self._assert_matches_oracle(blocks)
+
+    def test_empty_and_invalid_blocks(self):
+        from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
+
+        self._assert_matches_oracle([
+            (b"", 4, 4, "LL", 0, 0), (b"\x12", 3, 5, "XX", 0, 7),
+            (b"\x12", 3, 5, "HH", 4, 0),
+        ])
+        for bad in ((b"", 65, 4, "LL", 3, 1), (b"", 4, 4, "LL", -1, 1),
+                    (b"", 4, 4, "LL", 2, 5), (b"", 4, 4, "XX", 2, 1)):
+            with pytest.raises(ValueError):
+                decode_codeblocks_batched([bad])

@@ -209,19 +209,32 @@ class TestEncodeRunParity:
     reason="native kernel disabled via environment",
 )
 def test_native_kernel_optionality():
-    """With the kernel force-disabled, everything still encodes."""
+    """With the kernels force-disabled, everything still encodes, and
+    decodes through the scalar oracle to the reference's samples."""
     import subprocess
     import sys
 
     code = (
         "import numpy as np;"
-        "from repro.jpeg2000 import _mq_native;"
+        "from repro.jpeg2000 import _mq_native, _t1_dec_native;"
         "assert _mq_native.native_encode_run is None;"
+        "assert _t1_dec_native.native_decode_block is None;"
         "from repro.jpeg2000.tier1 import encode_codeblock;"
         "from repro.jpeg2000.tier1_vec import encode_codeblock_vectorized;"
         "cb = np.arange(-32, 32, dtype=np.int32).reshape(8, 8);"
         "assert encode_codeblock_vectorized(cb, 'HL') == "
-        "encode_codeblock(cb, 'HL', backend='reference')"
+        "encode_codeblock(cb, 'HL', backend='reference');"
+        "from repro.image.synthetic import watch_face_image;"
+        "from repro.jpeg2000.decoder import decode, decode_reference;"
+        "from repro.jpeg2000.encoder import encode;"
+        "from repro.jpeg2000.params import EncoderParams;"
+        "img = watch_face_image(24, 20, channels=3);"
+        "lossless = encode(img, EncoderParams(levels=2)).codestream;"
+        "assert np.array_equal(decode(lossless), decode_reference(lossless));"
+        "assert np.array_equal(decode(lossless), img);"
+        "lossy = encode(img, EncoderParams(lossless=False, rate=0.5, "
+        "levels=2)).codestream;"
+        "assert np.array_equal(decode(lossy), decode_reference(lossy))"
     )
     env = dict(os.environ, REPRO_MQ_NATIVE="0",
                PYTHONPATH=os.pathsep.join(__import__("sys").path))
