@@ -1,6 +1,6 @@
-"""Decode-path benchmark: scalar reference vs the batched decoder.
+"""Decode-path benchmark: scalar reference vs the block decoder.
 
-The decoder acceptance bar mirrors the encoder's: the batched backend must
+The decoder acceptance bar mirrors the encoder's: the block decoder must
 decode the paper's working set (2048x2048x3 lossless, 5 levels) at least
 3x faster than the scalar reference on one core, while reconstructing
 sample-identical output (asserted before any timing).  ``--quick`` runs a
@@ -28,7 +28,7 @@ from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.params import EncoderParams
 from repro.jpeg2000 import _t1_dec_native
 
-#: Single-core speedup floors (batched backend vs scalar reference).
+#: Single-core speedup floors (block decoder vs scalar reference).
 FULL_SPEEDUP_FLOOR = 3.0
 QUICK_SPEEDUP_FLOOR = 2.0
 
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     assert np.array_equal(expected, image), "reference decode != input"
 
     backends = {}
-    for backend in ("batched",):
+    for backend in ("auto",):
         out = decode(codestream, backend=backend, workers=1)
         identical = bool(np.array_equal(out, expected))
         timing = time_fn(
@@ -85,29 +85,29 @@ def main(argv=None) -> int:
               f" {ref_s:.1f} s)  identical: {identical}")
 
     workers_scaling = {}
-    base = backends["batched"]["median_s"]
+    base = backends["auto"]["median_s"]
     for w in WORKER_COUNTS:
-        out = decode(codestream, backend="batched", workers=w)
+        out = decode(codestream, workers=w)
         identical = bool(np.array_equal(out, expected))
         timing = time_fn(
-            lambda w=w: decode(codestream, backend="batched", workers=w),
+            lambda w=w: decode(codestream, workers=w),
             repeats,
         )
         timing["identical_to_reference"] = identical
         timing["speedup_vs_1"] = base / timing["median_s"]
         workers_scaling[str(w)] = timing
-        print(f"{size}x{size}x3 decode, batched {w}w :"
+        print(f"{size}x{size}x3 decode, auto {w}w :"
               f" {timing['median_s']:8.3f} s"
               f"  ({timing['speedup_vs_1']:.2f}x vs 1w)"
               f"  identical: {identical}")
 
-    speedup = backends["batched"]["speedup_vs_reference"]
+    speedup = backends["auto"]["speedup_vs_reference"]
     identical = (
         all(b["identical_to_reference"] for b in backends.values())
         and all(w["identical_to_reference"] for w in workers_scaling.values())
     )
     passed = identical and speedup >= floor
-    print(f"single-core batched speedup {speedup:.1f}x"
+    print(f"single-core block-decoder speedup {speedup:.1f}x"
           f" (acceptance >= {floor}x), all outputs identical: {identical}")
 
     report = bench_report(
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
                "codestream_bytes": len(codestream)},
         reference=reference,
         backends=backends,
-        batched_workers=workers_scaling,
+        workers=workers_scaling,
         acceptance={"threshold": floor, "speedup": speedup,
                     "identical": identical, "passed": passed},
     )
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     if not identical:
         return 1  # correctness criteria fail loudly everywhere
     if args.gate and speedup < floor:
-        print(f"FAIL: batched decode {speedup:.2f}x < {floor}x floor")
+        print(f"FAIL: block decoder {speedup:.2f}x < {floor}x floor")
         return 1
     return 0
 

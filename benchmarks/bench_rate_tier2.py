@@ -167,8 +167,7 @@ def bench_dispatch(workers_list, plane_size: int, repeats: int) -> dict:
 
     def serial():
         return [
-            encode_codeblock(planes[p][r0 : r0 + h, c0 : c0 + w], band,
-                             backend="vectorized")
+            encode_codeblock(planes[p][r0 : r0 + h, c0 : c0 + w], band)
             for p, r0, c0, h, w, band in blocks
         ]
 
@@ -176,7 +175,7 @@ def bench_dispatch(workers_list, plane_size: int, repeats: int) -> dict:
     out["serial"] = time_fn(serial, repeats)
     for workers in workers_list:
         with WorkerPool(workers, warmup=True) as pool:
-            queue = CodeBlockWorkQueue(pool, backend="vectorized")
+            queue = CodeBlockWorkQueue(pool)
 
             def run():
                 return queue.encode_plane_groups(planes, blocks)

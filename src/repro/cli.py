@@ -3,8 +3,8 @@ fuzz.
 
     python -m repro encode  input.bmp output.j2c [--lossy] [--rate 0.1]
                               [--tile 512] [--mem-budget MIB]
-                              [--workers auto] [--tier1-backend batched]
-    python -m repro decode  input.j2c output.bmp [--backend batched]
+                              [--workers auto] [--tier1-backend reference]
+    python -m repro decode  input.j2c output.bmp [--backend reference]
                               [--workers auto]
     python -m repro simulate input.bmp [--spes 8] [--ppe-threads 1]
                               [--chips 1] [--lossy] [--rate 0.1] [--estimate]
@@ -290,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--backend", default="auto", choices=DEC_BACKENDS,
-                   help="decoder implementation (both are sample-identical); "
-                        "'auto' picks 'batched', which decodes every code "
-                        "block of the image in one call")
+                   help="decoder implementation (both are sample-identical): "
+                        "'auto' is the block decoder, 'reference' the scalar "
+                        "oracle")
     p.add_argument("--workers", type=parse_workers, default=1, metavar="N",
                    help="Tier-1 decode worker processes; 'auto' = one per "
                         "core (output is identical for any value)")
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated lossy rates to sweep")
     p.add_argument("--workers", default="1,2",
                    help="comma-separated worker counts for byte identity")
-    p.add_argument("--backends", default="vectorized,reference,batched",
+    p.add_argument("--backends", default="auto,reference",
                    help="comma-separated Tier-1 backends for byte identity")
     p.add_argument("--quick", action="store_true",
                    help="trim the backend x workers sweep to one combination")

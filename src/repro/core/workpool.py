@@ -19,8 +19,8 @@ Determinism is non-negotiable: the codestream must be byte-identical for
 any worker count.  Workers may *finish* groups in any order (that is the
 point of dynamic scheduling), so every block carries a sequence number
 and results are re-assembled into submission order before the caller
-sees them.  Tier-1 itself is bit-exact across backends (differentially
-tested), so scheduling is the only ordering concern.
+sees them.  Tier-1 itself is bit-exact against the scalar oracles
+(differentially tested), so scheduling is the only ordering concern.
 """
 
 from __future__ import annotations
@@ -33,19 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.jpeg2000.tier1 import CodeBlockResult, encode_codeblock
+from repro.jpeg2000.tier1 import CodeBlockResult
 
 #: Code blocks below which the Tier-1 pool cannot win: process start-up
-#: plus per-block pickling costs more than the blocks themselves
-#: (BENCH_tier1 measured 0.70-0.76x *slowdowns* at workers>1 before this
-#: clamp existed).
+#: plus per-group dispatch costs more than the blocks themselves.  The
+#: value predates the native block coders; DESIGN.md section 11 records
+#: where a pool wins now.  The encoder, the decoder and the service's
+#: micro-batcher read it at call time.
 TIER1_AUTO_SERIAL_MIN_BLOCKS = 24
-
-#: Environment override for the Tier-1 auto-serial clamp.  ``"0"`` disables
-#: the clamp entirely (tests/benchmarks that need the parallel path on
-#: small inputs or single-core machines); any other integer replaces the
-#: block-count threshold.
-TIER1_AUTO_SERIAL_ENV = "REPRO_TIER1_AUTO_SERIAL"
 
 #: Seconds a liveness ping may take before the pool is declared dead.
 PING_TIMEOUT_S = 10.0
@@ -67,66 +62,33 @@ def default_workers() -> int:
     return available_cores()
 
 
-def tier1_serial_threshold() -> int:
-    """Code blocks below which the Tier-1 pool cannot win.
-
-    The :data:`TIER1_AUTO_SERIAL_ENV` override wins; otherwise
-    :data:`TIER1_AUTO_SERIAL_MIN_BLOCKS`.  ``0`` (env only) disables the
-    clamp.
-    """
-    env = os.environ.get(TIER1_AUTO_SERIAL_ENV, "")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(
-                f"{TIER1_AUTO_SERIAL_ENV}={env!r} invalid; expected an integer"
-            ) from None
-    return TIER1_AUTO_SERIAL_MIN_BLOCKS
-
-
 def tier1_auto_workers(workers: int | None, blocks: int) -> int:
     """Clamp Tier-1 dispatch to serial where a pool cannot win.
 
     Returns ``1`` when the process may run on a single core or ``blocks``
-    falls below :func:`tier1_serial_threshold`, otherwise ``workers``
-    resolved (``None`` means one per core).  ``REPRO_TIER1_AUTO_SERIAL=0``
-    disables the clamp (including the single-core check); any other
-    integer replaces the block threshold.
+    falls below :data:`TIER1_AUTO_SERIAL_MIN_BLOCKS`, otherwise
+    ``workers`` resolved (``None`` means one per core).
     """
     if workers is None:
         workers = default_workers()
-    if workers <= 1:
+    if workers <= 1 or available_cores() <= 1:
         return 1
-    threshold = tier1_serial_threshold()
-    if threshold == 0:
-        return workers
-    if available_cores() <= 1:
-        return 1
-    if blocks < threshold:
+    if blocks < TIER1_AUTO_SERIAL_MIN_BLOCKS:
         return 1
     return workers
 
 
-def group_runs(keys: list, workers: int) -> list[list[int]]:
-    """Split block indices into groups: same key, about ``2 * workers`` runs.
+def group_runs(count: int, workers: int) -> list[range]:
+    """Split ``count`` block indices into runs of consecutive blocks.
 
-    Blocks sharing a key (their geometry) group together so the stacked
-    coders amortize NumPy overhead; large groups split into shards of
-    :func:`repro.jpeg2000.tier1_batch.group_shard_count` blocks so the
-    dynamic queue can still balance load.
+    Runs hold :func:`repro.jpeg2000.tier1_batch.group_shard_count` blocks
+    each — about ``2 * workers`` runs, so the dynamic queue can still
+    balance load.
     """
     from repro.jpeg2000.tier1_batch import group_shard_count
 
-    by_key: dict = {}
-    for i, key in enumerate(keys):
-        by_key.setdefault(key, []).append(i)
-    shard = group_shard_count(len(keys), workers)
-    return [
-        idxs[o : o + shard]
-        for idxs in by_key.values()
-        for o in range(0, len(idxs), shard)
-    ]
+    shard = group_shard_count(count, workers)
+    return [range(o, min(o + shard, count)) for o in range(0, count, shard)]
 
 
 @dataclass
@@ -282,26 +244,18 @@ def _group_blocks(items) -> list[tuple[np.ndarray, str]]:
 def _group_task(payload):
     """Worker entry point for every block group; module-level for spawn.
 
-    ``payload`` is ``(op, seqs, backend, items)``.  Decode groups run the
-    one block decoder.  Encode groups run the stacked coder when
-    ``backend`` is ``"batched"`` and loop the group block by block
-    otherwise.  Lazy imports keep each direction's stack out of workers
-    that never run it.
+    ``payload`` is ``(op, seqs, items)``.  Decode groups run the one block
+    decoder, encode groups the one block encoder.  Lazy imports keep each
+    direction's coder out of workers that never run it.
     """
-    op, seqs, backend, items = payload
+    op, seqs, items = payload
     if op == "decode":
         from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
 
         return seqs, os.getpid(), decode_codeblocks_batched(items)
-    blocks = _group_blocks(items)
-    if backend == "batched":
-        from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
+    from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
 
-        return seqs, os.getpid(), encode_codeblocks_batched(blocks)
-    return seqs, os.getpid(), [
-        encode_codeblock(coeffs, band, backend=backend)
-        for coeffs, band in blocks
-    ]
+    return seqs, os.getpid(), encode_codeblocks_batched(_group_blocks(items))
 
 
 def _ping_task(i: int) -> int:
@@ -634,24 +588,22 @@ class CodeBlockWorkQueue:
     :class:`WorkerPool`, or a scheduler job of the encode service
     (:class:`repro.service.scheduler.SchedulerJob`).  The queue never
     codes blocks itself: in-process coding is the caller's serial path.
-    ``backend`` names the coder every encode group runs (``"batched"``
-    stacks the group; ``"vectorized"``/``"reference"`` loop it block by
-    block); decode groups have one decoder.
+    Encode groups run the one block encoder, decode groups the one block
+    decoder.
     """
 
-    def __init__(self, pool, backend: str = "batched") -> None:
+    def __init__(self, pool) -> None:
         self.pool = pool
-        self.backend = backend
         self.last_stats: QueueStats | None = None
 
-    def _run(self, op: str, items: list, keys: list, dispatch: str) -> list:
-        """Group ``items`` by ``keys``, run the groups, reassemble in order."""
-        runs = group_runs(keys, self.pool.workers)
+    def _run(self, op: str, items: list, dispatch: str) -> list:
+        """Cut ``items`` into groups, run them, reassemble in order."""
+        runs = group_runs(len(items), self.pool.workers)
         stats = QueueStats(workers=self.pool.workers, blocks=len(items),
                            groups=len(runs), dispatch=dispatch)
         self.last_stats = stats
         payloads = [
-            (op, tuple(run), self.backend, tuple(items[i] for i in run))
+            (op, tuple(run), tuple(items[i] for i in run))
             for run in runs
         ]
         results: list = [None] * len(items)
@@ -700,8 +652,7 @@ class CodeBlockWorkQueue:
                     (shared.descs[p], r0, c0, h, w, band)
                     for p, r0, c0, h, w, band in blocks
                 ]
-            keys = [(h, w) for _p, _r0, _c0, h, w, _band in blocks]
-            return self._run("encode", items, keys, dispatch)
+            return self._run("encode", items, dispatch)
         finally:
             # Unlink on success, error, and KeyboardInterrupt alike: the
             # segments must never outlive the encode.
@@ -721,8 +672,7 @@ class CodeBlockWorkQueue:
         dynamic queue applies; compressed bytes are small, so groups
         carry them inline.
         """
-        keys = [(b[1], b[2]) for b in blocks]
-        return self._run("decode", list(blocks), keys, "pickle")
+        return self._run("decode", list(blocks), "pickle")
 
 
 class ChunkWorkQueue:

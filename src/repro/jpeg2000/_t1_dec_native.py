@@ -2,10 +2,11 @@
 
 Tier-1 *decoding* is inherently serial: every decoded bit updates the MQ
 coder's (A, C) registers and the significance state that contextualizes
-the next bit, so unlike the encoder there is no whole-pass NumPy form.
-When a C compiler is present this module compiles the *entire* decode of
-one code block (SPP/MRP/CUP over all bit planes, the MQ decoder and the
-midpoint reconstruction) to native code at first use and drives it
+the next bit.  When a C compiler is present this module compiles the
+*entire* decode of one code block (SPP/MRP/CUP over all bit planes, the
+MQ decoder and the midpoint reconstruction) to native code at import,
+the mirror of the encode kernel in :mod:`repro.jpeg2000._mq_native`, and
+drives it
 through :mod:`ctypes`.  One call decodes one block to its int32 samples,
 with a fixed per-block state footprint, like the paper's constant
 Local-Store footprint per code block.

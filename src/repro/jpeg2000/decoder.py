@@ -9,7 +9,7 @@ The decoder has two backends, sample-identical (differentially tested):
 ``reference``
     The original all-scalar path, preserved verbatim as the oracle
     (:func:`decode_reference`).
-``batched``
+``auto``
     The default.  The code blocks of the whole image go to
     :func:`repro.jpeg2000.tier1_dec_vec.decode_codeblocks_batched` in one
     call: the native whole-block kernel per block where a C compiler is
@@ -57,24 +57,21 @@ from repro.jpeg2000.tier2 import (
 #: larger is a corrupt header, not a deep image).
 _MAX_BITPLANES = 38
 
-#: Valid decoder backend names (all sample-identical).
-DEC_BACKENDS = ("auto", "reference", "batched")
+#: Valid decoder backend names: the block decoder of
+#: :mod:`repro.jpeg2000.tier1_dec_vec` (``"auto"``) and the scalar oracle.
+#: Both decode to identical samples.
+DEC_BACKENDS = ("auto", "reference")
 
 
 def resolve_dec_backend(backend: str | None) -> str:
-    """Resolve a decode backend name.
-
-    ``None``/``"auto"`` picks ``"batched"`` — the fastest path; every
-    backend decodes to identical samples, so the choice is purely a speed
-    knob.
-    """
+    """Resolve a decode backend name (``None`` means ``"auto"``)."""
     if backend is None:
         backend = "auto"
     if backend not in DEC_BACKENDS:
         raise ValueError(
             f"unknown decode backend {backend!r}; expected one of {DEC_BACKENDS}"
         )
-    return "batched" if backend == "auto" else backend
+    return backend
 
 
 @dataclass
@@ -155,7 +152,7 @@ def decode(
     allocation is sized by an unvalidated field.
 
     ``backend`` selects the Tier-1 decode implementation (see
-    :data:`DEC_BACKENDS`; ``None``/``"auto"`` means ``"batched"``).  ``workers``
+    :data:`DEC_BACKENDS`; ``None`` means ``"auto"``).  ``workers``
     fans code blocks out over a process pool and the inverse front end
     over threads (``None`` = one per core); ``pool`` (a
     :class:`repro.core.workpool.WorkerPool` or a service scheduler job)
@@ -309,8 +306,8 @@ def _decode_tile_reference(
     """Scalar reference decode of one tile body to component planes.
 
     Per-sample Tier-1 (:func:`decode_codeblock`) and per-stage full-pass
-    inverse DWT (:func:`inverse_dwt2d`) — the oracle the batched path is
-    differentially tested against.
+    inverse DWT (:func:`inverse_dwt2d`) — the oracle the block-decoder
+    path is differentially tested against.
     """
     layouts = _subband_layouts(info, height, width)
     coeff = _empty_coeff(info, layouts)

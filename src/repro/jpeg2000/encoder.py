@@ -30,7 +30,7 @@ from repro.jpeg2000.errors import DEFAULT_LIMITS
 from repro.jpeg2000.params import EncoderParams
 from repro.jpeg2000.quantize import SubbandQuant
 from repro.jpeg2000.rate import RateModel, apportion_budget
-from repro.jpeg2000.tier1 import CodeBlockResult, encode_codeblock
+from repro.jpeg2000.tier1 import CodeBlockResult, encode_codeblock_reference
 from repro.jpeg2000.tier2 import (
     BlockContribution,
     PacketBand,
@@ -85,29 +85,16 @@ class WorkloadStats:
     blocks: list[BlockStats] = field(default_factory=list)
     codestream_bytes: int = 0
     raw_bytes: int = 0
-    #: How Tier-1 blocks reached the coder: ``"serial"`` (in process, per
-    #: block), ``"batched"`` (whole-image in-process stacks), or block
-    #: groups on a worker pool — ``"shared_memory"``/``"pickle"`` for the
-    #: per-block backends, ``"batched_shared_memory"``/``"batched_pickle"``
-    #: for the stacked coder (see :class:`repro.core.workpool.QueueStats`).
+    #: How Tier-1 blocks reached the coder: ``"serial"`` (in process) or
+    #: block groups on a worker pool, ``"shared_memory"``/``"pickle"`` (see
+    #: :class:`repro.core.workpool.QueueStats`).
     tier1_dispatch: str = "serial"
-    #: Batched-backend occupancy: distinct geometry groups stacked and
-    #: code blocks batched into them (0 when the batched path did not run).
-    tier1_batch_groups: int = 0
-    tier1_batch_blocks: int = 0
     #: SIZ tile-grid population (1 for the legacy single-tile layout).
     tiles: int = 1
 
     @property
     def num_pixels(self) -> int:
         return self.height * self.width
-
-    @property
-    def tier1_batch_occupancy(self) -> float:
-        """Mean code blocks per stacked geometry group (0 when unbatched)."""
-        if not self.tier1_batch_groups:
-            return 0.0
-        return self.tier1_batch_blocks / self.tier1_batch_groups
 
 
 def scale_workload(stats: WorkloadStats, factor: int) -> WorkloadStats:
@@ -143,8 +130,6 @@ def scale_workload(stats: WorkloadStats, factor: int) -> WorkloadStats:
         codestream_bytes=stats.codestream_bytes * sq,
         raw_bytes=stats.raw_bytes * sq,
         tier1_dispatch=stats.tier1_dispatch,
-        tier1_batch_groups=stats.tier1_batch_groups,
-        tier1_batch_blocks=stats.tier1_batch_blocks * sq,
         tiles=stats.tiles,
     )
 
@@ -270,9 +255,7 @@ def encode(
     # to compressed bodies one batch at a time, so peak memory holds a few
     # tiles' working sets instead of the whole image's.  The default batch
     # is one tile row; an explicit ``mem_budget`` sizes the batch by the
-    # measured per-sample working set (TILE_WORKSET_BYTES — dominated by
-    # the batched Tier-1 coder's stacked block state, not the coefficient
-    # planes).
+    # per-sample working set (TILE_WORKSET_BYTES).
     if tiled:
         if params.mem_budget is not None:
             from repro.jpeg2000.params import TILE_WORKSET_BYTES
@@ -475,64 +458,41 @@ def _encode_pending(
     Past the :func:`repro.core.workpool.tier1_auto_workers` clamp the
     blocks go to the pool as block groups over whole subband planes, so
     the work queue publishes each plane once and workers slice locally.
+    ``tier1_backend="reference"`` codes every block with the scalar oracle,
+    in process.
     """
-    backend = params.tier1_backend
-    nblocks = len(pending)
-    # "auto" batches whole images: with more than one block in hand, the
-    # stacked coder always beats per-block vectorized dispatch and is
-    # byte-identical.  Explicit per-block backends are honoured verbatim.
-    batched = backend == "batched" or (backend == "auto" and nblocks >= 2)
     blocks = [
         (pi, spec.row0, spec.col0, spec.height, spec.width, planned[pi].band)
         for pi, spec in pending
     ]
-    if pool is not None and nblocks >= 2:
+    reference = params.tier1_backend == "reference"
+    if pool is not None and len(blocks) >= 2 and not reference:
         # Lazily imported: the serial path must not pay the
         # multiprocessing import.
         from repro.core.workpool import CodeBlockWorkQueue, tier1_auto_workers
 
-        if tier1_auto_workers(pool.workers, nblocks) > 1:
-            queue = CodeBlockWorkQueue(
-                pool, backend="batched" if batched else backend
-            )
+        if tier1_auto_workers(pool.workers, len(blocks)) > 1:
+            queue = CodeBlockWorkQueue(pool)
             results = queue.encode_plane_groups(planes, blocks)
             if stats is not None:
-                dispatch = queue.last_stats.dispatch
-                if batched:
-                    stats.tier1_dispatch = f"batched_{dispatch}"
-                    stats.tier1_batch_groups = len(
-                        {(h, w) for _p, _r, _c, h, w, _b in blocks}
-                    )
-                    stats.tier1_batch_blocks = nblocks
-                else:
-                    stats.tier1_dispatch = dispatch
+                stats.tier1_dispatch = queue.last_stats.dispatch
             return results
 
-    def block(pi, row0, col0, height, width):
-        return planes[pi][row0 : row0 + height, col0 : col0 + width]
-
-    if batched:
-        from repro.jpeg2000.tier1_batch import (
-            BatchOccupancy,
-            encode_codeblocks_batched,
-        )
-
-        occ = BatchOccupancy()
-        results = encode_codeblocks_batched(
-            [(block(pi, r0, c0, h, w), band) for pi, r0, c0, h, w, band in blocks],
-            occ,
-        )
-        if stats is not None:
-            stats.tier1_dispatch = "batched"
-            stats.tier1_batch_groups = occ.groups
-            stats.tier1_batch_blocks = occ.blocks
-        return results
     if stats is not None:
         stats.tier1_dispatch = "serial"
-    return [
-        encode_codeblock(block(pi, r0, c0, h, w), band, backend=backend)
+    coded = [
+        (planes[pi][r0 : r0 + h, c0 : c0 + w], band)
         for pi, r0, c0, h, w, band in blocks
     ]
+    if reference:
+        return [encode_codeblock_reference(cb, band) for cb, band in coded]
+    # Looked up at call time and handed an occupancy record, so a wrapper
+    # installed on the module can count every in-process call and block.
+    from repro.jpeg2000 import tier1_batch
+
+    return tier1_batch.encode_codeblocks_batched(
+        coded, tier1_batch.BatchOccupancy()
+    )
 
 
 def _qcd_fields(planned: list[_PlannedSubband], ncomp: int) -> list[SubbandQuantField]:

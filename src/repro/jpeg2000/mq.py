@@ -122,114 +122,6 @@ class MQEncoder:
                     self._c &= 0x7FFFF
                     self._ct = 8
 
-    def encode_run(self, bits, ctxs) -> None:
-        """Encode a batch of binary decisions in one tight loop.
-
-        ``bits`` and ``ctxs`` are parallel byte sequences (``bytes``,
-        ``bytearray``, lists of small ints, or uint8 NumPy arrays).  The
-        result is bit-exact with calling :meth:`encode` once per decision;
-        the batch form exists because EBCOT Tier-1 produces its decision
-        stream in whole-pass chunks and the per-call overhead dominates the
-        coder.  When the optional native kernel is available (see
-        :mod:`repro.jpeg2000._mq_native`) the loop runs in compiled code.
-        """
-        if self._flushed is not None:
-            raise RuntimeError("encoder already flushed")
-        bseq = bits if isinstance(bits, (bytes, bytearray)) else bytes(bits)
-        cseq = ctxs if isinstance(ctxs, (bytes, bytearray)) else bytes(ctxs)
-        if len(bseq) != len(cseq):
-            raise ValueError(
-                f"bits/ctxs length mismatch: {len(bseq)} vs {len(cseq)}"
-            )
-        try:
-            if len(bseq) != len(bits):
-                raise ValueError("bits must be a uint8/byte sequence")
-        except TypeError:
-            pass  # generators have no len(); bytes() already consumed them
-        if not bseq:
-            return
-        ncx = len(self._index)
-        # C-speed range check: delete every valid context byte and see if
-        # anything is left over (max() would walk the stream in Python).
-        if cseq.translate(None, bytes(range(ncx))):
-            raise IndexError(
-                f"context {max(cseq)} out of range for {ncx} contexts"
-            )
-        from repro.jpeg2000 import _mq_native
-
-        if _mq_native.native_encode_run is not None:
-            _mq_native.native_encode_run(self, bseq, cseq)
-            return
-        self._encode_run_py(bseq, cseq)
-
-    def _encode_run_py(self, bseq, cseq) -> None:
-        """Pure-Python batch loop: :meth:`encode` + ``_renorm`` + ``_byteout``
-        inlined with all hot state in locals."""
-        index = self._index
-        mps = self._mps
-        qe_t, nmps_t, nlps_t, switch_t = _QE, _NMPS, _NLPS, _SWITCH
-        a, c, ct, b = self._a, self._c, self._ct, self._b
-        append = self._out.append
-        for bit, cx in zip(bseq, cseq):
-            idx = index[cx]
-            qe = qe_t[idx]
-            if bit == mps[cx]:
-                na = a - qe
-                if na & 0x8000:
-                    a = na
-                    c += qe
-                    continue
-                if na < qe:
-                    a = qe
-                else:
-                    a = na
-                    c += qe
-                index[cx] = nmps_t[idx]
-            else:
-                na = a - qe
-                if na < qe:
-                    c += qe
-                    a = na
-                else:
-                    a = qe
-                if switch_t[idx]:
-                    mps[cx] = 1 - mps[cx]
-                index[cx] = nlps_t[idx]
-            while True:
-                a = (a << 1) & 0xFFFF
-                c = (c << 1) & 0xFFFFFFF
-                ct -= 1
-                if ct == 0:
-                    if b == 0xFF:
-                        append(b)
-                        b = (c >> 20) & 0xFF
-                        c &= 0xFFFFF
-                        ct = 7
-                    elif c < 0x8000000:
-                        if b is not None:
-                            append(b)
-                        b = (c >> 19) & 0xFF
-                        c &= 0x7FFFF
-                        ct = 8
-                    else:
-                        if b is not None:
-                            b += 1
-                        if b == 0xFF:
-                            c &= 0x7FFFFFF
-                            append(b)
-                            b = (c >> 20) & 0xFF
-                            c &= 0xFFFFF
-                            ct = 7
-                        else:
-                            if b is not None:
-                                append(b)
-                            b = (c >> 19) & 0xFF
-                            c &= 0x7FFFF
-                            ct = 8
-                if a & 0x8000:
-                    break
-        self._a, self._c, self._ct, self._b = a, c, ct, b
-
     # -- termination and rate queries ---------------------------------------
 
     def safe_length(self) -> int:

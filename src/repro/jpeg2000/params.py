@@ -15,12 +15,15 @@ from __future__ import annotations
 from dataclasses import field, make_dataclass
 from typing import Callable, NamedTuple
 
-#: Measured peak encoder working set per tile sample, in bytes.  The
-#: front end's int32/float planes account for ~8, but the batched Tier-1
-#: coder's stacked per-block state (sign/significance/context planes and
-#: MQ output buffers) dominates at roughly 16x that.  ``mem_budget``
-#: batch sizing and :func:`choose_tile_size` both divide by this
-#: constant, so they share one definition.
+#: Peak encoder working set per tile sample, in bytes.  The front end's
+#: int32/float planes account for ~8; the figure was measured when Tier-1
+#: stacked the state of every same-geometry block (sign/significance/
+#: context planes and MQ output buffers), roughly 16x that.  The block
+#: encoder holds one block's fixed state at a time, so 128 now overstates
+#: the working set; it stays because :func:`choose_tile_size` derives tile
+#: sizes, and so codestream bytes, from it.  ``mem_budget`` batch sizing
+#: and :func:`choose_tile_size` both divide by this constant, so they
+#: share one definition.
 TILE_WORKSET_BYTES = 128
 
 
@@ -139,10 +142,9 @@ CODING_FIELDS = (
         "per-subband scaling by synthesis gain"),
     CodingField(
         "tier1_backend", "tier1_backend", str, "auto", _tier1_backends, False,
-        "Tier-1 coder: reference (the scalar oracle), vectorized (one "
-        "block at a time), batched (stacks of same-geometry blocks) or "
-        "auto (batched for whole-image encodes, vectorized per block); "
-        "all byte-identical"),
+        "Tier-1 coder: auto (the block encoder, native where a C compiler "
+        "is present) or reference (the scalar oracle, in process); "
+        "byte-identical"),
     CodingField(
         "workers", "workers", parse_workers, 1, "[1, inf) or None", False,
         "worker processes for Tier-1 code blocks and front-end chunk "

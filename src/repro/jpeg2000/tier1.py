@@ -23,12 +23,9 @@ import numpy as np
 from repro.jpeg2000 import tier1_geom
 from repro.jpeg2000.mq import MQDecoder, MQEncoder
 
-#: Valid Tier-1 encoder backend names.
-BACKENDS = ("auto", "reference", "vectorized", "batched")
-
-#: Below this many samples the NumPy batching overhead of the vectorized
-#: backend exceeds its win and ``"auto"`` picks the scalar coder instead.
-AUTO_VECTORIZE_MIN_SAMPLES = 64
+#: Valid Tier-1 encoder backend names: the block encoder of
+#: :mod:`repro.jpeg2000.tier1_batch` (``"auto"``) and the scalar oracle.
+BACKENDS = ("auto", "reference")
 
 # Context numbering (T.800 Table D.1 layout).
 NUM_CONTEXTS = 19
@@ -45,13 +42,6 @@ INITIAL_STATES = {CTX_SIG_BASE: 4, CTX_RUNLEN: 3, CTX_UNIFORM: 46}
 PASS_SIG = "SPP"
 PASS_REF = "MRP"
 PASS_CLEAN = "CUP"
-
-
-# Significance/sign LUTs now live in the shared per-geometry cache module
-# (tier1_geom); the old private names are kept as aliases because the other
-# backends import them from here.
-_sig_lut_for_band = tier1_geom.sig_lut_for_band
-_SIGN_LUT = tier1_geom.SIGN_LUT
 
 
 def _neighbour_indices(h: int, w: int) -> np.ndarray:
@@ -87,7 +77,7 @@ class CodeBlockResult:
 
 
 def _validate_block(coeffs: np.ndarray) -> np.ndarray:
-    """Shared code-block argument validation for both encoder backends."""
+    """Shared code-block argument validation for both encoder paths."""
     arr = np.asarray(coeffs)
     if arr.ndim != 2:
         raise ValueError(f"code block must be 2-D, got shape {arr.shape}")
@@ -102,14 +92,10 @@ def encode_codeblock(
     """Tier-1 encode one code block of signed integer coefficients.
 
     ``backend`` selects the implementation: ``"reference"`` is the scalar
-    per-sample coder below (the differential-testing oracle),
-    ``"vectorized"`` is the NumPy-batched coder in
-    :mod:`repro.jpeg2000.tier1_vec` (byte-identical output, much faster),
-    ``"batched"`` is the whole-image stacked coder in
-    :mod:`repro.jpeg2000.tier1_batch` (called here with a single-block
-    batch; its real win comes from the encoder handing it every code block
-    of an image at once), and ``"auto"`` (default) picks the vectorized
-    coder for all but tiny blocks.
+    per-sample coder below (the differential-testing oracle) and
+    ``"auto"`` (default) the block encoder,
+    :func:`repro.jpeg2000.tier1_batch.encode_codeblocks_batched`
+    (byte-identical output, native when a C compiler is present).
     """
     if backend is None:
         backend = "auto"
@@ -117,30 +103,21 @@ def encode_codeblock(
         raise ValueError(
             f"unknown tier-1 backend {backend!r}; expected one of {BACKENDS}"
         )
-    if backend == "auto":
-        arr = _validate_block(coeffs)
-        backend = (
-            "vectorized" if arr.size >= AUTO_VECTORIZE_MIN_SAMPLES
-            else "reference"
-        )
-    if backend == "vectorized":
-        from repro.jpeg2000.tier1_vec import encode_codeblock_vectorized
+    if backend == "reference":
+        return encode_codeblock_reference(coeffs, band)
+    from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
 
-        return encode_codeblock_vectorized(coeffs, band)
-    if backend == "batched":
-        from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
-
-        return encode_codeblocks_batched([(coeffs, band)])[0]
-    return encode_codeblock_reference(coeffs, band)
+    return encode_codeblocks_batched([(coeffs, band)])[0]
 
 
 def encode_codeblock_reference(coeffs: np.ndarray, band: str) -> CodeBlockResult:
     """Scalar per-sample Tier-1 encoder (T.800 D, followed literally).
 
-    This is the oracle the vectorized backend is differentially tested
-    against: every stream byte, pass length, and distortion value of
-    :func:`repro.jpeg2000.tier1_vec.encode_codeblock_vectorized` must match
-    this implementation exactly.
+    This is the oracle the block encoder is differentially tested
+    against: every stream byte, pass length, symbol count and distortion
+    value of :func:`repro.jpeg2000.tier1_batch.encode_codeblocks_batched`
+    must match this implementation exactly.  It is also that encoder's
+    fallback on hosts without a C compiler.
     """
     arr = _validate_block(coeffs)
     hgt, wid = arr.shape
@@ -153,7 +130,7 @@ def encode_codeblock_reference(coeffs: np.ndarray, band: str) -> CodeBlockResult
     if msbs == 0:
         return CodeBlockResult(data=b"", num_passes=0, msbs=0)
 
-    sig_lut = _sig_lut_for_band(band)
+    sig_lut = tier1_geom.sig_lut_for_band(band)
     nbr = _neighbour_indices(hgt, wid).tolist()
     sig = [0] * (n + 1)       # +1 sentinel slot
     visited = [0] * n
@@ -177,7 +154,7 @@ def encode_codeblock_reference(coeffs: np.ndarray, band: str) -> CodeBlockResult
         vc = (sig[n_] and (1 - 2 * sgn[n_])) + (sig[s_] and (1 - 2 * sgn[s_]))
         hc = max(-1, min(1, hc))
         vc = max(-1, min(1, vc))
-        return _SIGN_LUT[(hc + 1) * 3 + (vc + 1)]
+        return tier1_geom.SIGN_LUT[(hc + 1) * 3 + (vc + 1)]
 
     def code_sign(i: int) -> None:
         nonlocal symbols
@@ -342,7 +319,7 @@ def decode_codeblock(
     if num_passes > max_passes:
         raise ValueError(f"num_passes {num_passes} exceeds maximum {max_passes}")
 
-    sig_lut = _sig_lut_for_band(band)
+    sig_lut = tier1_geom.sig_lut_for_band(band)
     nbr = _neighbour_indices(height, width).tolist()
     sig = [0] * (n + 1)
     visited = [0] * n
@@ -365,7 +342,7 @@ def decode_codeblock(
         vc = (sig[n_] and (1 - 2 * sgn[n_])) + (sig[s_] and (1 - 2 * sgn[s_]))
         hc = max(-1, min(1, hc))
         vc = max(-1, min(1, vc))
-        ctx, xor = _SIGN_LUT[(hc + 1) * 3 + (vc + 1)]
+        ctx, xor = tier1_geom.SIGN_LUT[(hc + 1) * 3 + (vc + 1)]
         sgn[i] = mq.decode(ctx) ^ xor
 
     def sig_prop_pass(p: int) -> None:

@@ -1,11 +1,10 @@
 """The Tier-1 block decoder: sample-identical to the scalar reference.
 
-Tier-1 decoding cannot be vectorized the way encoding was
-(:mod:`repro.jpeg2000.tier1_vec` knows all bits up front and iterates
-context modelling to a fixpoint; a decoder learns each bit only from the
-MQ coder, whose (A, C) registers make it inherently serial).  Speed
-therefore comes from a tight per-block loop plus parallelism across
-blocks, which :mod:`repro.core.workpool` supplies.  The per-block loop is
+Tier-1 decoding is serial within a block: a decoder learns each bit only
+from the MQ coder, whose (A, C) registers every decision updates.
+Speed therefore comes from a tight per-block loop plus parallelism across
+blocks, which :mod:`repro.core.workpool` supplies, exactly as for the
+block encoder (:mod:`repro.jpeg2000.tier1_batch`).  The per-block loop is
 the compiled whole-block kernel of :mod:`repro.jpeg2000._t1_dec_native`:
 all passes, the MQ decoder and the midpoint reconstruction run in C and
 return the block's int32 samples.  On a host without a C compiler (or

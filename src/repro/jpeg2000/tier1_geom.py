@@ -1,13 +1,11 @@
-"""Shared per-geometry artifacts for the Tier-1 coder backends.
+"""Shared per-geometry artifacts for the Tier-1 coders.
 
-Every Tier-1 backend needs the same static data for an ``h x w`` code
-block: the T.800 stripe scan order, "scanned earlier" neighbour masks,
-flat neighbour index arrays, and the significance/sign context LUTs.
-Before this module each backend cached its own copies behind separate
-``lru_cache``s; now there is one process-wide cache keyed by geometry,
-reused by the scalar reference coder (:mod:`repro.jpeg2000.tier1`), the
-per-block vectorized coder (:mod:`repro.jpeg2000.tier1_vec`), and the
-whole-image batched coder (:mod:`repro.jpeg2000.tier1_batch`).
+Every Tier-1 coder needs the same static data for an ``h x w`` code
+block: flat neighbour index arrays and the significance/sign context
+LUTs.  One process-wide cache keyed by geometry serves the scalar
+reference coders (:mod:`repro.jpeg2000.tier1`) and the native block
+kernels (:mod:`repro.jpeg2000._mq_native`,
+:mod:`repro.jpeg2000._t1_dec_native`).
 
 The cache keeps hit/miss counters (surfaced through
 :func:`repro.jpeg2000.tier1_stats.geometry_cache_stats` and the service
@@ -104,12 +102,6 @@ def _build_sign_lut():
 
 SIGN_LUT = _build_sign_lut()
 
-#: NumPy views of :data:`SIGN_LUT` for vectorized gathers.
-SIGN_CTX = np.asarray([c for c, _ in SIGN_LUT], dtype=np.uint8)
-SIGN_XOR = np.asarray([x for _, x in SIGN_LUT], dtype=np.uint8)
-SIGN_CTX.setflags(write=False)
-SIGN_XOR.setflags(write=False)
-
 _SIG_LUT_ARRAYS: dict[str, np.ndarray] = {}
 
 
@@ -125,32 +117,15 @@ def sig_lut_array(band: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockGeometry:
-    """Immutable static scan geometry of an ``h x w`` code block.
+    """Immutable static geometry of an ``h x w`` code block.
 
-    Attributes
-    ----------
-    order:
-        Flat sample indices in T.800 scan order (4-row stripes,
-        column-major within a stripe); shape ``(h*w,)``.
-    scanpos:
-        Inverse of ``order``: scan position of each sample; shape ``(h, w)``.
-    earlier_self:
-        8 bool grids (W, E, N, S, NW, NE, SW, SE): neighbour ``d`` of each
-        sample is inside the block and scanned strictly before the sample.
-    earlier_top:
-        Same, but "before the sample's stripe-column start" (where the
-        cleanup pass evaluates run-length eligibility).
-    nbr:
-        Flat neighbour indices per sample, shape ``(h*w, 8)`` int32;
-        out-of-block neighbours point at the sentinel slot ``h*w``.
+    ``nbr`` holds the flat neighbour indices per sample (W, E, N, S, NW,
+    NE, SW, SE), shape ``(h*w, 8)`` int32; out-of-block neighbours point at
+    the sentinel slot ``h*w``.
     """
 
     height: int
     width: int
-    order: np.ndarray
-    scanpos: np.ndarray
-    earlier_self: tuple
-    earlier_top: tuple
     nbr: np.ndarray
 
 
@@ -162,36 +137,13 @@ _MISSES = 0
 
 def _build_geometry(h: int, w: int) -> BlockGeometry:
     n = h * w
-    idx = np.arange(n, dtype=np.int64).reshape(h, w)
-    parts = []
-    for top in range(0, h, 4):
-        parts.append(idx[top:top + 4].T.ravel())
-    order = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    scanpos = np.empty(n, dtype=np.int64)
-    scanpos[order] = np.arange(n, dtype=np.int64)
-    scanpos = scanpos.reshape(h, w)
-    toprows = (np.arange(h) // 4) * 4
-    tpos = scanpos[toprows, :]
-    padded = np.full((h + 2, w + 2), n + 1, dtype=np.int64)
-    padded[1:-1, 1:-1] = scanpos
-    earlier_self = []
-    earlier_top = []
-    for dr, dc in NEIGHBOUR_OFFSETS:
-        nb = padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
-        earlier_self.append(nb < scanpos)
-        earlier_top.append(nb < tpos)
     nbr_padded = np.full((h + 2, w + 2), n, dtype=np.int32)
-    nbr_padded[1:-1, 1:-1] = idx.astype(np.int32)
+    nbr_padded[1:-1, 1:-1] = np.arange(n, dtype=np.int32).reshape(h, w)
     nbr = np.empty((n, 8), dtype=np.int32)
     for k, (dr, dc) in enumerate(NEIGHBOUR_OFFSETS):
         nbr[:, k] = nbr_padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w].ravel()
-    for a in [order, scanpos, nbr] + earlier_self + earlier_top:
-        a.setflags(write=False)
-    return BlockGeometry(
-        height=h, width=w, order=order, scanpos=scanpos,
-        earlier_self=tuple(earlier_self), earlier_top=tuple(earlier_top),
-        nbr=nbr,
-    )
+    nbr.setflags(write=False)
+    return BlockGeometry(height=h, width=w, nbr=nbr)
 
 
 def geometry(h: int, w: int) -> BlockGeometry:

@@ -1,7 +1,7 @@
 """Micro-batching of small encode requests into one pool dispatch.
 
 The auto-serial cutovers (:func:`repro.jpeg2000.dwt_fast.dwt_serial_threshold`,
-:func:`repro.core.workpool.tier1_serial_threshold`) exist because a
+:data:`repro.core.workpool.TIER1_AUTO_SERIAL_MIN_BLOCKS`) exist because a
 small image cannot amortize a pool trip — so the service encodes it
 inline, on the request thread, under the shard's GIL.  A burst of such
 requests then serializes behind one core while the warm worker pool sits
@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.workpool import tier1_serial_threshold
+from repro.core import workpool
 from repro.jpeg2000.dwt_fast import dwt_serial_threshold
 
 #: Bounds on the adaptive batch window (seconds): never wait less than a
@@ -78,7 +78,7 @@ def is_micro_request(shape, params) -> bool:
     if samples >= dwt_serial_threshold():
         return False
     blocks = estimate_code_blocks(shape, params.levels, params.codeblock_size)
-    return blocks < tier1_serial_threshold()
+    return blocks < workpool.TIER1_AUTO_SERIAL_MIN_BLOCKS
 
 
 def _encode_batch_task(payload):

@@ -1,6 +1,6 @@
 """Decode-every-encode round-trip verification.
 
-The optimization PRs (vectorized Tier-1, fused DWT, shared-memory
+The optimization PRs (native Tier-1, fused DWT, shared-memory
 dispatch, incremental Tier-2) all claim byte-identical codestreams — but
 byte identity among encoder variants says nothing unless the bytes also
 *decode* back to the image.  This module closes that loop:
@@ -147,10 +147,10 @@ def verify_roundtrip(
     codestream that does not decode at all.
 
     Decoding goes through :func:`repro.jpeg2000.decoder.decode` with the
-    default (``auto`` -> batched) backend, so verification rides the fast
-    decoder — the check costs a fraction of the encode it guards instead
-    of dominating it; the fast backends are themselves differentially
-    pinned to the scalar reference, so this loses no rigor.
+    default ``auto`` backend, so verification rides the block decoder —
+    the check costs a fraction of the encode it guards instead of
+    dominating it; the block decoder is itself differentially pinned to
+    the scalar reference, so this loses no rigor.
     """
     if params is None:
         params = EncoderParams.lossless_default()
@@ -222,7 +222,7 @@ def verify_encode(image: np.ndarray, result) -> RoundTripReport:
 
 def run_corpus(
     rates: tuple[float, ...] = (0.1, 0.25, 1.0),
-    backends: tuple[str, ...] = ("vectorized", "reference", "batched"),
+    backends: tuple[str, ...] = ("auto", "reference"),
     workers: tuple[int, ...] = (1, 2),
     quick: bool = False,
     progress=None,

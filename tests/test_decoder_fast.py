@@ -1,4 +1,4 @@
-"""The fast decoder backends against the scalar reference.
+"""The block decoder against the scalar reference.
 
 The contract under test: every backend x workers combination of
 :func:`repro.jpeg2000.decoder.decode` reconstructs samples identical to
@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import workpool
 from repro.image.synthetic import gradient_image, watch_face_image
 from repro.jpeg2000.decoder import (
     DEC_BACKENDS,
@@ -24,7 +25,7 @@ from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.errors import CodestreamError, DecodeLimits
 from repro.jpeg2000.params import EncoderParams
 
-FAST_BACKENDS = ("batched",)
+FAST_BACKENDS = ("auto",)
 
 
 def _roundtrip_stream(shape, lossless=True, levels=2, codeblock=64, seed=0):
@@ -36,14 +37,27 @@ def _roundtrip_stream(shape, lossless=True, levels=2, codeblock=64, seed=0):
 
 
 class TestBackendResolution:
-    def test_default_is_batched(self):
-        assert resolve_dec_backend(None) == "batched"
-        assert resolve_dec_backend("auto") == "batched"
+    def test_default_is_batched(self, monkeypatch):
+        # The default backend is the block decoder entry,
+        # tier1_dec_vec.decode_codeblocks_batched.
+        from repro.jpeg2000 import tier1_dec_vec
+
+        assert DEC_BACKENDS == ("auto", "reference")
+        assert resolve_dec_backend(None) == "auto"
+        assert resolve_dec_backend("auto") == "auto"
         assert resolve_dec_backend("reference") == "reference"
+        calls = []
+        real = tier1_dec_vec.decode_codeblocks_batched
+        monkeypatch.setattr(tier1_dec_vec, "decode_codeblocks_batched",
+                            lambda blocks: calls.append(1) or real(blocks))
+        img, cs = _roundtrip_stream((16, 16))
+        assert np.array_equal(decode(cs), img)
+        assert calls == [1]
 
     def test_invalid_names_raise(self):
-        with pytest.raises(ValueError, match="unknown decode backend"):
-            resolve_dec_backend("turbo")
+        for name in ("turbo", "batched", "vectorized"):
+            with pytest.raises(ValueError, match="unknown decode backend"):
+                resolve_dec_backend(name)
 
     def test_backends_constant(self):
         assert set(FAST_BACKENDS) < set(DEC_BACKENDS)
@@ -90,16 +104,17 @@ class TestDifferential:
     def test_workers_through_real_pool(self, monkeypatch):
         # Small images auto-clamp to serial; force the process pool so the
         # pickle round trip and seq reassembly actually run.
-        monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "0")
+        monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 0)
+        monkeypatch.setattr(workpool, "available_cores", lambda: 2)
         img, cs = _roundtrip_stream((64, 96, 3), levels=2)
         ref = decode_reference(cs)
-        out = decode(cs, backend="batched", workers=2)
+        out = decode(cs, workers=2)
         assert np.array_equal(out, ref)
 
     def test_timings_populated(self):
         _, cs = _roundtrip_stream((64, 64, 3))
         t = DecodeStageTimings()
-        decode(cs, backend="batched", timings=t)
+        decode(cs, timings=t)
         assert t.total > 0
         assert t.tier1 > 0 and t.idwt_mct > 0
         assert set(t.as_dict()) == set(DecodeStageTimings.STAGES) | {"total"}

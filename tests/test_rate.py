@@ -131,6 +131,7 @@ class TestChooseTruncations:
 
 import hashlib
 
+from repro.core import workpool
 from repro.core.workpool import shared_memory_available
 from repro.image.synthetic import watch_face_image
 from repro.jpeg2000 import encoder as encoder_mod
@@ -226,15 +227,22 @@ class TestGoldenCodestreams:
         assert after - before == 1, "Tier-2 packets must assemble exactly once"
 
 
+def _pool_always(monkeypatch) -> None:
+    """Send every multi-block encode to the pool, on any core count."""
+    cores = workpool.available_cores()
+    monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 0)
+    monkeypatch.setattr(workpool, "available_cores", lambda: max(2, cores))
+
+
 class TestByteIdentityAcrossDispatch:
     """Same codestream for every worker count x Tier-1 backend x rate."""
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("backend", ["reference", "auto"])
     @pytest.mark.parametrize("rate", [0.1, 0.3])
     def test_workers_and_backends(self, backend, rate, monkeypatch):
-        # Disable the low-core auto-serial clamp so the pool path actually
-        # runs even on single-core CI machines.
-        monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "0")
+        # Disable the auto-serial clamp so the pool path actually runs even
+        # on single-core CI machines.
+        _pool_always(monkeypatch)
         img = watch_face_image(64, 64, channels=3)
         streams = {}
         for workers in (1, 2, 4):
@@ -244,7 +252,8 @@ class TestByteIdentityAcrossDispatch:
             )
             res = encode(img, params)
             streams[workers] = res.codestream
-            if workers == 1:
+            if workers == 1 or backend == "reference":
+                # The oracle always codes in process.
                 assert res.stats.tier1_dispatch == "serial"
             elif shared_memory_available():
                 assert res.stats.tier1_dispatch == "shared_memory"
@@ -252,16 +261,16 @@ class TestByteIdentityAcrossDispatch:
         assert streams[4] == streams[1]
 
     def test_auto_serial_clamp_stays_serial_below_threshold(self, monkeypatch):
-        # Default clamp: a 30-block encode under the env-raised threshold
-        # stays in-process (no pool) yet remains byte-identical.
-        monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "1000")
+        # A 30-block encode under a raised threshold stays in-process (no
+        # pool) yet remains byte-identical.
+        monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 1000)
         img = watch_face_image(64, 64, channels=3)
         serial = encode(img, EncoderParams(lossless=False, rate=0.2, levels=3))
         pooled = encode(
             img, EncoderParams(lossless=False, rate=0.2, levels=3, workers=2)
         )
         assert pooled.codestream == serial.codestream
-        assert pooled.stats.tier1_dispatch == "batched"
+        assert pooled.stats.tier1_dispatch == "serial"
 
     def test_pickle_fallback_is_identical(self, monkeypatch):
         # A full /dev/shm makes segment creation fail with ENOSPC; the
@@ -278,7 +287,7 @@ class TestByteIdentityAcrossDispatch:
             return real(name=name, create=create, size=size)
 
         monkeypatch.setattr(shared_memory, "SharedMemory", full)
-        monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "0")
+        _pool_always(monkeypatch)
         shm_dir = "/dev/shm"
         before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
         img = watch_face_image(64, 64, channels=3)
@@ -286,16 +295,10 @@ class TestByteIdentityAcrossDispatch:
         pooled = encode(
             img, EncoderParams(lossless=False, rate=0.2, levels=3, workers=2)
         )
-        blockwise = encode(img, EncoderParams(
-            lossless=False, rate=0.2, levels=3, workers=2,
-            tier1_backend="vectorized",
-        ))
         assert pooled.codestream == serial.codestream
-        assert blockwise.codestream == serial.codestream
-        # Default backend is auto -> whole-image batched; without shared
-        # memory the geometry groups ship their coefficients inline.
-        assert pooled.stats.tier1_dispatch == "batched_pickle"
-        assert blockwise.stats.tier1_dispatch == "pickle"
+        # Without shared memory the block groups ship their coefficients
+        # inline.
+        assert pooled.stats.tier1_dispatch == "pickle"
         after = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
         assert after <= before
 

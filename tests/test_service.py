@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import workpool
 from repro.core.workpool import (
     CodeBlockWorkQueue,
     WorkerLost,
@@ -58,8 +59,10 @@ def _no_cache(workers, **kw):
 
 @pytest.fixture
 def pool_path(monkeypatch):
-    """Send even the small test images through the pool (no clamp)."""
-    monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "0")
+    """Send even the small test images through the pool, on any core count."""
+    cores = available_cores()
+    monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 0)
+    monkeypatch.setattr(workpool, "available_cores", lambda: max(2, cores))
 
 
 def _shm_entries() -> set:
@@ -69,11 +72,11 @@ def _shm_entries() -> set:
         return set()
 
 
-def _group_payloads(n, seed=0, backend="reference"):
+def _group_payloads(n, seed=0):
     """``n`` one-block encode groups with inline coefficients."""
     rng = np.random.default_rng(seed)
     return [
-        ("encode", (i,), backend,
+        ("encode", (i,),
          ((rng.integers(-50, 50, (8, 8)).astype(np.int32), 0, 0, 8, 8, "LL"),))
         for i in range(n)
     ]
@@ -154,7 +157,7 @@ class TestConcurrentDeterminism:
         assert out.codestream == offline
         if available_cores() <= 1:
             return  # the single-core clamp keeps Tier-1 in the request thread
-        assert out.result.stats.tier1_dispatch.startswith("batched_")
+        assert out.result.stats.tier1_dispatch in ("shared_memory", "pickle")
         nblocks = len(out.result.stats.blocks)
         assert nblocks >= 24
         assert snap["blocks_dispatched"] == nblocks

@@ -1,13 +1,12 @@
-"""Differential tests: whole-image batched Tier-1 vs. the per-block coders.
+"""The block encoder entry: lists of blocks, dispatch and the cutover.
 
-The batched backend stacks same-geometry code blocks and runs the
-SPP/MRP/CUP fixpoints once per bit plane across the whole stack; rate
+:func:`repro.jpeg2000.tier1_batch.encode_codeblocks_batched` codes a list
+of blocks of any geometries, bands and bit depths in input order; rate
 control and the Cell model consume every byte, pass boundary, symbol
 count, and distortion float it produces, so all of them must equal the
 per-block reference coder exactly.  These tests sweep ragged edge
-geometries, mixed subbands sharing one stack, skewed bit depths (blocks
-entering the plane loop at different planes), the dispatch heuristics,
-and the shared geometry cache.
+geometries, mixed subbands in one call, skewed bit depths, whole-image
+byte identity, the serial/pool cutover, and the shared geometry cache.
 """
 
 from __future__ import annotations
@@ -15,13 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.workpool import (
-    TIER1_AUTO_SERIAL_ENV,
-    TIER1_AUTO_SERIAL_MIN_BLOCKS,
-    available_cores,
-    tier1_auto_workers,
-    tier1_serial_threshold,
-)
+from repro.core import workpool
+from repro.core.workpool import TIER1_AUTO_SERIAL_MIN_BLOCKS, tier1_auto_workers
 from repro.image.synthetic import watch_face_image
 from repro.jpeg2000 import tier1_geom
 from repro.jpeg2000.encoder import encode
@@ -65,18 +59,18 @@ class TestDifferential:
         assert_results_identical(encode_codeblocks_batched(blocks), blocks)
 
     def test_mixed_bands_share_one_stack(self):
-        # One geometry group spanning all four bands: LL/LH share a LUT
-        # class, HL and HH force the per-block LUT gather path.
+        # One call spanning all four bands (three significance LUTs).
         rng = np.random.default_rng(7)
         blocks = [
             (profile_block(rng, (8, 8), 200), BANDS[i % 4]) for i in range(8)
         ]
         occ = BatchOccupancy()
         got = encode_codeblocks_batched(blocks, occ)
-        assert occ.groups == 1 and occ.blocks == 8 and occ.largest_group == 8
+        assert occ.groups == 1 and occ.blocks == 8
         assert_results_identical(got, blocks)
 
     def test_ragged_geometries_group_separately(self):
+        # Every ragged geometry in one call comes back in input order.
         rng = np.random.default_rng(13)
         blocks = []
         for shape in RAGGED_SHAPES:
@@ -84,15 +78,13 @@ class TestDifferential:
                 blocks.append((profile_block(rng, shape, 150), band))
         occ = BatchOccupancy()
         got = encode_codeblocks_batched(blocks, occ)
-        assert occ.groups == len(RAGGED_SHAPES)
+        assert occ.groups == 1
         assert occ.blocks == len(blocks)
-        assert occ.mean_blocks_per_group == pytest.approx(2.0)
         assert_results_identical(got, blocks)
 
     def test_skewed_bit_depths_mask_inactive_blocks(self):
-        # Magnitudes spanning 1..4095: blocks join the plane loop at
-        # different planes, so the active-prefix masking is exercised at
-        # every plane count, including all-zero members.
+        # Magnitudes spanning 1..4095 in one call, including an all-zero
+        # member: each block codes its own number of planes.
         rng = np.random.default_rng(21)
         blocks = []
         for mag in (0, 1, 3, 15, 255, 4095):
@@ -135,7 +127,7 @@ class TestDifferential:
     def test_single_block_backend_dispatch(self):
         rng = np.random.default_rng(9)
         cb = rng.integers(-100, 100, size=(12, 12)).astype(np.int32)
-        assert encode_codeblock(cb, "LL", backend="batched") == \
+        assert encode_codeblock(cb, "LL", backend="auto") == \
             encode_codeblock(cb, "LL", backend="reference")
 
     def test_unknown_band_rejected(self):
@@ -144,7 +136,7 @@ class TestDifferential:
 
 
 class TestEncodeIdentity:
-    """Whole-image encodes: batched bytes == vectorized bytes."""
+    """Whole-image encodes: block-encoder bytes == oracle bytes."""
 
     @pytest.mark.parametrize("rate", [0.1, 0.5])
     @pytest.mark.parametrize("codeblock", [16, 64])
@@ -152,54 +144,49 @@ class TestEncodeIdentity:
         image = watch_face_image(96, 96, channels=3)
         base = encode(image, EncoderParams(
             lossless=False, rate=rate, codeblock_size=codeblock,
-            tier1_backend="vectorized",
+            tier1_backend="reference",
         )).codestream
         got = encode(image, EncoderParams(
             lossless=False, rate=rate, codeblock_size=codeblock,
-            tier1_backend="batched",
         )).codestream
         assert got == base
 
     def test_lossless_byte_identity_and_dispatch(self):
         image = watch_face_image(64, 64, channels=1)
         base = encode(image, EncoderParams(tier1_backend="reference"))
-        got = encode(image, EncoderParams(tier1_backend="batched"))
+        got = encode(image, EncoderParams())
         assert got.codestream == base.codestream
-        assert got.stats.tier1_dispatch == "batched"
-        assert got.stats.tier1_batch_blocks == len(got.stats.blocks)
-        assert got.stats.tier1_batch_groups >= 1
-        assert got.stats.tier1_batch_occupancy > 0
+        assert got.stats.tier1_dispatch == "serial"
+        assert base.stats.tier1_dispatch == "serial"
 
     def test_multi_worker_byte_identity(self, monkeypatch):
-        # Defeat the auto-serial clamp so a pool actually spins up even on
-        # single-core CI boxes, then require byte identity + group dispatch.
-        monkeypatch.setenv(TIER1_AUTO_SERIAL_ENV, "0")
+        # Lower the cutover and claim two cores so a pool actually spins up
+        # even on single-core CI boxes, then require byte identity + group
+        # dispatch.
+        monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 0)
+        monkeypatch.setattr(workpool, "available_cores", lambda: 2)
         image = watch_face_image(96, 96, channels=3)
         base = encode(image, EncoderParams(
-            lossless=False, rate=0.2, tier1_backend="batched", workers=1,
+            lossless=False, rate=0.2, workers=1,
         ))
         multi = encode(image, EncoderParams(
-            lossless=False, rate=0.2, tier1_backend="batched", workers=2,
+            lossless=False, rate=0.2, workers=2,
         ))
         assert multi.codestream == base.codestream
-        assert multi.stats.tier1_dispatch in (
-            "batched_shared_memory", "batched_pickle"
-        )
+        assert multi.stats.tier1_dispatch in ("shared_memory", "pickle")
 
     def test_self_check_accepts_batched(self):
         image = watch_face_image(96, 96, channels=3)
         result = encode(image, EncoderParams(
-            lossless=False, rate=0.25, tier1_backend="batched",
-            self_check=True,
+            lossless=False, rate=0.25, self_check=True,
         ))
         assert result.codestream  # self_check raises on a bad round trip
 
 
 class TestAutoSerialClamp:
-    def test_serial_inputs_stay_serial(self, monkeypatch):
-        monkeypatch.delenv(TIER1_AUTO_SERIAL_ENV, raising=False)
+    def test_serial_inputs_stay_serial(self):
         assert tier1_auto_workers(1, 1000) == 1
-        assert tier1_auto_workers(4, tier1_serial_threshold() - 1) == 1
+        assert tier1_auto_workers(4, TIER1_AUTO_SERIAL_MIN_BLOCKS - 1) == 1
 
     def test_cpu_affinity_counts_cores(self, monkeypatch):
         # A cpuset-limited process sees every host core in os.cpu_count()
@@ -209,7 +196,6 @@ class TestAutoSerialClamp:
 
         from repro.core.workpool import default_workers
 
-        monkeypatch.delenv(TIER1_AUTO_SERIAL_ENV, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
@@ -222,24 +208,14 @@ class TestAutoSerialClamp:
         assert tier1_auto_workers(None, 1000) == 3
 
     def test_threshold_defaults_to_constant(self, monkeypatch):
-        monkeypatch.delenv(TIER1_AUTO_SERIAL_ENV, raising=False)
         assert TIER1_AUTO_SERIAL_MIN_BLOCKS == 24
-        assert tier1_serial_threshold() == TIER1_AUTO_SERIAL_MIN_BLOCKS
-
-    def test_env_disables_clamp(self, monkeypatch):
-        monkeypatch.setenv(TIER1_AUTO_SERIAL_ENV, "0")
-        assert tier1_auto_workers(4, 1) == 4
-
-    def test_env_overrides_threshold(self, monkeypatch):
-        monkeypatch.setenv(TIER1_AUTO_SERIAL_ENV, "5")
-        if available_cores() > 1:
-            assert tier1_auto_workers(4, 5) == 4
+        monkeypatch.setattr(workpool, "available_cores", lambda: 4)
+        assert tier1_auto_workers(4, TIER1_AUTO_SERIAL_MIN_BLOCKS) == 4
+        assert tier1_auto_workers(4, TIER1_AUTO_SERIAL_MIN_BLOCKS - 1) == 1
+        # The constant is read at call time, so tests and tools can move it.
+        monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 5)
+        assert tier1_auto_workers(4, 5) == 4
         assert tier1_auto_workers(4, 4) == 1
-
-    def test_bad_env_raises(self, monkeypatch):
-        monkeypatch.setenv(TIER1_AUTO_SERIAL_ENV, "soon")
-        with pytest.raises(ValueError, match=TIER1_AUTO_SERIAL_ENV):
-            tier1_auto_workers(4, 100)
 
 
 class TestGeometryCache:
@@ -257,7 +233,6 @@ class TestGeometryCache:
     def test_arrays_are_readonly(self):
         geo = tier1_geom.geometry(5, 7)
         assert not geo.nbr.flags.writeable
-        assert not geo.order.flags.writeable
         with pytest.raises(ValueError):
             geo.nbr[0, 0] = 1
 

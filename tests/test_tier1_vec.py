@@ -1,45 +1,75 @@
-"""Differential tests: vectorized Tier-1 backend vs. the scalar oracle.
+"""Differential tests: the Tier-1 block encoder vs. the scalar oracle.
 
-The vectorized coder must reproduce the reference coder *exactly* — every
-stream byte, pass boundary, symbol count, and distortion float — because
-rate control and the Cell performance model consume all of them.  These
-tests sweep the shapes/coefficient profiles named in the issue plus
-randomized blocks via hypothesis.
+The block encoder (:func:`repro.jpeg2000.tier1_batch.encode_codeblocks_batched`,
+native whole-block kernel in :mod:`repro.jpeg2000._mq_native`) must
+reproduce the reference coder *exactly* — every stream byte, pass
+boundary, symbol count, and distortion float — because rate control and
+the Cell performance model consume all of them.  These tests sweep block
+shapes, bands, every pass count up to 46, the kernel's bit-plane limit,
+coefficient profiles and randomized blocks via hypothesis.  On a host
+without the kernel (or under ``REPRO_MQ_NATIVE=0``) the same tests pin the
+oracle fallback.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jpeg2000 import tier1
-from repro.jpeg2000.mq import MQEncoder
+from repro.jpeg2000 import _mq_native, tier1, tier1_geom
 from repro.jpeg2000.tier1 import (
     decode_codeblock,
     encode_codeblock,
     encode_codeblock_reference,
 )
-from repro.jpeg2000.tier1_vec import encode_codeblock_vectorized
+from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
 
 BANDS = ["LL", "HL", "LH", "HH"]
 ISSUE_SHAPES = [(1, 1), (3, 5), (5, 7), (33, 64), (64, 64)]
+DIFF_SHAPES = [(1, 1), (13, 10), (16, 64), (64, 64)]
+
+
+def shape_id(shape) -> str:
+    return f"{shape[0]}x{shape[1]}"
+
+
+def encode_block(cb: np.ndarray, band: str):
+    return encode_codeblocks_batched([(cb, band)])[0]
 
 
 def assert_identical(cb: np.ndarray, band: str) -> None:
     ref = encode_codeblock_reference(cb, band)
-    vec = encode_codeblock_vectorized(cb, band)
-    assert vec.data == ref.data
-    assert vec.msbs == ref.msbs
-    assert vec.num_passes == ref.num_passes
-    assert vec.pass_types == ref.pass_types
-    assert vec.pass_lengths == ref.pass_lengths
-    assert vec.pass_symbols == ref.pass_symbols
-    assert vec.pass_dist == ref.pass_dist  # exact float equality, on purpose
-    assert vec == ref
+    got = encode_block(cb, band)
+    assert got.data == ref.data
+    assert got.msbs == ref.msbs
+    assert got.num_passes == ref.num_passes
+    assert got.pass_types == ref.pass_types
+    assert got.pass_lengths == ref.pass_lengths
+    assert got.pass_symbols == ref.pass_symbols
+    assert got.pass_dist == ref.pass_dist  # exact float equality, on purpose
+    assert got == ref
+
+
+def block_at_msbs(rng, shape, msbs: int, zero_share: float) -> np.ndarray:
+    """Signed int64 block whose largest magnitude has exactly ``msbs`` bits.
+
+    Magnitudes are drawn below ``2**msbs``; ``zero_share`` of the samples
+    are zeroed (run-length stripes), and one sample sits at the top bit.
+    """
+    h, w = shape
+    mag = rng.integers(0, 2**msbs, size=shape, dtype=np.uint64)
+    mag[rng.random(shape) < zero_share] = 0
+    mag.flat[rng.integers(h * w)] |= np.uint64(1) << np.uint64(msbs - 1)
+    neg = rng.random(shape) < 0.5
+    cb = mag.astype(np.int64)
+    cb[neg] = -cb[neg]
+    return cb
 
 
 def profile_block(rng, shape, profile: str) -> np.ndarray:
@@ -100,9 +130,86 @@ class TestDifferential:
     def test_vectorized_roundtrips(self, band):
         rng = np.random.default_rng(5)
         cb = rng.integers(-300, 300, size=(13, 10)).astype(np.int32)
-        res = encode_codeblock_vectorized(cb, band)
+        res = encode_block(cb, band)
         out = decode_codeblock(res.data, 13, 10, band, res.msbs, res.num_passes)
         assert np.array_equal(out, cb)
+
+
+class TestBlockEncoderDifferential:
+    """The block encoder against the oracle over shapes x bands x depths."""
+
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("shape", DIFF_SHAPES, ids=shape_id)
+    def test_every_pass_count(self, shape, band):
+        # msbs 1..16 codes 1, 4, ..., 46 passes; dense and sparse blocks
+        # exercise both the per-sample and the run-length cleanup paths.
+        rng = np.random.default_rng([*shape, BANDS.index(band)])
+        for msbs in range(1, 17):
+            for zero_share in (0.0, 0.85):
+                cb = block_at_msbs(rng, shape, msbs, zero_share)
+                got = encode_block(cb, band)
+                assert got.msbs == msbs
+                assert got.num_passes == 1 + 3 * (msbs - 1)
+                assert_identical(cb, band)
+
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("shape", DIFF_SHAPES, ids=shape_id)
+    def test_all_zero_and_single_sample(self, shape, band):
+        zero = np.zeros(shape, dtype=np.int32)
+        assert encode_block(zero, band).num_passes == 0
+        assert_identical(zero, band)
+        h, w = shape
+        one = np.zeros(shape, dtype=np.int32)
+        one[h // 2, w // 2] = -5
+        assert_identical(one, band)
+
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("shape", DIFF_SHAPES, ids=shape_id)
+    def test_alternating_signs(self, shape, band):
+        h, w = shape
+        signs = np.where((np.add.outer(np.arange(h), np.arange(w)) % 2) == 0,
+                         1, -1)
+        rng = np.random.default_rng(3)
+        assert_identical(signs * rng.integers(1, 200, size=shape), band)
+        assert_identical(signs * 1000, band)
+
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("shape", DIFF_SHAPES[:3], ids=shape_id)
+    def test_deepest_kernel_block(self, shape, band):
+        # Magnitudes just under 2**MAX_MSBS: the deepest block the kernel
+        # codes, where distortion terms exceed 2**53 and their float sums
+        # depend on the order they are added in.
+        rng = np.random.default_rng([*shape, BANDS.index(band), 62])
+        for zero_share in (0.0, 0.6):
+            cb = block_at_msbs(rng, shape, _mq_native.MAX_MSBS, zero_share)
+            assert_identical(cb, band)
+            if _mq_native.native_encode_block is not None:
+                arr = np.asarray(cb)
+                assert _mq_native.native_encode_block(
+                    arr, tier1_geom.sig_lut_array(band),
+                    tier1_geom.geometry(*shape).nbr,
+                ) is not None
+
+    @pytest.mark.parametrize("band", BANDS)
+    def test_past_limit_takes_oracle(self, band):
+        rng = np.random.default_rng(63)
+        cb = block_at_msbs(rng, (13, 10), _mq_native.MAX_MSBS + 1, 0.5)
+        assert_identical(cb, band)
+        assert encode_block(cb, band).msbs == _mq_native.MAX_MSBS + 1
+        if _mq_native.native_encode_block is not None:
+            assert _mq_native.native_encode_block(
+                cb, tier1_geom.sig_lut_array(band),
+                tier1_geom.geometry(13, 10).nbr,
+            ) is None
+
+    def test_invalid_blocks_raise_like_the_oracle(self):
+        for bad in (np.zeros(4, np.int32), np.zeros((65, 2), np.int32)):
+            with pytest.raises(ValueError):
+                encode_codeblock_reference(bad, "LL")
+            with pytest.raises(ValueError):
+                encode_block(bad, "LL")
+        with pytest.raises(ValueError, match="band"):
+            encode_block(np.ones((2, 2), np.int32), "XX")
 
 
 class TestBackendSelection:
@@ -110,24 +217,13 @@ class TestBackendSelection:
         rng = np.random.default_rng(9)
         cb = rng.integers(-100, 100, size=(12, 12)).astype(np.int32)
         a = encode_codeblock(cb, "LL", backend="reference")
-        b = encode_codeblock(cb, "LL", backend="vectorized")
-        c = encode_codeblock(cb, "LL", backend="auto")
-        d = encode_codeblock(cb, "LL")
-        assert a == b == c == d
+        b = encode_codeblock(cb, "LL", backend="auto")
+        c = encode_codeblock(cb, "LL")
+        assert a == b == c
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             encode_codeblock(np.zeros((2, 2), np.int32), "LL", backend="simd")
-
-    def test_auto_picks_scalar_for_tiny_blocks(self, monkeypatch):
-        calls = []
-        real = encode_codeblock_reference
-        monkeypatch.setattr(
-            tier1, "encode_codeblock_reference",
-            lambda cb, band: calls.append(cb.shape) or real(cb, band),
-        )
-        encode_codeblock(np.ones((2, 2), np.int32), "LL")  # 4 < threshold
-        assert calls == [(2, 2)]
 
 
 class TestNeighbourIndices:
@@ -150,80 +246,27 @@ class TestNeighbourIndices:
         assert all(x == sentinel for x in (w, n, nw, ne, sw))
 
 
-class TestEncodeRunParity:
-    """The batched MQ entry point must equal symbol-at-a-time coding."""
-
-    def _stream(self, seed, n=600):
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=n).astype(np.uint8)
-        ctxs = rng.integers(0, 19, size=n).astype(np.uint8)
-        return bits, ctxs
-
-    def _run(self, bits, ctxs, batched, chunk=None):
-        enc = MQEncoder(19, initial_states=tier1.INITIAL_STATES)
-        if batched:
-            if chunk:
-                for i in range(0, len(bits), chunk):
-                    enc.encode_run(bits[i : i + chunk], ctxs[i : i + chunk])
-            else:
-                enc.encode_run(bits, ctxs)
-        else:
-            for b, c in zip(bits, ctxs):
-                enc.encode(int(b), int(c))
-        return enc.flush()
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_batched_equals_serial(self, seed):
-        bits, ctxs = self._stream(seed)
-        assert self._run(bits, ctxs, True) == self._run(bits, ctxs, False)
-
-    def test_chunked_runs_equal_one_run(self):
-        bits, ctxs = self._stream(3)
-        assert self._run(bits, ctxs, True, chunk=37) == self._run(
-            bits, ctxs, True
-        )
-
-    def test_python_fallback_matches_native(self, monkeypatch):
-        from repro.jpeg2000 import _mq_native
-
-        bits, ctxs = self._stream(4)
-        with_native = self._run(bits, ctxs, True)
-        monkeypatch.setattr(_mq_native, "native_encode_run", None)
-        assert self._run(bits, ctxs, True) == with_native
-
-    def test_rejects_bad_input(self):
-        enc = MQEncoder(19, initial_states=tier1.INITIAL_STATES)
-        with pytest.raises(ValueError, match="length mismatch"):
-            enc.encode_run(b"\x00\x01", b"\x00")
-        with pytest.raises(IndexError, match="context"):
-            enc.encode_run(b"\x00", b"\x7f")
-        enc.encode_run(b"", b"")  # empty run is a no-op
-        enc.encode(1, 0)
-        enc.flush()
-        with pytest.raises(RuntimeError, match="flushed"):
-            enc.encode_run(b"\x00", b"\x00")
-
-
 @pytest.mark.skipif(
     os.environ.get("REPRO_MQ_NATIVE", "1") == "0",
     reason="native kernel disabled via environment",
 )
 def test_native_kernel_optionality():
-    """With the kernels force-disabled, everything still encodes, and
-    decodes through the scalar oracle to the reference's samples."""
-    import subprocess
-    import sys
+    """With the kernels force-disabled, encodes take the scalar oracle and
+    give the same bytes, and decodes give the reference's samples."""
+    from repro.image.synthetic import watch_face_image
+    from repro.jpeg2000.encoder import encode
+    from repro.jpeg2000.params import EncoderParams
 
+    img = watch_face_image(24, 20, channels=3)
+    lossless = encode(img, EncoderParams(levels=2)).codestream
+    lossy = encode(img, EncoderParams(lossless=False, rate=0.5,
+                                      levels=2)).codestream
     code = (
         "import numpy as np;"
         "from repro.jpeg2000 import _mq_native, _t1_dec_native;"
-        "assert _mq_native.native_encode_run is None;"
+        "assert _mq_native._fns is None;"
+        "assert _mq_native.native_encode_block is None;"
         "assert _t1_dec_native.native_decode_block is None;"
-        "from repro.jpeg2000.tier1 import encode_codeblock;"
-        "from repro.jpeg2000.tier1_vec import encode_codeblock_vectorized;"
-        "cb = np.arange(-32, 32, dtype=np.int32).reshape(8, 8);"
-        "assert encode_codeblock_vectorized(cb, 'HL') == "
-        "encode_codeblock(cb, 'HL', backend='reference');"
         "from repro.image.synthetic import watch_face_image;"
         "from repro.jpeg2000.decoder import decode, decode_reference;"
         "from repro.jpeg2000.encoder import encode;"
@@ -234,8 +277,11 @@ def test_native_kernel_optionality():
         "assert np.array_equal(decode(lossless), img);"
         "lossy = encode(img, EncoderParams(lossless=False, rate=0.5, "
         "levels=2)).codestream;"
-        "assert np.array_equal(decode(lossy), decode_reference(lossy))"
+        "assert np.array_equal(decode(lossy), decode_reference(lossy));"
+        "print(lossless.hex(), lossy.hex())"
     )
     env = dict(os.environ, REPRO_MQ_NATIVE="0",
-               PYTHONPATH=os.pathsep.join(__import__("sys").path))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout.split()
+    assert out == [lossless.hex(), lossy.hex()]

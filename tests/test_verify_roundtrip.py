@@ -197,7 +197,7 @@ class TestBenchRateGeometry:
         for lo, hi in zip(psnrs, psnrs[1:]):
             assert hi >= lo - 0.01  # equal allowed: the cap may not bind
 
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    @pytest.mark.parametrize("backend", ["auto", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_byte_identity_transfers_verdict(self, rate_sweep, backend, workers):
         img, sweep = rate_sweep

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import workpool
 from repro.core.workpool import (
     CodeBlockWorkQueue,
     QueueStats,
@@ -21,7 +22,7 @@ from repro.core.workpool import (
 )
 from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.params import EncoderParams
-from repro.jpeg2000.tier1 import encode_codeblock
+from repro.jpeg2000.tier1 import encode_codeblock, encode_codeblock_reference
 
 
 def _blocks(seed=0, count=12):
@@ -45,10 +46,10 @@ def _as_planes(blocks):
     return planes, descs
 
 
-def _encode_groups(blocks, workers, backend="vectorized"):
+def _encode_groups(blocks, workers):
     planes, descs = _as_planes(blocks)
     with WorkerPool(workers) as pool:
-        queue = CodeBlockWorkQueue(pool, backend=backend)
+        queue = CodeBlockWorkQueue(pool)
         return queue.encode_plane_groups(planes, descs), queue.last_stats
 
 
@@ -77,8 +78,7 @@ class TestQueue:
     def test_serial_matches_direct_calls(self):
         # workers=1 never opens a pool: per-block in-process coding.
         img = np.random.default_rng(0).integers(0, 255, (40, 40), np.uint8)
-        params = EncoderParams(levels=2, codeblock_size=16,
-                               tier1_backend="vectorized")
+        params = EncoderParams(levels=2, codeblock_size=16)
         res = encode(img, params)
         assert res.stats.tier1_dispatch == "serial"
         assert res.codestream == encode(img, EncoderParams(
@@ -101,7 +101,7 @@ class TestQueue:
             else:
                 blocks.append((np.ones((1, 1), dtype=np.int32), "LL"))
         planes, descs = _as_planes(blocks)
-        pooled = CodeBlockWorkQueue(pool2, "vectorized").encode_plane_groups(
+        pooled = CodeBlockWorkQueue(pool2).encode_plane_groups(
             planes, descs)
         serial = [encode_codeblock(cb, band) for cb, band in blocks]
         for i, (a, b) in enumerate(zip(serial, pooled)):
@@ -123,10 +123,10 @@ class TestQueue:
         assert queue.encode_plane_groups([], []) == []
         assert queue.decode_groups([]) == []
         # A single block never pays for a pool, even with the clamp off.
-        monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "0")
+        monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 0)
+        monkeypatch.setattr(workpool, "available_cores", lambda: 4)
         img = watch_gray_64[:8, :8]
-        res = encode(img, EncoderParams(levels=0, workers=4,
-                                        tier1_backend="vectorized"))
+        res = encode(img, EncoderParams(levels=0, workers=4))
         assert len(res.stats.blocks) == 1
         assert res.stats.tier1_dispatch == "serial"
 
@@ -135,20 +135,6 @@ class TestQueue:
             WorkerPool(workers=0)
         assert WorkerPool(workers=None).workers == default_workers()
         assert default_workers() >= 1
-
-    def test_backend_forwarded(self, pool2):
-        blocks = _blocks(seed=4, count=4)
-        planes, descs = _as_planes(blocks)
-        ref = CodeBlockWorkQueue(pool2, "reference").encode_plane_groups(
-            planes, descs)
-        vec = CodeBlockWorkQueue(pool2, "vectorized").encode_plane_groups(
-            planes, descs)
-        bat = CodeBlockWorkQueue(pool2, "batched").encode_plane_groups(
-            planes, descs)
-        assert ref == vec
-        assert [(r.data, r.pass_lengths) for r in bat] == [
-            (r.data, r.pass_lengths) for r in ref
-        ]
 
     def test_duplicate_seq_rejected(self):
         class RepeatingPool:
@@ -197,7 +183,7 @@ class TestEncoderIntegration:
 
     def test_backend_param_identical(self, image):
         a = encode(image, EncoderParams(levels=3, tier1_backend="reference"))
-        b = encode(image, EncoderParams(levels=3, tier1_backend="vectorized"))
+        b = encode(image, EncoderParams(levels=3, tier1_backend="auto"))
         assert a.codestream == b.codestream
 
     def test_params_validation(self):
@@ -249,10 +235,9 @@ def _planes_and_tasks(seed=3):
     return planes, tasks
 
 
-def _serial_oracle(planes, tasks, backend="vectorized"):
+def _serial_oracle(planes, tasks):
     return [
-        encode_codeblock(planes[p][r0 : r0 + h, c0 : c0 + w], band,
-                         backend=backend)
+        encode_codeblock_reference(planes[p][r0 : r0 + h, c0 : c0 + w], band)
         for p, r0, c0, h, w, band in tasks
     ]
 
@@ -295,19 +280,19 @@ class TestGroupBlockItems:
 class TestPlaneDispatch:
     def test_serial_path_and_stats(self, watch_rgb_64, monkeypatch):
         # Below the clamp the encoder codes in process, never via a pool.
-        monkeypatch.setenv("REPRO_TIER1_AUTO_SERIAL", "1000")
+        monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 1000)
         res = encode(watch_rgb_64, EncoderParams(
-            levels=3, workers=2, tier1_backend="vectorized"))
+            levels=3, workers=2, tier1_backend="reference"))
         assert res.stats.tier1_dispatch == "serial"
         auto = encode(watch_rgb_64, EncoderParams(levels=3, workers=2))
-        assert auto.stats.tier1_dispatch == "batched"
+        assert auto.stats.tier1_dispatch == "serial"
         assert auto.codestream == res.codestream
 
     @pytest.mark.skipif(not shared_memory_available(),
                         reason="shared memory unavailable")
     def test_shared_memory_matches_serial(self, pool2):
         planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(pool2, "vectorized")
+        queue = CodeBlockWorkQueue(pool2)
         res = queue.encode_plane_groups(planes, tasks)
         assert _same_results(res, _serial_oracle(planes, tasks))
         assert queue.last_stats.dispatch == "shared_memory"
@@ -317,18 +302,16 @@ class TestPlaneDispatch:
         _disable_shm_segments(monkeypatch)
         before = _shm_entries()
         planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(pool2, "vectorized")
+        queue = CodeBlockWorkQueue(pool2)
         res = queue.encode_plane_groups(planes, tasks)
         assert _same_results(res, _serial_oracle(planes, tasks))
         assert queue.last_stats.dispatch == "pickle"
         assert _shm_entries() <= before
 
     def test_missing_shared_memory_forces_pickle(self, pool2, monkeypatch):
-        import repro.core.workpool as workpool
-
         monkeypatch.setattr(workpool, "shared_memory_available", lambda: False)
         planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(pool2, "batched")
+        queue = CodeBlockWorkQueue(pool2)
         res = queue.encode_plane_groups(planes, tasks)
         assert _same_results(res, _serial_oracle(planes, tasks))
         assert queue.last_stats.dispatch == "pickle"
@@ -346,17 +329,10 @@ class TestPlaneDispatch:
                     yield _group_task(p)
 
         planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(InlinePool(), "vectorized")
+        queue = CodeBlockWorkQueue(InlinePool())
         res = queue.encode_plane_groups(planes, tasks)
         assert _same_results(res, _serial_oracle(planes, tasks))
         assert queue.last_stats.dispatch == "shared_memory"
-
-    def test_backend_forwarded_through_shm(self, pool2):
-        planes, tasks = _planes_and_tasks(seed=9)
-        serial = _serial_oracle(planes, tasks, backend="reference")
-        queue = CodeBlockWorkQueue(pool2, "reference")
-        res = queue.encode_plane_groups(planes, tasks)
-        assert _same_results(res, serial)
 
     def test_empty_tasks(self, pool2):
         assert CodeBlockWorkQueue(pool2).encode_plane_groups([], []) == []
