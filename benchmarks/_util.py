@@ -78,17 +78,15 @@ def repro_config() -> dict:
     """Execution-strategy knobs active for this run.
 
     Captures every ``REPRO_*`` environment override plus the built-in
-    serial cutovers, so a committed report pins down exactly which
+    serial cutover, so a committed report pins down exactly which
     execution strategy produced its numbers.
     """
     from repro.core.workpool import TIER1_AUTO_SERIAL_MIN_BLOCKS
-    from repro.jpeg2000.dwt_fast import AUTO_SERIAL_MIN_SAMPLES
 
     env = {k: v for k, v in sorted(os.environ.items())
            if k.startswith("REPRO_")}
     return {
         "env": env,
-        "dwt_serial_cutover_samples": AUTO_SERIAL_MIN_SAMPLES,
         "tier1_serial_cutover_blocks": TIER1_AUTO_SERIAL_MIN_BLOCKS,
     }
 

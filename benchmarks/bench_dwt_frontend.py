@@ -1,45 +1,46 @@
-"""DWT front-end benchmark: reference vs fused, serial vs chunk-parallel.
+"""DWT front-end benchmark: the native kernel against the dwt.py oracle.
 
-Measures the PR 3 tentpole — the fused, chunked front end (level shift +
-MCT + DWT + quantize) of :mod:`repro.jpeg2000.dwt_fast` — against the
-naive per-stage oracle, for both filters and several image sizes, and
-records the numbers to ``BENCH_dwt.json`` so the performance trajectory
-is tracked across PRs.  Every fused run is asserted byte-identical to the
-reference subbands before its timing counts.
+Times the front end in each direction — level shift + MCT + DWT +
+quantize forward (:func:`repro.jpeg2000.dwt_fast.run_frontend`), inverse
+DWT + inverse MCT + level unshift back
+(:func:`repro.jpeg2000.dwt_fast.run_inverse_frontend`) — with the native
+kernel and with the per-stage oracle (:mod:`repro.jpeg2000.mct`,
+:mod:`repro.jpeg2000.dwt`, :func:`repro.jpeg2000.quantize.quantize`),
+for both filters and several image sizes, and records the numbers to
+``BENCH_dwt.json``.  Every native run is checked equal to the oracle's
+output before its timing counts.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_dwt_frontend.py           # full
     PYTHONPATH=src python benchmarks/bench_dwt_frontend.py --quick   # CI
 
-``--quick`` runs a single 1024x1024 gray plane and fails (exit 1) unless
-the fused serial path is at least 1.5x the reference — the CI floor.
-Chunk-parallel scaling is machine-dependent: on a single-core container
-threads cannot beat serial, so the JSON records ``cpu_count`` alongside
-every number — read worker speedups only against it.
+``--quick`` runs a 1024x1024 gray plane per filter and fails (exit 1)
+unless the native kernel is loaded and at least 2x the oracle, in both
+directions, in the same run — the CI floor.  The kernel is
+single-threaded, so the numbers do not depend on the core count.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 
 import numpy as np
 
 from _util import add_repeats_flag, bench_report, check_repeats, time_fn, write_bench_json
 from repro.image.synthetic import watch_face_image
-from repro.jpeg2000.dwt_fast import run_frontend
+from repro.jpeg2000 import _mq_native, mct
+from repro.jpeg2000.dwt import Decomposition, inverse_dwt2d
+from repro.jpeg2000.dwt_fast import run_frontend, run_inverse_frontend
 from repro.jpeg2000.encoder import _normalize_image
 from repro.jpeg2000.params import EncoderParams
+from repro.jpeg2000.quantize import dequantize
 
-WORKER_COUNTS = (2, 4)
-QUICK_SPEEDUP_FLOOR = 1.5
+QUICK_SPEEDUP_FLOOR = 2.0
 
 
 def _identical(a, b) -> bool:
-    """Byte-identical decomposition lists (per subband, dtype included)."""
+    """Equal decomposition lists (per subband, dtype included)."""
     for da, db in zip(a, b):
         if da.ll.dtype != db.ll.dtype or not np.array_equal(da.ll, db.ll):
             return False
@@ -48,6 +49,14 @@ def _identical(a, b) -> bool:
                 if ba.dtype != bb.dtype or not np.array_equal(ba, bb):
                     return False
     return True
+
+
+def _dequantized(d: Decomposition, step: float) -> Decomposition:
+    return Decomposition(
+        shape=d.shape, levels=d.levels, reversible=False,
+        ll=dequantize(d.ll, step),
+        details=[tuple(dequantize(b, step) for b in lvl) for lvl in d.details],
+    )
 
 
 def bench_case(size: int, channels: int, lossless: bool, repeats: int) -> dict:
@@ -62,40 +71,44 @@ def bench_case(size: int, channels: int, lossless: bool, repeats: int) -> dict:
     }
 
     reference = run_frontend(comps, depth, params, backend="reference")
-    out["reference"] = time_fn(
+    native = run_frontend(comps, depth, params)
+    identical = _identical(reference.decomps, native.decomps)
+    out["forward_reference"] = time_fn(
         lambda: run_frontend(comps, depth, params, backend="reference"), repeats
     )
-    identical = True
-    fused = run_frontend(comps, depth, params, backend="fused", workers=1)
-    identical &= _identical(reference.decomps, fused.decomps)
-    out["fused_serial"] = time_fn(
-        lambda: run_frontend(comps, depth, params, backend="fused", workers=1),
-        repeats,
+    out["forward_native"] = time_fn(
+        lambda: run_frontend(comps, depth, params), repeats
     )
-    for workers in WORKER_COUNTS:
-        fused = run_frontend(comps, depth, params, backend="fused", workers=workers)
-        identical &= _identical(reference.decomps, fused.decomps)
-        out[f"fused_{workers}w"] = time_fn(
-            lambda w=workers: run_frontend(
-                comps, depth, params, backend="fused", workers=w
-            ),
-            repeats,
+
+    # The decoder's coefficient planes: C-ordered, dequantized when lossy.
+    decomps = native.decomps
+    if not lossless:
+        decomps = [_dequantized(d, 0.5) for d in decomps]
+
+    def oracle():
+        return mct.inverse_mct(
+            [inverse_dwt2d(d) for d in decomps], depth, lossless
         )
 
-    ref = out["reference"]["median_s"]
-    serial = out["fused_serial"]["median_s"]
-    out["speedup_fused_serial"] = ref / serial if serial > 0 else float("inf")
-    for workers in WORKER_COUNTS:
-        m = out[f"fused_{workers}w"]["median_s"]
-        out[f"scaling_1_to_{workers}w"] = serial / m if m > 0 else float("inf")
-    out["subbands_identical"] = identical
+    got = run_inverse_frontend(decomps, depth, lossless)
+    identical &= all(np.array_equal(a, b) for a, b in zip(oracle(), got))
+    out["inverse_reference"] = time_fn(oracle, repeats)
+    out["inverse_native"] = time_fn(
+        lambda: run_inverse_frontend(decomps, depth, lossless), repeats
+    )
+
+    for way in ("forward", "inverse"):
+        ref = out[f"{way}_reference"]["median_s"]
+        nat = out[f"{way}_native"]["median_s"]
+        out[f"speedup_{way}"] = ref / nat if nat > 0 else float("inf")
+    out["outputs_identical"] = identical
     return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
-                    help="single 1024x1024 plane + speedup floor (CI)")
+                    help="a 1024x1024 plane per filter + speedup floor (CI)")
     ap.add_argument("--output", default=None,
                     help="JSON path (default: BENCH_dwt.json at repo root)")
     add_repeats_flag(ap)
@@ -108,44 +121,44 @@ def main(argv=None) -> int:
         sizes = [
             (512, 3, True), (512, 3, False),
             (1024, 1, True), (1024, 1, False),
+            (1024, 3, True), (1024, 3, False),
             (2048, 3, True), (2048, 3, False),
         ]
-    cases = [(s, ch, ll, repeats) for s, ch, ll in sizes]
 
-    report = bench_report("dwt_frontend", quick=args.quick, cases=[])
+    kernel = _mq_native._LIB is not None
+    report = bench_report("dwt_frontend", quick=args.quick, cases=[],
+                          native_kernel=kernel)
     ok = True
-    for size, channels, lossless, repeats in cases:
+    for size, channels, lossless in sizes:
         case = bench_case(size, channels, lossless, repeats)
         report["cases"].append(case)
-        ok &= case["subbands_identical"]
-        scaling = "  ".join(
-            f"{w}w {case[f'scaling_1_to_{w}w']:.2f}x" for w in WORKER_COUNTS
-        )
+        ok &= case["outputs_identical"]
         print(f"{case['image']:>12} {case['filter']:<8}"
-              f" reference {case['reference']['median_s']*1e3:8.1f} ms"
-              f"  fused {case['fused_serial']['median_s']*1e3:8.1f} ms"
-              f"  ({case['speedup_fused_serial']:.2f}x)"
-              f"  scaling: {scaling}"
-              f"  identical: {case['subbands_identical']}")
-    print(f"cpu_count={os.cpu_count()}")
+              f" forward {case['forward_reference']['median_s']*1e3:7.1f} ->"
+              f" {case['forward_native']['median_s']*1e3:6.1f} ms"
+              f" ({case['speedup_forward']:5.2f}x)"
+              f"  inverse {case['inverse_reference']['median_s']*1e3:7.1f} ->"
+              f" {case['inverse_native']['median_s']*1e3:6.1f} ms"
+              f" ({case['speedup_inverse']:5.2f}x)"
+              f"  identical: {case['outputs_identical']}")
 
     write_bench_json(report, "BENCH_dwt.json", args.output)
 
     if not ok:
-        print("FAIL: fused subbands differ from reference")
+        print("FAIL: native outputs differ from the oracle")
         return 1
     if args.quick:
-        # The CI floor is asserted on the 5/3 plane (the paper's default
-        # path); the 9/7 case is measured and recorded but not gated — its
-        # reference is already float64 throughout, so the fused win is
-        # structural (fewer passes), not dtype, and sits closer to the bar.
-        gated = [c for c in report["cases"] if c["filter"].startswith("5/3")]
-        worst = min(c["speedup_fused_serial"] for c in gated)
+        if not kernel:
+            print("FAIL: the native kernel is not loaded (no C compiler?)")
+            return 1
+        worst = min(min(c["speedup_forward"], c["speedup_inverse"])
+                    for c in report["cases"])
         if worst < QUICK_SPEEDUP_FLOOR:
-            print(f"FAIL: fused serial speedup {worst:.2f}x "
+            print(f"FAIL: native speedup {worst:.2f}x "
                   f"< {QUICK_SPEEDUP_FLOOR}x floor")
             return 1
-        print(f"quick gate passed: fused >= {QUICK_SPEEDUP_FLOOR}x reference")
+        print(f"quick gate passed: native >= {QUICK_SPEEDUP_FLOOR}x the "
+              f"oracle (worst {worst:.2f}x)")
     return 0
 
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Price the paper's actual 28.3 MB image, end to end, without scaling.
 
-Uses the vectorized Tier-1 workload estimator
-(:mod:`repro.jpeg2000.tier1_stats`) to extract per-code-block statistics
-from a real 3072x3072x3 synthetic watch photograph in seconds — no
-statistics scaling — and prices it on every machine the paper evaluates.
+Encodes a real 3072x3072x3 synthetic watch photograph exactly (a few
+seconds with the native kernels) to extract its per-code-block statistics
+— no statistics scaling — and prices it on every machine the paper
+evaluates.
 
     python examples/fullsize_study.py [--small]
 
@@ -18,8 +18,8 @@ from repro.baselines.pentium4 import P4PipelineModel
 from repro.cell.machine import CellMachine, QS20_BLADE, SINGLE_CELL
 from repro.core.pipeline import PipelineModel
 from repro.image.synthetic import watch_face_image
+from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.params import EncoderParams
-from repro.jpeg2000.tier1_stats import estimate_workload
 
 
 def main() -> None:
@@ -33,7 +33,7 @@ def main() -> None:
         (EncoderParams.lossy_rate(0.1), "LOSSY rate=0.1"),
     ):
         t0 = time.time()
-        stats = estimate_workload(image, params)
+        stats = encode(image, params).stats
         symbols = sum(b.total_symbols for b in stats.blocks)
         print(f"\n=== {tag}: workload extracted in {time.time() - t0:.1f} s "
               f"({len(stats.blocks)} blocks, {symbols / 1e6:.1f} M Tier-1 "

@@ -7,7 +7,7 @@ fuzz.
     python -m repro decode  input.j2c output.bmp [--backend reference]
                               [--workers auto]
     python -m repro simulate input.bmp [--spes 8] [--ppe-threads 1]
-                              [--chips 1] [--lossy] [--rate 0.1] [--estimate]
+                              [--chips 1] [--lossy] [--rate 0.1]
     python -m repro serve   [--port 8000] [--workers auto] [--cache-mb 64]
                               [--max-queue 32] [--admission reject|block]
                               [--shards N] [--batch-window off|auto|SECONDS]
@@ -19,13 +19,12 @@ The coding flags of ``encode`` and ``simulate`` are generated from
 :data:`repro.jpeg2000.params.CODING_FIELDS`: one flag per field with a
 wire spelling (the query key with ``-`` for ``_``), so they match the
 ``/encode`` query keys wherever a field has one.  Execution flags
-(``--workers``, ``--tier1-backend``, ``--dwt-backend``, ``--dwt-chunk``,
-``--mem-budget``, ``--self-check``) exist only here, never on the wire:
+(``--workers``, ``--tier1-backend``, ``--dwt-backend``, ``--mem-budget``,
+``--self-check``) exist only here, never on the wire:
 they change the cost of an encode, not its bytes.
 
 ``simulate`` prints the per-stage Cell/B.E. timeline for encoding the
-image; ``--estimate`` uses the fast Tier-1 workload estimator instead of
-the exact coder (recommended above ~512x512).  ``serve`` runs the
+image, priced from an exact encode.  ``serve`` runs the
 long-running encode service (persistent worker pool + HTTP front end);
 see the README "Serving" section.  ``verify`` and ``fuzz`` run the
 round-trip and decoder-robustness gates (README "Verification").
@@ -54,7 +53,6 @@ from repro.jpeg2000.params import (
     choose_tile_size,
     parse_workers,
 )
-from repro.jpeg2000.tier1_stats import estimate_workload
 
 
 def _read_image(path: str):
@@ -158,11 +156,7 @@ def cmd_decode(args) -> int:
 
 def cmd_simulate(args) -> int:
     image = _read_image(args.input)
-    params = _params(args, image)
-    if args.estimate:
-        stats = estimate_workload(image, params)
-    else:
-        stats = encode(image, params).stats
+    stats = encode(image, _params(args, image)).stats
     machine = CellMachine(chips=args.chips, num_spes=args.spes,
                           num_ppe_threads=args.ppe_threads)
     timeline = PipelineModel(machine, stats).simulate()
@@ -304,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spes", type=int, default=8)
     p.add_argument("--ppe-threads", type=int, default=1)
     p.add_argument("--chips", type=int, default=1)
-    p.add_argument("--estimate", action="store_true",
-                   help="use the fast Tier-1 workload estimator")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(

@@ -673,67 +673,3 @@ class CodeBlockWorkQueue:
         carry them inline.
         """
         return self._run("decode", list(blocks), "pickle")
-
-
-class ChunkWorkQueue:
-    """Threaded fan-out for DWT plane-chunk kernels (shared memory).
-
-    The paper's Section 2 decomposition hands constant-width column chunks
-    of a component plane to the SPEs; the executable analogue here hands
-    them to host threads rather than the process pool Tier-1 uses.  The
-    split is deliberate: Tier-1 code blocks are Python-bytecode bound (the
-    MQ coder), so they need processes, while chunk kernels are NumPy slice
-    ops that release the GIL — threads parallelize them with zero pickling,
-    the shared-memory option of the chunk scheme.
-
-    Determinism is by construction, not reassembly: every task writes a
-    disjoint slice of a preallocated output, so completion order cannot
-    influence the result and outputs are byte-identical for any worker
-    count.  Errors are re-raised in task submission order.
-    """
-
-    def __init__(self, workers: int | None = 1) -> None:
-        if workers is None:
-            workers = default_workers()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self._executor = None
-        self.rounds = 0
-        self.tasks_run = 0
-
-    def run(self, tasks) -> None:
-        """Execute every zero-argument task; returns when all are done."""
-        tasks = list(tasks)
-        self.rounds += 1
-        self.tasks_run += len(tasks)
-        if self.workers == 1 or len(tasks) < 2:
-            for task in tasks:
-                task()
-            return
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="dwt-chunk"
-            )
-        futures = [self._executor.submit(task) for task in tasks]
-        first_exc = None
-        for fut in futures:
-            exc = fut.exception()
-            if exc is not None and first_exc is None:
-                first_exc = exc
-        if first_exc is not None:
-            raise first_exc
-
-    def close(self) -> None:
-        """Stop the worker threads (idempotent; queue reusable via lazy start)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ChunkWorkQueue":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -13,15 +13,14 @@ The decoder has two backends, sample-identical (differentially tested):
     The default.  The code blocks of the whole image go to
     :func:`repro.jpeg2000.tier1_dec_vec.decode_codeblocks_batched` in one
     call: the native whole-block kernel per block where a C compiler is
-    available, the scalar oracle per block where not.  The fused inverse
-    DWT + MCT front end
-    (:func:`repro.jpeg2000.dwt_fast.run_inverse_frontend`) follows.
+    available, the scalar oracle per block where not.  The inverse DWT +
+    MCT front end (:func:`repro.jpeg2000.dwt_fast.run_inverse_frontend`,
+    one native call per tile) follows.
 
 ``decode(..., workers=N)`` additionally fans block groups out over
 :class:`repro.core.workpool.CodeBlockWorkQueue` (process pool with
-sequence-numbered reassembly) and the inverse front end's chunk passes
-over threads; both are deterministic for any worker count, and small
-images auto-clamp to serial exactly like the encoder.
+sequence-numbered reassembly); it is deterministic for any worker count,
+and small images auto-clamp to serial exactly like the encoder.
 """
 
 from __future__ import annotations
@@ -153,8 +152,8 @@ def decode(
 
     ``backend`` selects the Tier-1 decode implementation (see
     :data:`DEC_BACKENDS`; ``None`` means ``"auto"``).  ``workers``
-    fans code blocks out over a process pool and the inverse front end
-    over threads (``None`` = one per core); ``pool`` (a
+    fans code blocks out over a process pool (``None`` = one per core);
+    ``pool`` (a
     :class:`repro.core.workpool.WorkerPool` or a service scheduler job)
     runs the Tier-1 block groups in place of a pool opened for this call.
     The output is sample-identical for every backend, worker count and
@@ -379,7 +378,7 @@ def _decode_parsed_fast(
     never raises — so deferring it cannot reorder failures.  Blocks from
     *all tiles* decode in one batched call (or over the work queue) — a
     tiled stream parallelizes across spatial regions as well as blocks —
-    then are dequantized, placed, and each tile's fused inverse front end
+    then are dequantized, placed, and each tile's inverse front end
     reconstructs its components into the stitched output.
     """
     t0 = time.perf_counter()
@@ -439,7 +438,7 @@ def _decode_parsed_fast(
                spec.col0 : spec.col0 + spec.width] = out
     t3 = time.perf_counter()
 
-    # Fused inverse DWT + inverse MCT + level unshift, per tile, stitched
+    # Inverse DWT + inverse MCT + level unshift, per tile, stitched
     # into the full-image output planes.
     full: list[np.ndarray] | None = None
     out = None
@@ -457,9 +456,7 @@ def _decode_parsed_fast(
                 reversible=info.reversible,
                 ll=coeff[ci][("LL", info.levels)], details=details,
             ))
-        comps = run_inverse_frontend(
-            decomps, info.bit_depth, info.reversible, workers=workers,
-        )
+        comps = run_inverse_frontend(decomps, info.bit_depth, info.reversible)
         if info.tiles is None:
             out = _stack_output(comps, info.bit_depth)
             break

@@ -262,7 +262,7 @@ def _inverse_2d_once(ll, hl, lh, hh, shape: tuple[int, int], reversible: bool,
 def effective_levels(shape: tuple[int, int], levels: int) -> int:
     """Levels :func:`forward_dwt2d` actually performs on ``shape``.
 
-    Mirrors the 1x1 clamp in the decomposition loop so callers (the fused
+    Mirrors the 1x1 clamp in the decomposition loop so callers (the native
     front end, quantizer derivation) can size outputs without running it.
     """
     if levels < 0:

@@ -64,9 +64,8 @@ def _matrix_rows(m: np.ndarray, a, b, c):
     """Apply a 3x3 matrix row by row as explicit elementwise expressions.
 
     Deliberately *not* a BLAS call: elementwise arithmetic is evaluated in a
-    fixed order per sample, so the result is bitwise identical whether the
-    planes are transformed whole or one column chunk at a time — the
-    property the fused front end's chunk-vs-whole byte-identity rests on.
+    fixed order per sample, ``(a*m0 + b*m1) + c*m2``, the order the native
+    front end (:mod:`repro.jpeg2000.dwt_fast`) repeats bit for bit.
     (``tensordot`` may reassociate/FMA the 3-term dot depending on shape.)
     """
     a = np.asarray(a, dtype=np.float64)
@@ -110,48 +109,6 @@ def forward_mct(components: list[np.ndarray], bit_depth: int, lossless: bool):
         raise ValueError(f"MCT supports 1 or 3 components, got {len(shifted)}")
     if lossless:
         return list(forward_rct(*shifted))
-    return list(forward_ict(*shifted))
-
-
-def forward_mct_chunk(
-    chunks: list[np.ndarray], bit_depth: int, lossless: bool, dtype=np.int32
-) -> list[np.ndarray]:
-    """Merged level shift + MCT on one column chunk (fused front end).
-
-    Bitwise identical to :func:`forward_mct` restricted to the same columns
-    (every operation is elementwise), but the reversible path folds the DC
-    shift into the transform algebraically instead of running a separate
-    shift pass — ``((r-h) + 2(g-h) + (b-h)) >> 2 == ((r + 2g + b) >> 2) - h``
-    and the chroma differences cancel the shift outright — one traversal
-    where the naive pipeline makes two, the paper's Section 3.2 merge.
-
-    ``dtype`` selects the reversible working precision (int32 when the
-    caller proved the headroom, int64 otherwise); the lossy path is always
-    float64.
-    """
-    _check_depth(bit_depth)
-    half = 1 << (bit_depth - 1)
-    if len(chunks) == 1:
-        if lossless:
-            shifted = level_shift(chunks[0], bit_depth)
-            return [shifted.astype(dtype, copy=False)]
-        out = chunks[0].astype(np.float64)
-        out -= half  # same value as level_shift then float-convert, one pass
-        return [out]
-    if len(chunks) != 3:
-        raise ValueError(f"MCT supports 1 or 3 components, got {len(chunks)}")
-    if lossless:
-        r = chunks[0].astype(dtype)
-        g = chunks[1].astype(dtype)
-        b = chunks[2].astype(dtype)
-        y = (r + 2 * g + b) >> 2
-        y -= half
-        return [y, b - g, r - g]
-    shifted = []
-    for c in chunks:
-        s = c.astype(np.float64)
-        s -= half  # bitwise equal to int shift for any depth <= 16
-        shifted.append(s)
     return list(forward_ict(*shifted))
 
 

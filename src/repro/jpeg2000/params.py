@@ -5,8 +5,8 @@ its wire spelling, parser, default, domain, whether it changes the
 codestream, and its help text.  The CLI's coding flags, the ``/encode``
 query keys, the range checks of :class:`EncoderParams` and the service's
 cache key all derive from it.  Only fields that change the codestream
-have a query key: how an encode executes (workers, backends, chunking,
-batching, self-check) is the library's and the CLI's choice, never an
+have a query key: how an encode executes (workers, backends, batching,
+self-check) is the library's and the CLI's choice, never an
 HTTP client's.
 """
 
@@ -15,16 +15,15 @@ from __future__ import annotations
 from dataclasses import field, make_dataclass
 from typing import Callable, NamedTuple
 
-#: Peak encoder working set per tile sample, in bytes.  The front end's
-#: int32/float planes account for ~8; the figure was measured when Tier-1
-#: stacked the state of every same-geometry block (sign/significance/
-#: context planes and MQ output buffers), roughly 16x that.  The block
-#: encoder holds one block's fixed state at a time, so 128 now overstates
-#: the working set; it stays because :func:`choose_tile_size` derives tile
-#: sizes, and so codestream bytes, from it.  ``mem_budget`` batch sizing
-#: and :func:`choose_tile_size` both divide by this constant, so they
-#: share one definition.
-TILE_WORKSET_BYTES = 128
+#: Peak encoder working set per in-flight tile sample, in bytes: the
+#: front end's int32 bands and its kernel's scratch plus Tier-1's output.
+#: Measured as the VmHWM rise of 1024^2x3 encodes over the samples of
+#: the tile batch in flight: 5.9-9.4 untiled, 10.7 (serial) to 14.8
+#: (workers=2, lossless) for batches of 256-px tiles; rounded up.
+#: ``mem_budget`` batch sizing and :func:`choose_tile_size` both divide by
+#: this constant, so they share one definition; tile sizes chosen from it
+#: change codestream bytes.
+TILE_WORKSET_BYTES = 16
 
 
 def choose_tile_size(
@@ -147,19 +146,14 @@ CODING_FIELDS = (
         "byte-identical"),
     CodingField(
         "workers", "workers", parse_workers, 1, "[1, inf) or None", False,
-        "worker processes for Tier-1 code blocks and front-end chunk "
-        "threads, the paper's SPE count; auto = one per core; the "
-        "codestream is identical for any value"),
+        "worker processes for Tier-1 code blocks, the paper's SPE count "
+        "(the front end is one native call per tile); auto = one per "
+        "core; the codestream is identical for any value"),
     CodingField(
         "dwt_backend", "dwt_backend", str, "auto", _dwt_backends, False,
-        "front end (level shift + MCT + DWT + quantize): reference (the "
-        "per-stage oracle), fused (interleaved lifting over column "
-        "chunks) or auto (fused); byte-identical"),
-    CodingField(
-        "dwt_chunk_cols", "dwt_chunk", int, None, "[1, inf) or None", False,
-        "fused front-end chunk width in samples, rounded up to a multiple "
-        "of the 32-sample cache line; default: the whole plane when "
-        "serial, about two chunks per worker otherwise"),
+        "front end (level shift + MCT + DWT + quantize): auto (the native "
+        "lifting kernel over column chunks where a C compiler is present) "
+        "or reference (the per-stage oracle); byte-identical"),
     CodingField(
         "tile_size", "tile", int, None, "[16, inf) or None", True,
         "edge of the square tile grid: each tile is its own SOT..SOD "

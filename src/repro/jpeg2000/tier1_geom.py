@@ -7,9 +7,8 @@ reference coders (:mod:`repro.jpeg2000.tier1`) and the native block
 kernels (:mod:`repro.jpeg2000._mq_native`,
 :mod:`repro.jpeg2000._t1_dec_native`).
 
-The cache keeps hit/miss counters (surfaced through
-:func:`repro.jpeg2000.tier1_stats.geometry_cache_stats` and the service
-``/stats`` endpoint): an encode of a typical image touches only a handful
+The cache keeps hit/miss counters (:func:`cache_stats`, surfaced through
+the service ``/stats`` endpoint): an encode of a typical image touches only a handful
 of distinct geometries, so the hit rate should sit near 100% — a low rate
 means block partitioning went pathological.
 

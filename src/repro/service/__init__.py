@@ -486,9 +486,9 @@ class EncodeService:
     def _geometry_cache_stats() -> dict:
         # Lazy import: the service front end must not pay for the Tier-1
         # stack until an encode (or stats probe) actually needs it.
-        from repro.jpeg2000.tier1_stats import geometry_cache_stats
+        from repro.jpeg2000 import tier1_geom
 
-        return geometry_cache_stats()
+        return tier1_geom.cache_stats()
 
     # -- lifecycle ---------------------------------------------------------
 

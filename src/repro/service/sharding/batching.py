@@ -1,15 +1,14 @@
 """Micro-batching of small encode requests into one pool dispatch.
 
-The auto-serial cutovers (:func:`repro.jpeg2000.dwt_fast.dwt_serial_threshold`,
-:data:`repro.core.workpool.TIER1_AUTO_SERIAL_MIN_BLOCKS`) exist because a
-small image cannot amortize a pool trip — so the service encodes it
-inline, on the request thread, under the shard's GIL.  A burst of such
-requests then serializes behind one core while the warm worker pool sits
-idle.  Micro-batching inverts that: requests below the auto-serial
-thresholds are collected for one *batch window* and shipped to the pool
+The auto-serial cutover (:data:`repro.core.workpool.TIER1_AUTO_SERIAL_MIN_BLOCKS`)
+exists because a small image cannot amortize a pool trip — so the
+service encodes it inline, on the request thread, under the shard's GIL.
+A burst of such requests then serializes behind one core while the warm
+worker pool sits idle.  Micro-batching inverts that: requests below the
+auto-serial threshold are collected for one *batch window* and shipped to the pool
 as a single task (:func:`_encode_batch_task`) — one pickling trip, one
 queue operation, one worker wake-up for the whole batch, which is
-exactly the per-task-overhead amortization the thresholds were guarding
+exactly the per-task-overhead amortization the threshold was guarding
 against, recovered by raising the task size instead of going serial.
 
 The window is sized from live latency: the service passes a provider
@@ -29,7 +28,6 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core import workpool
-from repro.jpeg2000.dwt_fast import dwt_serial_threshold
 
 #: Bounds on the adaptive batch window (seconds): never wait less than a
 #: scheduler tick, never add more than 50 ms of latency to a request.
@@ -67,16 +65,13 @@ def estimate_code_blocks(shape, levels: int, codeblock_size: int) -> int:
 
 
 def is_micro_request(shape, params) -> bool:
-    """True when an encode sits below *both* auto-serial cutovers.
+    """True when an encode sits below the Tier-1 auto-serial cutover.
 
     These are the requests that would run inline on the shard's request
     thread (the pool cannot win per-request) — precisely the population
     micro-batching is for.  Larger images go through the scheduler as
     before.
     """
-    samples = int(np.prod(shape))
-    if samples >= dwt_serial_threshold():
-        return False
     blocks = estimate_code_blocks(shape, params.levels, params.codeblock_size)
     return blocks < workpool.TIER1_AUTO_SERIAL_MIN_BLOCKS
 

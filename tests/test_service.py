@@ -435,7 +435,7 @@ class TestStageHistograms:
         with EncodeService(_no_cache(1)) as service:
             service.encode_image(gray48, PARAMS)
             snap = service.metrics.snapshot()
-        for stage in ("levelshift_mct", "dwt", "quantize", "tier1", "tier2"):
+        for stage in ("frontend", "tier1", "tier2"):
             hist = snap[f"stage_{stage}_seconds"]
             assert hist["count"] == 1
             assert "p50" in hist and "p95" in hist and "p99" in hist

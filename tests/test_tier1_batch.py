@@ -237,7 +237,5 @@ class TestGeometryCache:
             geo.nbr[0, 0] = 1
 
     def test_stats_reporting_hook(self):
-        from repro.jpeg2000.tier1_stats import geometry_cache_stats
-
-        stats = geometry_cache_stats()
+        stats = tier1_geom.cache_stats()
         assert set(stats) == {"hits", "misses", "entries", "hit_rate"}

@@ -420,8 +420,9 @@ class TestCli:
         src = tmp_path / "in.pgm"
         out = tmp_path / "out.j2c"
         write_pnm(str(src), img)
-        # A 512x512 image at ~8 B/sample needs 2 MiB, over the 1 MiB
-        # budget, so the CLI must auto-pick a tile size.
+        # A 512x512 image at TILE_WORKSET_BYTES (16) per sample needs
+        # 4 MiB, over the 1 MiB budget, so the CLI must auto-pick a tile
+        # size.
         assert main(["encode", str(src), str(out), "--mem-budget", "1"]) == 0
         info = parse_codestream(out.read_bytes())
         assert info.num_tiles > 1
