@@ -9,8 +9,8 @@ Two measurements, recorded to ``BENCH_rate.json``:
   lossy encode (5 levels, 64x64 blocks).  Both paths must pick identical
   truncations before their timings count.
 * **Dispatch overhead** — the work queue's block-group dispatch
-  (:meth:`CodeBlockWorkQueue.encode_plane_groups`: planes published once
-  in shared memory, workers slice their groups locally) at 1-8 workers
+  (:meth:`CodeBlockWorkQueue.encode_plane_groups`: groups carry each
+  block's coefficients inline, to one worker, once) at 1-8 workers
   against in-process per-block coding, over near-empty blocks so
   transport cost is visible next to Tier-1 compute.  Results must be
   identical.
@@ -183,7 +183,6 @@ def bench_dispatch(workers_list, plane_size: int, repeats: int) -> dict:
             got = run()
             row = {
                 "groups": time_fn(run, repeats),
-                "mode": queue.last_stats.dispatch,
                 "group_count": queue.last_stats.groups,
                 "results_identical": all(
                     a.data == b.data and a.pass_lengths == b.pass_lengths
@@ -226,7 +225,6 @@ def main(argv=None) -> int:
         ok &= row["results_identical"]
         print(f"dispatch {dispatch['blocks']} blocks, {w} worker(s):"
               f" {row['group_count']} groups {row['groups']['median_s']*1e3:8.1f} ms"
-              f"  (mode {row['mode']})"
               f"  identical: {row['results_identical']}")
     print(f"cpu_count={os.cpu_count()}")
 

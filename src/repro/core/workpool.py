@@ -7,13 +7,13 @@ pull from a dynamic queue.  Code blocks really are independent — the MQ
 coder state is per-block — so the same scheme works verbatim on host
 cores with :mod:`multiprocessing`.
 
-One task type reaches a worker: a *block group*.  For encode a group is a
-run of blocks described as slices of subband planes that the parent
-publishes once in shared memory (inline coefficient slices when shared
-memory is unavailable or full); for decode it is a run of compressed
-blocks, sent inline because they are small.  Every group runs on one
-pool class, :class:`WorkerPool` — the library opens one for a single
-call, the encode service keeps one alive across requests.
+One task type reaches a worker: a *block group*, a run of blocks that
+carries its data inline — coefficient slices for encode, compressed
+bytes for decode.  Each block's samples cross to exactly one worker,
+once, as a block's coefficients reach one SPE by DMA in the paper.
+Every group runs on one pool class, :class:`WorkerPool` — the library
+opens one for a single call, the encode service keeps one alive across
+requests.
 
 Determinism is non-negotiable: the codestream must be byte-identical for
 any worker count.  Workers may *finish* groups in any order (that is the
@@ -102,143 +102,6 @@ class QueueStats:
     #: on a busy machine are the dynamic queue doing its job — the paper's
     #: Table 1 load imbalance.
     blocks_per_worker: dict[int, int] = field(default_factory=dict)
-    #: How encode blocks reached the workers: ``"shared_memory"`` (planes
-    #: published once, groups carry slice descriptors) or ``"pickle"``
-    #: (groups carry the coefficient slices; decode groups always do).
-    dispatch: str = "pickle"
-
-
-def shared_memory_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` can be imported."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-class _SharedPlanes:
-    """Subband planes published once as named shared-memory segments.
-
-    The parent copies each plane into a segment at construction; workers
-    attach by name, copy their blocks out and close.  :meth:`close`
-    unlinks every segment — callers must invoke it on success, error, and
-    interrupt, so construction itself cleans up if it fails partway (an
-    ``OSError`` from a full or missing ``/dev/shm`` propagates after that
-    cleanup).
-    """
-
-    def __init__(self, planes: list[np.ndarray]) -> None:
-        from multiprocessing import shared_memory
-
-        self.segments = []
-        #: Per-plane ``(name, shape, dtype str)`` — all a worker needs.
-        self.descs: list[tuple[str, tuple[int, ...], str]] = []
-        try:
-            for plane in planes:
-                arr = np.ascontiguousarray(plane)
-                seg = shared_memory.SharedMemory(
-                    create=True, size=max(1, arr.nbytes)
-                )
-                self.segments.append(seg)
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
-                view[...] = arr
-                del view
-                self.descs.append((seg.name, arr.shape, arr.dtype.str))
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Release and unlink every segment (idempotent, error-swallowing)."""
-        segments, self.segments = self.segments, []
-        for seg in segments:
-            try:
-                seg.close()
-            except OSError:
-                pass
-            try:
-                seg.unlink()
-            except (OSError, FileNotFoundError):
-                pass
-
-
-def publish_shared_bytes(data: bytes):
-    """Publish ``data`` as one shared-memory segment; returns (segment, desc).
-
-    The generic single-blob sibling of :class:`_SharedPlanes`: the cache
-    bus (:mod:`repro.service.sharding.cachebus`) publishes codestream
-    values this way so a hit on any shard is served to every shard
-    without re-sending the bytes through a socket.  The caller owns the
-    returned segment and must ``close()`` + ``unlink()`` it (eviction or
-    shutdown); ``desc`` is the picklable ``(name, size)`` readers use.
-    """
-    from multiprocessing import shared_memory
-
-    seg = shared_memory.SharedMemory(create=True, size=max(1, len(data)))
-    seg.buf[: len(data)] = data
-    return seg, (seg.name, len(data))
-
-
-def read_shared_bytes(desc) -> bytes | None:
-    """Copy a published blob out of its segment; ``None`` if it vanished.
-
-    Attach-copy-close, the same discipline as a group's block reads, so
-    no live view stays pinned to the segment buffer.  A concurrently
-    evicted (unlinked) segment reads as ``None`` — callers treat that as
-    a cache miss.
-    """
-    from multiprocessing import shared_memory
-
-    name, size = desc
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError):
-        return None
-    try:
-        return bytes(seg.buf[:size])
-    finally:
-        seg.close()
-
-
-def _copy_slice(seg, shape, dtype, row0, col0, height, width) -> np.ndarray:
-    """Copy one block out of an attached plane (the view dies here)."""
-    plane = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-    return np.array(plane[row0 : row0 + height, col0 : col0 + width])
-
-
-def _group_blocks(items) -> list[tuple[np.ndarray, str]]:
-    """Materialize an encode group's ``(coeffs, band)`` pairs.
-
-    Each item is ``(source, row0, col0, height, width, band)``; the source
-    is either the block itself (inline dispatch) or a published plane's
-    ``(name, shape, dtype)``.  Segments are attached once per group and
-    closed before returning, so a long-lived worker never pins the
-    segments of finished requests.  Attaching re-registers the name with
-    the resource tracker, which the parent shares (see
-    :meth:`WorkerPool._start`), so that is a no-op; the parent's unlink
-    removes the single entry.
-    """
-    from multiprocessing import shared_memory
-
-    segments: dict = {}
-    try:
-        out = []
-        for src, row0, col0, height, width, band in items:
-            if isinstance(src, np.ndarray):
-                out.append((src, band))
-                continue
-            name, shape, dtype = src
-            seg = segments.get(name)
-            if seg is None:
-                seg = segments[name] = shared_memory.SharedMemory(name=name)
-            out.append(
-                (_copy_slice(seg, shape, dtype, row0, col0, height, width), band)
-            )
-        return out
-    finally:
-        for seg in segments.values():
-            seg.close()
 
 
 def _group_task(payload):
@@ -255,7 +118,7 @@ def _group_task(payload):
         return seqs, os.getpid(), decode_codeblocks_batched(items)
     from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
 
-    return seqs, os.getpid(), encode_codeblocks_batched(_group_blocks(items))
+    return seqs, os.getpid(), encode_codeblocks_batched(items)
 
 
 def _ping_task(i: int) -> int:
@@ -347,15 +210,6 @@ class WorkerPool:
 
     def _start(self) -> None:
         """Fork the workers (caller holds the lock)."""
-        if shared_memory_available():
-            # Workers that attach a segment register it with a resource
-            # tracker.  Forked after the parent's tracker runs, they share
-            # it, so the parent's unlink retires the one entry; forked
-            # before, each would start its own, which warns about (and
-            # unlinks) every segment it ever attached when the worker exits.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
         self._pool = multiprocessing.get_context().Pool(processes=self.workers)
         self._procs = list(self._pool._pool)
         if self._warmup:
@@ -596,11 +450,11 @@ class CodeBlockWorkQueue:
         self.pool = pool
         self.last_stats: QueueStats | None = None
 
-    def _run(self, op: str, items: list, dispatch: str) -> list:
+    def _run(self, op: str, items: list) -> list:
         """Cut ``items`` into groups, run them, reassemble in order."""
         runs = group_runs(len(items), self.pool.workers)
         stats = QueueStats(workers=self.pool.workers, blocks=len(items),
-                           groups=len(runs), dispatch=dispatch)
+                           groups=len(runs))
         self.last_stats = stats
         payloads = [
             (op, tuple(run), tuple(items[i] for i in run))
@@ -624,40 +478,16 @@ class CodeBlockWorkQueue:
         """Encode plane-described blocks in groups; results in block order.
 
         ``blocks[i]`` is ``(plane index, row0, col0, height, width, band)``.
-        Every plane is published once in shared memory and groups carry
-        slice descriptors — the paper's DMA-minimizing move of shipping
-        each coefficient plane once and letting workers slice blocks
-        locally.  When shared memory is missing or publishing fails
-        (``OSError``: a full or absent ``/dev/shm``) the same groups carry
-        the coefficient slices instead.  Codestreams are byte-identical
-        either way.
+        Groups carry each block as a view of its plane; the pool pickles
+        one group at a time, so only that block's samples are copied, to
+        the one worker that codes it.  The planes must stay unmodified
+        until this returns, which it does only once every group is back.
         """
-        shared = None
-        if shared_memory_available():
-            try:
-                shared = _SharedPlanes(planes)
-            except OSError:  # a full or missing /dev/shm: go inline
-                pass
-        try:
-            if shared is None:
-                dispatch = "pickle"
-                items = [
-                    (np.array(planes[p][r0 : r0 + h, c0 : c0 + w]),
-                     0, 0, h, w, band)
-                    for p, r0, c0, h, w, band in blocks
-                ]
-            else:
-                dispatch = "shared_memory"
-                items = [
-                    (shared.descs[p], r0, c0, h, w, band)
-                    for p, r0, c0, h, w, band in blocks
-                ]
-            return self._run("encode", items, dispatch)
-        finally:
-            # Unlink on success, error, and KeyboardInterrupt alike: the
-            # segments must never outlive the encode.
-            if shared is not None:
-                shared.close()
+        items = [
+            (planes[p][r0 : r0 + h, c0 : c0 + w], band)
+            for p, r0, c0, h, w, band in blocks
+        ]
+        return self._run("encode", items)
 
     # perfbench/tracing.py looks this name up; it goes with that reader.
     encode_plane_blocks = encode_plane_groups
@@ -669,7 +499,7 @@ class CodeBlockWorkQueue:
         — the arguments of
         :func:`repro.jpeg2000.tier1.decode_codeblock`.  Code
         blocks are as independent on decode as on encode, so the same
-        dynamic queue applies; compressed bytes are small, so groups
-        carry them inline.
+        dynamic queue applies, and groups carry the compressed bytes
+        inline as encode groups carry coefficients.
         """
-        return self._run("decode", list(blocks), "pickle")
+        return self._run("decode", list(blocks))

@@ -86,8 +86,8 @@ class WorkloadStats:
     codestream_bytes: int = 0
     raw_bytes: int = 0
     #: How Tier-1 blocks reached the coder: ``"serial"`` (in process) or
-    #: block groups on a worker pool, ``"shared_memory"``/``"pickle"`` (see
-    #: :class:`repro.core.workpool.QueueStats`).
+    #: ``"pool"`` (block groups on a worker pool, see
+    #: :class:`repro.core.workpool.CodeBlockWorkQueue`).
     tier1_dispatch: str = "serial"
     #: SIZ tile-grid population (1 for the legacy single-tile layout).
     tiles: int = 1
@@ -291,8 +291,8 @@ def encode(
             # as one batch so idle workers can steal from any subband of
             # any tile.  Each subband keeps its quantized plane whole in
             # ``planes``; pending items are (plane index, block spec)
-            # descriptors, so the dispatch layer can publish a plane once
-            # (shared memory) instead of shipping a copy per block.
+            # descriptors, which the work queue turns into views, so each
+            # block's samples are copied once, on their way to one worker.
             batch_planned: list[_PlannedSubband] = []
             planes: list[np.ndarray] = []
             pending: list[tuple[int, CodeBlockSpec]] = []
@@ -456,10 +456,9 @@ def _encode_pending(
     ``pool`` (a :class:`repro.core.workpool.WorkerPool` or a service
     scheduler job) sets the worker count; ``None`` stays in process.
     Past the :func:`repro.core.workpool.tier1_auto_workers` clamp the
-    blocks go to the pool as block groups over whole subband planes, so
-    the work queue publishes each plane once and workers slice locally.
-    ``tier1_backend="reference"`` codes every block with the scalar oracle,
-    in process.
+    blocks go to the pool as block groups that carry their coefficients
+    inline.  ``tier1_backend="reference"`` codes every block with the
+    scalar oracle, in process.
     """
     blocks = [
         (pi, spec.row0, spec.col0, spec.height, spec.width, planned[pi].band)
@@ -475,7 +474,7 @@ def _encode_pending(
             queue = CodeBlockWorkQueue(pool)
             results = queue.encode_plane_groups(planes, blocks)
             if stats is not None:
-                stats.tier1_dispatch = queue.last_stats.dispatch
+                stats.tier1_dispatch = "pool"
             return results
 
     if stats is not None:

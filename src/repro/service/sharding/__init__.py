@@ -15,9 +15,8 @@ The pieces:
   drains every shard gracefully.
 * :mod:`cachebus` — cross-shard content-addressed result cache: a tiny
   cache-server thread owns codestream values in shared-memory segments
-  (reusing :mod:`repro.core.workpool`'s shm plumbing) and extends
-  single-flight coalescing across shard boundaries via leases, so a hit
-  or in-flight encode on any shard serves all shards.
+  and extends single-flight coalescing across shard boundaries via
+  leases, so a hit or in-flight encode on any shard serves all shards.
 * :mod:`batching` — micro-batching of requests below the auto-serial
   thresholds into one pool dispatch per batch window, sized from the live
   ``encode_seconds`` histogram.

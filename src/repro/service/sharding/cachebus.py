@@ -5,8 +5,7 @@ miss there used to mean a full re-encode even when a sibling shard had
 just produced the identical codestream.  The bus closes that gap: one
 cache-server thread (in the supervisor process) owns a content-addressed
 LRU of codestream values, each stored in its own shared-memory segment
-via :func:`repro.core.workpool.publish_shared_bytes` — the same plumbing
-Tier-1 uses to publish coefficient planes.  Shards talk to it over a
+via :func:`publish_shared_bytes`.  Shards talk to it over a
 Unix-domain socket with a one-line JSON header (plus a raw payload for
 puts); a *hit* reply carries only the segment descriptor, so the bytes
 cross process boundaries through the kernel's shared mappings, not the
@@ -37,11 +36,6 @@ import threading
 import time
 from collections import OrderedDict
 
-from repro.core.workpool import (
-    publish_shared_bytes,
-    read_shared_bytes,
-    shared_memory_available,
-)
 from repro.service.cache import ENTRY_OVERHEAD_BYTES
 
 #: Default client-side I/O timeout per bus operation (seconds).
@@ -55,6 +49,51 @@ LEASE_WAIT_S = 30.0
 LEASE_TTL_S = 120.0
 
 _MAX_HEADER = 1 << 16
+
+
+def shared_memory_available() -> bool:
+    """True when ``multiprocessing.shared_memory`` can be imported."""
+    try:
+        from multiprocessing import shared_memory  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+def publish_shared_bytes(data: bytes):
+    """Publish ``data`` as one shared-memory segment; returns (segment, desc).
+
+    The bus stores each codestream value this way so a hit on any shard
+    is served to every shard without re-sending the bytes through a
+    socket.  The caller owns the returned segment and must ``close()`` +
+    ``unlink()`` it (eviction or shutdown); ``desc`` is the picklable
+    ``(name, size)`` readers use.
+    """
+    from multiprocessing import shared_memory
+
+    seg = shared_memory.SharedMemory(create=True, size=max(1, len(data)))
+    seg.buf[: len(data)] = data
+    return seg, (seg.name, len(data))
+
+
+def read_shared_bytes(desc) -> bytes | None:
+    """Copy a published blob out of its segment; ``None`` if it vanished.
+
+    Attach-copy-close, so no live view stays pinned to the segment
+    buffer.  A concurrently evicted (unlinked) segment reads as ``None``
+    — callers treat that as a cache miss.
+    """
+    from multiprocessing import shared_memory
+
+    name, size = desc
+    try:
+        seg = shared_memory.SharedMemory(name=name)
+    except (FileNotFoundError, OSError):
+        return None
+    try:
+        return bytes(seg.buf[:size])
+    finally:
+        seg.close()
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:

@@ -31,8 +31,8 @@ in-flight requests, drain the pool — and the supervisor prints the same
 ``drained cleanly`` line the CI smoke jobs grep for.
 
 Shards are forked, not spawned: the inherit strategy needs FD
-inheritance, and fork keeps the shared-memory resource tracker common to
-the whole family (the same reason :mod:`repro.core.workpool` prefers it).
+inheritance, and fork keeps the cache bus's shared-memory resource
+tracker common to the whole family.
 """
 
 from __future__ import annotations

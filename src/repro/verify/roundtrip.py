@@ -1,6 +1,6 @@
 """Decode-every-encode round-trip verification.
 
-The optimization PRs (native Tier-1, native DWT, shared-memory
+The optimization PRs (native Tier-1, native DWT, pooled block
 dispatch, incremental Tier-2) all claim byte-identical codestreams — but
 byte identity among encoder variants says nothing unless the bytes also
 *decode* back to the image.  This module closes that loop:

@@ -132,7 +132,6 @@ class TestChooseTruncations:
 import hashlib
 
 from repro.core import workpool
-from repro.core.workpool import shared_memory_available
 from repro.image.synthetic import watch_face_image
 from repro.jpeg2000 import encoder as encoder_mod
 from repro.jpeg2000.decoder import decode
@@ -255,8 +254,8 @@ class TestByteIdentityAcrossDispatch:
             if workers == 1 or backend == "reference":
                 # The oracle always codes in process.
                 assert res.stats.tier1_dispatch == "serial"
-            elif shared_memory_available():
-                assert res.stats.tier1_dispatch == "shared_memory"
+            else:
+                assert res.stats.tier1_dispatch == "pool"
         assert streams[2] == streams[1]
         assert streams[4] == streams[1]
 
@@ -273,20 +272,10 @@ class TestByteIdentityAcrossDispatch:
         assert pooled.stats.tier1_dispatch == "serial"
 
     def test_pickle_fallback_is_identical(self, monkeypatch):
-        # A full /dev/shm makes segment creation fail with ENOSPC; the
-        # encode must fall back to inline groups, not fail.
-        import errno
+        # Block groups pickle their coefficients inline: the pooled encode
+        # is the serial one and leaves nothing in /dev/shm.
         import os
-        from multiprocessing import shared_memory
 
-        real = shared_memory.SharedMemory
-
-        def full(name=None, create=False, size=0):
-            if create:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return real(name=name, create=create, size=size)
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", full)
         _pool_always(monkeypatch)
         shm_dir = "/dev/shm"
         before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
@@ -296,9 +285,7 @@ class TestByteIdentityAcrossDispatch:
             img, EncoderParams(lossless=False, rate=0.2, levels=3, workers=2)
         )
         assert pooled.codestream == serial.codestream
-        # Without shared memory the block groups ship their coefficients
-        # inline.
-        assert pooled.stats.tier1_dispatch == "pickle"
+        assert pooled.stats.tier1_dispatch == "pool"
         after = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
         assert after <= before
 

@@ -77,7 +77,7 @@ def _group_payloads(n, seed=0):
     rng = np.random.default_rng(seed)
     return [
         ("encode", (i,),
-         ((rng.integers(-50, 50, (8, 8)).astype(np.int32), 0, 0, 8, 8, "LL"),))
+         ((rng.integers(-50, 50, (8, 8)).astype(np.int32), "LL"),))
         for i in range(n)
     ]
 
@@ -157,7 +157,7 @@ class TestConcurrentDeterminism:
         assert out.codestream == offline
         if available_cores() <= 1:
             return  # the single-core clamp keeps Tier-1 in the request thread
-        assert out.result.stats.tier1_dispatch in ("shared_memory", "pickle")
+        assert out.result.stats.tier1_dispatch == "pool"
         nblocks = len(out.result.stats.blocks)
         assert nblocks >= 24
         assert snap["blocks_dispatched"] == nblocks
@@ -210,12 +210,21 @@ class TestPersistentPool:
         finally:
             pool.terminate()
 
-    def test_recovers_from_killed_worker(self, pool_path):
+    def test_recovers_from_killed_worker(self, pool_path, monkeypatch):
         # SIGKILLing a worker loses the group it held and can poison the
         # pool's shared task queue (an idle worker holds the queue lock
         # while blocked reading), so the contract is: the request in
-        # flight ends (bytes or WorkerLost, never a hang), its shared
-        # memory is unlinked, and the pool respawns for the next request.
+        # flight ends (bytes or WorkerLost, never a hang), nothing is left
+        # in /dev/shm, and the pool respawns for the next request.  Groups
+        # carry their blocks inline, so the service never starts (or
+        # feeds) a resource tracker whose warnings a dead worker could
+        # trigger.
+        from multiprocessing import resource_tracker
+
+        tracker_calls = []
+        for name in ("ensure_running", "register"):
+            monkeypatch.setattr(resource_tracker, name,
+                                lambda *args, _n=name: tracker_calls.append(_n))
         img = watch_face_image(256, 256, channels=3)
         params = EncoderParams(codeblock_size=16)
         offline = encode(img, params).codestream
@@ -247,6 +256,7 @@ class TestPersistentPool:
             assert service.pool.stats.respawns >= 1
             assert victim not in service.pool.warm_up()
             assert service.healthy()
+        assert tracker_calls == []
 
     def test_concurrent_submitters_settle_every_group(self):
         # More workers than cores, many submitting threads and a short

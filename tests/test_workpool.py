@@ -8,7 +8,11 @@ suite stays fast on single-core CI machines.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,21 +61,6 @@ def _encode_groups(blocks, workers):
 def pool2():
     with WorkerPool(2) as pool:
         yield pool
-
-
-def _disable_shm_segments(monkeypatch):
-    """Make publishing a plane fail like a full ``/dev/shm`` does."""
-    import errno
-    from multiprocessing import shared_memory
-
-    real = shared_memory.SharedMemory
-
-    def full(name=None, create=False, size=0):
-        if create:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real(name=name, create=create, size=size)
-
-    monkeypatch.setattr(shared_memory, "SharedMemory", full)
 
 
 class TestQueue:
@@ -204,14 +193,8 @@ class TestEncoderIntegration:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory plane dispatch and its inline fallback.
+# Plane dispatch: block groups carry views of the planes inline.
 # ---------------------------------------------------------------------------
-
-from repro.core.workpool import (  # noqa: E402
-    _group_blocks,
-    _SharedPlanes,
-    shared_memory_available,
-)
 
 
 def _planes_and_tasks(seed=3):
@@ -257,26 +240,6 @@ def _shm_entries() -> set:
         return set()
 
 
-class TestGroupBlockItems:
-    @pytest.mark.skipif(not shared_memory_available(),
-                        reason="shared memory unavailable")
-    def test_slice_of(self):
-        # A group item names a published plane plus offsets/shape; the
-        # worker copies exactly that slice (and the inline form as is).
-        plane = np.arange(12 * 10, dtype=np.int32).reshape(12, 10)
-        shared = _SharedPlanes([plane])
-        try:
-            [(got, band), (inline, _)] = _group_blocks([
-                (shared.descs[0], 4, 2, 3, 5, "HL"),
-                (plane[1:3, 1:4].copy(), 0, 0, 2, 3, "LL"),
-            ])
-        finally:
-            shared.close()
-        assert band == "HL"
-        assert np.array_equal(got, plane[4:7, 2:7])
-        assert np.array_equal(inline, plane[1:3, 1:4])
-
-
 class TestPlaneDispatch:
     def test_serial_path_and_stats(self, watch_rgb_64, monkeypatch):
         # Below the clamp the encoder codes in process, never via a pool.
@@ -288,37 +251,32 @@ class TestPlaneDispatch:
         assert auto.stats.tier1_dispatch == "serial"
         assert auto.codestream == res.codestream
 
-    @pytest.mark.skipif(not shared_memory_available(),
-                        reason="shared memory unavailable")
-    def test_shared_memory_matches_serial(self, pool2):
-        planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(pool2)
-        res = queue.encode_plane_groups(planes, tasks)
-        assert _same_results(res, _serial_oracle(planes, tasks))
-        assert queue.last_stats.dispatch == "shared_memory"
-        assert sum(queue.last_stats.blocks_per_worker.values()) == len(tasks)
+    def test_pool_encode_matches_serial_bytes(self, pool2, watch_rgb_64,
+                                              monkeypatch):
+        # Every block past the clamp goes to the injected pool as inline
+        # groups; the codestream is the serial one, lossless and lossy.
+        monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 0)
+        monkeypatch.setattr(workpool, "available_cores", lambda: 2)
+        for params in (EncoderParams(levels=3, codeblock_size=16),
+                       EncoderParams(lossless=False, rate=0.2, levels=3,
+                                     codeblock_size=16)):
+            serial = encode(watch_rgb_64, params)
+            pooled = encode(watch_rgb_64, params, pool=pool2)
+            assert serial.stats.tier1_dispatch == "serial"
+            assert pooled.stats.tier1_dispatch == "pool"
+            assert pooled.codestream == serial.codestream
 
-    def test_pickle_path_matches_serial(self, pool2, monkeypatch):
-        _disable_shm_segments(monkeypatch)
+    def test_pickle_path_matches_serial(self, pool2):
+        # Groups pickle views of the planes: nothing lands in /dev/shm.
         before = _shm_entries()
         planes, tasks = _planes_and_tasks()
         queue = CodeBlockWorkQueue(pool2)
         res = queue.encode_plane_groups(planes, tasks)
         assert _same_results(res, _serial_oracle(planes, tasks))
-        assert queue.last_stats.dispatch == "pickle"
+        assert sum(queue.last_stats.blocks_per_worker.values()) == len(tasks)
         assert _shm_entries() <= before
 
-    def test_missing_shared_memory_forces_pickle(self, pool2, monkeypatch):
-        monkeypatch.setattr(workpool, "shared_memory_available", lambda: False)
-        planes, tasks = _planes_and_tasks()
-        queue = CodeBlockWorkQueue(pool2)
-        res = queue.encode_plane_groups(planes, tasks)
-        assert _same_results(res, _serial_oracle(planes, tasks))
-        assert queue.last_stats.dispatch == "pickle"
-
-    @pytest.mark.skipif(not shared_memory_available(),
-                        reason="shared memory unavailable")
-    def test_injected_pool_runs_shared_memory_groups(self):
+    def test_injected_pool_runs_groups(self):
         class InlinePool:
             """Duck-typed pool that runs every group in this process."""
             workers = 2
@@ -332,34 +290,60 @@ class TestPlaneDispatch:
         queue = CodeBlockWorkQueue(InlinePool())
         res = queue.encode_plane_groups(planes, tasks)
         assert _same_results(res, _serial_oracle(planes, tasks))
-        assert queue.last_stats.dispatch == "shared_memory"
 
     def test_empty_tasks(self, pool2):
         assert CodeBlockWorkQueue(pool2).encode_plane_groups([], []) == []
 
 
-class TestSharedPlanesLifecycle:
-    @pytest.mark.skipif(not shared_memory_available(),
-                        reason="shared memory unavailable")
-    def test_segments_unlinked_after_close(self):
-        from multiprocessing import shared_memory
+# ---------------------------------------------------------------------------
+# A pool starts no resource tracker: nothing it ships needs one.
+# ---------------------------------------------------------------------------
 
-        planes = [np.arange(64, dtype=np.int32).reshape(8, 8)]
-        shared = _SharedPlanes(planes)
-        name, shape, dtype = shared.descs[0]
-        seg = shared_memory.SharedMemory(name=name)  # attachable while open
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-        assert np.array_equal(view, planes[0])
-        del view
-        seg.close()
-        shared.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+_FRESH_POOL_SCRIPT = """
+import json
+from multiprocessing import resource_tracker
 
-    @pytest.mark.skipif(not shared_memory_available(),
-                        reason="shared memory unavailable")
-    def test_close_is_idempotent(self):
-        shared = _SharedPlanes([np.zeros((4, 4), dtype=np.int32)])
-        shared.close()
-        shared.close()  # second close must be a silent no-op
-        assert shared.segments == []
+import numpy as np
+
+from repro.core import workpool
+from repro.image.synthetic import watch_face_image
+from repro.jpeg2000.decoder import decode
+from repro.jpeg2000.encoder import encode
+from repro.jpeg2000.params import EncoderParams
+
+if workpool.available_cores() < 2:
+    workpool.available_cores = lambda: 2
+img = watch_face_image(256, 256, channels=3)
+res = encode(img, EncoderParams(workers=2))
+back = decode(res.codestream, workers=2)
+print(json.dumps({
+    "blocks": len(res.stats.blocks),
+    "dispatch": res.stats.tier1_dispatch,
+    "round_trip": bool(np.array_equal(back, img)),
+    "tracker_pid": resource_tracker._resource_tracker._pid,
+}))
+"""
+
+
+class TestNoResourceTracker:
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="other start methods start the tracker themselves")
+    def test_pool_encode_and_decode_start_no_tracker(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        before = _shm_entries()
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_POOL_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["tracker_pid"] is None
+        assert _shm_entries() <= before
+        assert "resource_tracker" not in proc.stderr
+        # The encode went through the pool; the decode, past the same
+        # block-count clamp, does too.
+        assert out["blocks"] >= workpool.TIER1_AUTO_SERIAL_MIN_BLOCKS
+        assert out["dispatch"] == "pool"
+        assert out["round_trip"]
