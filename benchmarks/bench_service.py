@@ -1,12 +1,12 @@
-"""Encode-service throughput benchmark: persistent pool vs. pool-per-image.
+"""Encode-service throughput benchmark: persistent pool vs. library calls.
 
 Replays a 16-request burst (with the repetition real serving traffic has)
 three ways and records imgs/s plus p50/p95 latency to
 ``BENCH_service.json``:
 
-* ``baseline``       — the status-quo CLI path: each request encodes with
-                       ``EncoderParams(workers=W)``, spawning and tearing
-                       down a fresh ``multiprocessing.Pool`` per image;
+* ``baseline``       — the CLI path: each request encodes with
+                       ``EncoderParams(workers=W)``, which opens and closes
+                       a thread pool of its own per image;
 * ``service_nocache`` — the service's persistent pool + scheduler with the
                        result cache disabled (isolates pool reuse);
 * ``service_cached``  — the full service; repeated images hit the
@@ -91,7 +91,7 @@ def make_images(smoke: bool) -> list[np.ndarray]:
 
 
 def bench_baseline(images, params_workers, offline) -> dict:
-    """Pool-per-image: sequential one-shot encodes, no reuse, no cache."""
+    """Library calls: sequential encodes, a pool per call, no cache."""
     latencies = []
     t0 = time.perf_counter()
     for idx in TRAFFIC:

@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'auto' is the block decoder, 'reference' the scalar "
                         "oracle")
     p.add_argument("--workers", type=parse_workers, default=1, metavar="N",
-                   help="Tier-1 decode worker processes; 'auto' = one per "
+                   help="Tier-1 decode worker threads; 'auto' = one per "
                         "core (output is identical for any value)")
     p.set_defaults(func=cmd_decode)
 

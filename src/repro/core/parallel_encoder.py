@@ -49,7 +49,7 @@ class ParallelEncodeResult:
 class CellJPEG2000Encoder:
     """The paper's encoder: Jasper-equivalent codec + Cell parallelization.
 
-    ``workers`` sets the *real* Tier-1 process count used for the
+    ``workers`` sets the *real* Tier-1 thread count used for the
     functional encode (see :mod:`repro.core.workpool`); the simulated
     timeline is still priced for ``machine``.  ``None`` defers to the
     ``EncoderParams`` passed to :meth:`encode`.

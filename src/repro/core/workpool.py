@@ -5,15 +5,19 @@ This is the *executable* counterpart of the simulated SPE work queue in
 Tier-1 by treating code blocks as independent work items that idle SPEs
 pull from a dynamic queue.  Code blocks really are independent — the MQ
 coder state is per-block — so the same scheme works verbatim on host
-cores with :mod:`multiprocessing`.
+cores.
 
 One task type reaches a worker: a *block group*, a run of blocks that
-carries its data inline — coefficient slices for encode, compressed
-bytes for decode.  Each block's samples cross to exactly one worker,
-once, as a block's coefficients reach one SPE by DMA in the paper.
-Every group runs on one pool class, :class:`WorkerPool` — the library
-opens one for a single call, the encode service keeps one alive across
-requests.
+carries its data inline — coefficient views for encode, compressed
+bytes for decode.  A library ``encode``/``decode`` call runs its groups
+on a :class:`ThreadPool` that lives for the call: the block kernels are
+``ctypes`` calls, which release the GIL, so threads of the calling
+process code blocks in parallel on the planes they already share, as
+the paper's SPEs and PPE share one main memory.  The encode service
+keeps one :class:`WorkerPool` of processes alive across requests
+instead: it needs crash isolation and runs whole small images in
+Python; there each group is pickled, so each block's samples cross to
+exactly one worker, once, as a block's coefficients reach one SPE by DMA.
 
 Determinism is non-negotiable: the codestream must be byte-identical for
 any worker count.  Workers may *finish* groups in any order (that is the
@@ -29,16 +33,22 @@ import multiprocessing
 import os
 import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.jpeg2000.tier1 import CodeBlockResult
+from repro.jpeg2000.tier1_batch import (
+    encode_codeblocks_batched,
+    group_shard_count,
+)
+from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
 
-#: Code blocks below which the Tier-1 pool cannot win: process start-up
-#: plus per-group dispatch costs more than the blocks themselves.  The
-#: value predates the native block coders; DESIGN.md section 11 records
-#: where a pool wins now.  The encoder, the decoder and the service's
+#: Code blocks below which the Tier-1 pool cannot win: per-group
+#: dispatch costs more than the blocks themselves.  The value predates
+#: the native block coders; DESIGN.md section 11 records where each pool
+#: wins now.  The encoder, the decoder and the service's
 #: micro-batcher read it at call time.
 TIER1_AUTO_SERIAL_MIN_BLOCKS = 24
 
@@ -85,8 +95,6 @@ def group_runs(count: int, workers: int) -> list[range]:
     each — about ``2 * workers`` runs, so the dynamic queue can still
     balance load.
     """
-    from repro.jpeg2000.tier1_batch import group_shard_count
-
     shard = group_shard_count(count, workers)
     return [range(o, min(o + shard, count)) for o in range(0, count, shard)]
 
@@ -98,9 +106,11 @@ class QueueStats:
     workers: int
     blocks: int
     groups: int = 0
-    #: Blocks completed per worker process (keyed by pid).  Uneven counts
-    #: on a busy machine are the dynamic queue doing its job — the paper's
-    #: Table 1 load imbalance.
+    #: Blocks completed per worker, keyed by the native thread id of the
+    #: thread that coded them (a pool process's pid for a
+    #: :class:`WorkerPool`, whose groups run on its main thread).  Uneven
+    #: counts on a busy machine are the dynamic queue doing its job — the
+    #: paper's Table 1 load imbalance.
     blocks_per_worker: dict[int, int] = field(default_factory=dict)
 
 
@@ -108,17 +118,16 @@ def _group_task(payload):
     """Worker entry point for every block group; module-level for spawn.
 
     ``payload`` is ``(op, seqs, items)``.  Decode groups run the one block
-    decoder, encode groups the one block encoder.  Lazy imports keep each
-    direction's coder out of workers that never run it.
+    decoder, encode groups the one block encoder, both bound when this
+    module is imported: a wrapper later installed on their modules sees
+    only the in-process serial calls, never a group's.  Returns the
+    native id of the thread that coded the group.
     """
     op, seqs, items = payload
+    worker = threading.get_native_id()
     if op == "decode":
-        from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
-
-        return seqs, os.getpid(), decode_codeblocks_batched(items)
-    from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
-
-    return seqs, os.getpid(), encode_codeblocks_batched(items)
+        return seqs, worker, decode_codeblocks_batched(items)
+    return seqs, worker, encode_codeblocks_batched(items)
 
 
 def _ping_task(i: int) -> int:
@@ -167,12 +176,42 @@ class PoolStats:
     blocks_per_worker: dict[int, int] = field(default_factory=dict)
 
 
-class WorkerPool:
-    """The process pool every Tier-1 block group runs on.
+class ThreadPool:
+    """Block groups on threads of the calling process, for one library call.
 
-    The library opens one for a single ``encode``/``decode`` call and
-    closes it on return; the encode service keeps one alive across
-    requests (the paper's SPEs, loaded once, pulling work forever).
+    ``encode``/``decode`` with ``workers > 1`` open one and close it on
+    return.  Groups carry views of the caller's planes: nothing is
+    pickled or copied, and the block kernels release the GIL while they
+    code.  Leaving the ``with`` block waits for the threads; on an error
+    it first cancels the groups not yet started.
+    """
+
+    def __init__(self, workers: int | None = None) -> None:
+        self.workers = default_workers() if workers is None else workers
+        self._executor = ThreadPoolExecutor(self.workers,
+                                            thread_name_prefix="tier1")
+
+    def imap_unordered(self, payloads):
+        """Yield ``(seqs, thread id, results)`` as groups finish."""
+        futures = [self._executor.submit(_group_task, p) for p in payloads]
+        for future in as_completed(futures):
+            yield future.result()
+
+    def __enter__(self) -> "ThreadPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
+
+
+class WorkerPool:
+    """The encode service's process pool for Tier-1 groups and batches.
+
+    The service keeps one alive across requests (the paper's SPEs,
+    loaded once, pulling work forever): a worker that crashes costs one
+    request a :class:`WorkerLost`, not the server, and the micro-batches
+    of whole small images it runs (:meth:`run`) are Python that only
+    processes run in parallel.  Library calls use a :class:`ThreadPool`.
     Processes start on first use, or at construction with ``warmup=True``,
     which also waits until every worker has answered a ping so the first
     real request does not pay process start-up latency.
@@ -438,12 +477,12 @@ class CodeBlockWorkQueue:
     """Dynamic queue of block groups with deterministic reassembly.
 
     ``pool`` is anything with a ``workers`` count and an
-    ``imap_unordered(payloads)`` yielding ``(seqs, pid, results)`` — a
-    :class:`WorkerPool`, or a scheduler job of the encode service
-    (:class:`repro.service.scheduler.SchedulerJob`).  The queue never
-    codes blocks itself: in-process coding is the caller's serial path.
-    Encode groups run the one block encoder, decode groups the one block
-    decoder.
+    ``imap_unordered(payloads)`` yielding ``(seqs, worker id, results)`` —
+    a :class:`ThreadPool`, a :class:`WorkerPool`, or a scheduler job of
+    the encode service (:class:`repro.service.scheduler.SchedulerJob`).
+    The queue never codes blocks itself: in-process coding is the
+    caller's serial path.  Encode groups run the one block encoder,
+    decode groups the one block decoder.
     """
 
     def __init__(self, pool) -> None:
@@ -461,11 +500,11 @@ class CodeBlockWorkQueue:
             for run in runs
         ]
         results: list = [None] * len(items)
-        for seqs, pid, group_results in self.pool.imap_unordered(payloads):
+        for seqs, worker, group_results in self.pool.imap_unordered(payloads):
             for s, r in zip(seqs, group_results):
                 results[s] = r
-            stats.blocks_per_worker[pid] = (
-                stats.blocks_per_worker.get(pid, 0) + len(seqs)
+            stats.blocks_per_worker[worker] = (
+                stats.blocks_per_worker.get(worker, 0) + len(seqs)
             )
         missing = sum(r is None for r in results)
         if missing:
@@ -478,10 +517,12 @@ class CodeBlockWorkQueue:
         """Encode plane-described blocks in groups; results in block order.
 
         ``blocks[i]`` is ``(plane index, row0, col0, height, width, band)``.
-        Groups carry each block as a view of its plane; the pool pickles
-        one group at a time, so only that block's samples are copied, to
-        the one worker that codes it.  The planes must stay unmodified
-        until this returns, which it does only once every group is back.
+        Groups carry each block as a view of its plane: a
+        :class:`ThreadPool` codes the views in place, a :class:`WorkerPool`
+        pickles one group at a time, so only that block's samples are
+        copied, to the one worker that codes it.  The planes must stay
+        unmodified until this returns, which it does only once every
+        group is back.
         """
         items = [
             (planes[p][r0 : r0 + h, c0 : c0 + w], band)

@@ -18,9 +18,10 @@ The decoder has two backends, sample-identical (differentially tested):
     one native call per tile) follows.
 
 ``decode(..., workers=N)`` additionally fans block groups out over
-:class:`repro.core.workpool.CodeBlockWorkQueue` (process pool with
-sequence-numbered reassembly); it is deterministic for any worker count,
-and small images auto-clamp to serial exactly like the encoder.
+:class:`repro.core.workpool.CodeBlockWorkQueue` (threads of the calling
+process, sequence-numbered reassembly); it is deterministic for any
+worker count, and small images auto-clamp to serial exactly like the
+encoder.
 """
 
 from __future__ import annotations
@@ -152,10 +153,10 @@ def decode(
 
     ``backend`` selects the Tier-1 decode implementation (see
     :data:`DEC_BACKENDS`; ``None`` means ``"auto"``).  ``workers``
-    fans code blocks out over a process pool (``None`` = one per core);
-    ``pool`` (a
-    :class:`repro.core.workpool.WorkerPool` or a service scheduler job)
-    runs the Tier-1 block groups in place of a pool opened for this call.
+    fans code blocks out over threads of this process (``None`` = one per
+    core); ``pool`` (a :class:`repro.core.workpool.WorkerPool` or a
+    service scheduler job) runs the Tier-1 block groups in place of the
+    thread pool opened for this call.
     The output is sample-identical for every backend, worker count and
     pool.  ``timings`` (a
     :class:`repro.jpeg2000.dwt_fast.DecodeStageTimings`) accumulates
@@ -408,7 +409,7 @@ def _decode_parsed_fast(
     # worker count; tiny images clamp to serial exactly like the encoder.
     from repro.core.workpool import (
         CodeBlockWorkQueue,
-        WorkerPool,
+        ThreadPool,
         tier1_auto_workers,
     )
 
@@ -419,7 +420,7 @@ def _decode_parsed_fast(
         if pool is not None:
             results = CodeBlockWorkQueue(pool).decode_groups(blocks_in)
         else:
-            with WorkerPool(tier1_workers) as own_pool:
+            with ThreadPool(tier1_workers) as own_pool:
                 results = CodeBlockWorkQueue(own_pool).decode_groups(blocks_in)
     else:
         from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched

@@ -11,6 +11,7 @@ the Cell/B.E. performance model in :mod:`repro.cell`.
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -207,9 +208,9 @@ def encode(
 
     ``pool`` optionally injects the worker pool Tier-1 block groups run
     on (see :class:`repro.core.workpool.CodeBlockWorkQueue`) in place of
-    one opened for this call from ``params.workers`` — the encode service
-    passes a scheduler job of its shared pool this way.  The codestream
-    is byte-identical with or without it.
+    the thread pool opened for this call from ``params.workers`` — the
+    encode service passes a scheduler job of its shared process pool this
+    way.  The codestream is byte-identical with or without it.
     """
     if params is None:
         params = EncoderParams.lossless_default()
@@ -272,19 +273,17 @@ def encode(
     else:
         batches = [[0]]
 
-    # A parallel encode opens one worker pool for the call; it forks on
-    # first use, so clamped-serial encodes never start it, and every tile
-    # batch reuses it.
-    own_pool = None
-    if pool is None and params.workers != 1:
-        from repro.core.workpool import WorkerPool
-
-        pool = own_pool = WorkerPool(params.workers)
-
     tile_bodies: list[bytes] = [b""] * ntiles
     info: CodestreamInfo | None = None
     tile_budgets: list[tuple[float, float]] | None = None
-    try:
+    with ExitStack() as call_scope:
+        # A parallel encode opens one thread pool for the call; its threads
+        # start on first use, so clamped-serial encodes never start them,
+        # and every tile batch reuses them.
+        if pool is None and params.workers != 1:
+            from repro.core.workpool import ThreadPool
+
+            pool = call_scope.enter_context(ThreadPool(params.workers))
         for batch in batches:
             # Phase 1: collect the batch's independent Tier-1 work items.
             # Nothing is encoded yet — the blocks go through the work queue
@@ -414,13 +413,6 @@ def encode(
                     params.precinct_size, params.codeblock_size,
                 )
                 timings.tier2 += time.perf_counter() - t0
-    except BaseException:
-        if own_pool is not None:
-            own_pool.terminate()
-        raise
-    else:
-        if own_pool is not None:
-            own_pool.close()
 
     assert info is not None
     t0 = time.perf_counter()
@@ -453,8 +445,8 @@ def _encode_pending(
 ) -> list[CodeBlockResult]:
     """Tier-1 encode the collected blocks, in process or on ``pool``.
 
-    ``pool`` (a :class:`repro.core.workpool.WorkerPool` or a service
-    scheduler job) sets the worker count; ``None`` stays in process.
+    ``pool`` (the call's :class:`repro.core.workpool.ThreadPool` or a
+    service scheduler job) sets the worker count; ``None`` stays serial.
     Past the :func:`repro.core.workpool.tier1_auto_workers` clamp the
     blocks go to the pool as block groups that carry their coefficients
     inline.  ``tier1_backend="reference"`` codes every block with the

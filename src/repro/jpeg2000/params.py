@@ -146,7 +146,7 @@ CODING_FIELDS = (
         "byte-identical"),
     CodingField(
         "workers", "workers", parse_workers, 1, "[1, inf) or None", False,
-        "worker processes for Tier-1 code blocks, the paper's SPE count "
+        "worker threads for Tier-1 code blocks, the paper's SPE count "
         "(the front end is one native call per tile); auto = one per "
         "core; the codestream is identical for any value"),
     CodingField(

@@ -18,6 +18,7 @@ import pytest
 from repro.core import workpool
 from repro.core.workpool import (
     CodeBlockWorkQueue,
+    ThreadPool,
     WorkerLost,
     WorkerPool,
     _group_task,
@@ -181,8 +182,8 @@ class TestPersistentPool:
         rng = np.random.default_rng(7)
         planes = [rng.integers(-99, 99, size=(8, 48)).astype(np.int32)]
         blocks = [(0, 0, c0, 8, 8, "HL") for c0 in range(0, 48, 8)]
-        # The library's pool: opened for one call, forked on first use.
-        with WorkerPool(workers=2) as one_shot_pool:
+        # The library's pool: threads of the caller, opened for one call.
+        with ThreadPool(workers=2) as one_shot_pool:
             one_shot = CodeBlockWorkQueue(one_shot_pool).encode_plane_groups(
                 planes, blocks)
         # The service's pool: warm, reused across calls.

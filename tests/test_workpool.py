@@ -9,10 +9,10 @@ suite stays fast on single-core CI machines.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,12 +21,15 @@ from repro.core import workpool
 from repro.core.workpool import (
     CodeBlockWorkQueue,
     QueueStats,
+    ThreadPool,
     WorkerPool,
     default_workers,
 )
+from repro.jpeg2000.decoder import decode
 from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.params import EncoderParams
 from repro.jpeg2000.tier1 import encode_codeblock, encode_codeblock_reference
+from repro.jpeg2000.tier1_batch import encode_codeblocks_batched
 
 
 def _blocks(seed=0, count=12):
@@ -296,11 +299,63 @@ class TestPlaneDispatch:
 
 
 # ---------------------------------------------------------------------------
-# A pool starts no resource tracker: nothing it ships needs one.
+# Library calls run their groups on threads of the calling process.
+# ---------------------------------------------------------------------------
+
+
+class TestThreadDispatch:
+    def test_bytes_identical_at_1_2_4_workers(self, watch_rgb_64,
+                                              monkeypatch):
+        # With the clamp off, workers 2 and 4 code every block on threads;
+        # lossless and lossy bytes and both decodes match the serial ones.
+        monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 0)
+        monkeypatch.setattr(workpool, "available_cores", lambda: 4)
+        for kw in (dict(levels=3, codeblock_size=16),
+                   dict(lossless=False, rate=0.2, levels=3,
+                        codeblock_size=16)):
+            serial = encode(watch_rgb_64, EncoderParams(workers=1, **kw))
+            image = decode(serial.codestream)
+            for workers in (2, 4):
+                threaded = encode(watch_rgb_64,
+                                  EncoderParams(workers=workers, **kw))
+                assert threaded.stats.tier1_dispatch == "pool"
+                assert threaded.codestream == serial.codestream
+                assert np.array_equal(
+                    decode(serial.codestream, workers=workers), image)
+
+    def test_queue_stats_count_threads(self):
+        planes, tasks = _planes_and_tasks()
+        with ThreadPool(2) as pool:
+            queue = CodeBlockWorkQueue(pool)
+            res = queue.encode_plane_groups(planes, tasks)
+        assert _same_results(res, _serial_oracle(planes, tasks))
+        assert sum(queue.last_stats.blocks_per_worker.values()) == len(tasks)
+        workers = queue.last_stats.blocks_per_worker
+        assert threading.get_native_id() not in workers
+
+    def test_group_error_surfaces_and_threads_exit(self):
+        planes, tasks = _planes_and_tasks()
+        tasks[5] = tasks[5][:5] + ("XX",)
+        p, r0, c0, h, w, band = tasks[5]
+        with pytest.raises(Exception) as serial:
+            encode_codeblocks_batched([(planes[p][r0:r0 + h, c0:c0 + w],
+                                        band)])
+        baseline = threading.active_count()
+        with pytest.raises(type(serial.value), match="unknown band"):
+            with ThreadPool(2) as pool:
+                CodeBlockWorkQueue(pool).encode_plane_groups(planes, tasks)
+        assert threading.active_count() == baseline
+
+
+# ---------------------------------------------------------------------------
+# A library call forks nothing, and so starts no resource tracker.
 # ---------------------------------------------------------------------------
 
 _FRESH_POOL_SCRIPT = """
 import json
+import multiprocessing
+import os
+import threading
 from multiprocessing import resource_tracker
 
 import numpy as np
@@ -311,6 +366,23 @@ from repro.jpeg2000.decoder import decode
 from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.params import EncoderParams
 
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a library call started a process")
+
+
+os.fork = refuse
+multiprocessing.process.BaseProcess.start = refuse
+groups = []
+group_task = workpool._group_task
+
+
+def traced_group(payload):
+    groups.append((payload[0], threading.current_thread().name))
+    return group_task(payload)
+
+
+workpool._group_task = traced_group
 if workpool.available_cores() < 2:
     workpool.available_cores = lambda: 2
 img = watch_face_image(256, 256, channels=3)
@@ -321,14 +393,13 @@ print(json.dumps({
     "dispatch": res.stats.tier1_dispatch,
     "round_trip": bool(np.array_equal(back, img)),
     "tracker_pid": resource_tracker._resource_tracker._pid,
+    "ops": sorted({op for op, _ in groups}),
+    "on_main_thread": any(name == "MainThread" for _, name in groups),
 }))
 """
 
 
 class TestNoResourceTracker:
-    @pytest.mark.skipif(
-        multiprocessing.get_all_start_methods()[0] != "fork",
-        reason="other start methods start the tracker themselves")
     def test_pool_encode_and_decode_start_no_tracker(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -337,13 +408,16 @@ class TestNoResourceTracker:
             [sys.executable, "-c", _FRESH_POOL_SCRIPT],
             capture_output=True, text=True, env=env, timeout=120,
         )
+        # The script makes os.fork and Process.start raise.
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout.strip().splitlines()[-1])
         assert out["tracker_pid"] is None
         assert _shm_entries() <= before
         assert "resource_tracker" not in proc.stderr
-        # The encode went through the pool; the decode, past the same
-        # block-count clamp, does too.
+        # Past the block-count clamp, the encode and the decode both ran
+        # their block groups on threads of the calling process.
         assert out["blocks"] >= workpool.TIER1_AUTO_SERIAL_MIN_BLOCKS
         assert out["dispatch"] == "pool"
+        assert out["ops"] == ["decode", "encode"]
+        assert not out["on_main_thread"]
         assert out["round_trip"]
