@@ -9,9 +9,10 @@ Two measurements, recorded to ``BENCH_rate.json``:
   lossy encode (5 levels, 64x64 blocks).  Both paths must pick identical
   truncations before their timings count.
 * **Dispatch overhead** — the work queue's block-group dispatch
-  (:meth:`CodeBlockWorkQueue.encode_plane_groups`: groups carry each
-  block's coefficients inline, to one worker, once) at 1-8 workers
-  against in-process per-block coding, over near-empty blocks so
+  (:meth:`CodeBlockWorkQueue.encode_plane_groups` on a
+  :class:`ThreadPool`: groups carry views of each block's coefficients,
+  coded in place on threads of this process) at 1-8 workers against
+  in-process per-block coding, over near-empty blocks so
   transport cost is visible next to Tier-1 compute.  Results must be
   identical.
 
@@ -36,7 +37,7 @@ import platform
 import numpy as np
 
 from _util import add_repeats_flag, bench_report, check_repeats, time_fn, write_bench_json
-from repro.core.workpool import CodeBlockWorkQueue, WorkerPool
+from repro.core.workpool import CodeBlockWorkQueue, ThreadPool
 from repro.jpeg2000.codeblocks import partition_subband
 from repro.jpeg2000.rate import (
     BlockRateInfo,
@@ -148,7 +149,7 @@ def make_planes(plane_size: int, nplanes: int, seed: int = 11) -> list:
 
 
 def bench_dispatch(workers_list, plane_size: int, repeats: int) -> dict:
-    """Block-group dispatch on a worker pool vs in-process coding."""
+    """Block-group dispatch on Tier-1 threads vs in-process coding."""
     cb = 64
     planes = make_planes(plane_size, nplanes=3)
     blocks = []
@@ -174,7 +175,7 @@ def bench_dispatch(workers_list, plane_size: int, repeats: int) -> dict:
     want = serial()
     out["serial"] = time_fn(serial, repeats)
     for workers in workers_list:
-        with WorkerPool(workers, warmup=True) as pool:
+        with ThreadPool(workers) as pool:
             queue = CodeBlockWorkQueue(pool)
 
             def run():

@@ -1,4 +1,4 @@
-"""Encode-service throughput benchmark: persistent pool vs. library calls.
+"""Encode-service throughput benchmark: one long-lived service vs. library calls.
 
 Replays a 16-request burst (with the repetition real serving traffic has)
 three ways and records imgs/s plus p50/p95 latency to
@@ -7,8 +7,9 @@ three ways and records imgs/s plus p50/p95 latency to
 * ``baseline``       — the CLI path: each request encodes with
                        ``EncoderParams(workers=W)``, which opens and closes
                        a thread pool of its own per image;
-* ``service_nocache`` — the service's persistent pool + scheduler with the
-                       result cache disabled (isolates pool reuse);
+* ``service_nocache`` — the service's long-lived Tier-1 threads +
+                       scheduler with the result cache disabled (isolates
+                       concurrent serving from caching);
 * ``service_cached``  — the full service; repeated images hit the
                        content-addressed cache.
 
@@ -91,7 +92,7 @@ def make_images(smoke: bool) -> list[np.ndarray]:
 
 
 def bench_baseline(images, params_workers, offline) -> dict:
-    """Library calls: sequential encodes, a pool per call, no cache."""
+    """Library calls: sequential encodes, a thread pool per call, no cache."""
     latencies = []
     t0 = time.perf_counter()
     for idx in TRAFFIC:
@@ -154,7 +155,7 @@ def main(argv=None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="smaller images (CI single-core runners)")
     ap.add_argument("--workers", type=int, default=2,
-                    help="pool worker processes for every configuration")
+                    help="Tier-1 threads for every configuration")
     ap.add_argument("--output", default=None,
                     help="JSON path (default: BENCH_service.json at repo root)")
     add_repeats_flag(ap)

@@ -10,8 +10,7 @@ fuzz.
                               [--chips 1] [--lossy] [--rate 0.1]
     python -m repro serve   [--port 8000] [--workers auto] [--cache-mb 64]
                               [--max-queue 32] [--admission reject|block]
-                              [--shards N] [--batch-window off|auto|SECONDS]
-                              [--shed-target-p95 SECONDS]
+                              [--shards N] [--shed-target-p95 SECONDS]
     python -m repro verify  [--quick] [--rates 0.1,0.25,1.0] [--workers 1,2]
     python -m repro fuzz    [--cases 10000] [--seed 2008] [--artifacts DIR]
 
@@ -25,7 +24,8 @@ they change the cost of an encode, not its bytes.
 
 ``simulate`` prints the per-stage Cell/B.E. timeline for encoding the
 image, priced from an exact encode.  ``serve`` runs the
-long-running encode service (persistent worker pool + HTTP front end);
+long-running encode service (Tier-1 threads kept for the server's
+lifetime + HTTP front end);
 see the README "Serving" section.  ``verify`` and ``fuzz`` run the
 round-trip and decoder-robustness gates (README "Verification").
 
@@ -170,18 +170,10 @@ def cmd_serve(args) -> int:
     from repro.service import ServiceConfig
     from repro.service.http import run_server
 
-    batch_window: str | float | None
-    if args.batch_window == "off":
-        batch_window = None
-    elif args.batch_window == "auto":
-        batch_window = "auto"
-    else:
-        batch_window = float(args.batch_window)
-
     workers = args.workers
     if args.shards > 1 and workers is None:
         # Split the cores between the shards instead of letting every
-        # shard's pool claim all of them.
+        # shard's Tier-1 threads claim all of them.
         from repro.core.workpool import available_cores
 
         workers = max(1, available_cores() // args.shards)
@@ -192,8 +184,6 @@ def cmd_serve(args) -> int:
         max_queue=args.max_queue,
         admission_policy=args.admission,
         shed_target_p95_s=args.shed_target_p95,
-        batch_window=batch_window,
-        batch_max=args.batch_max,
     )
     if args.shards > 1:
         from repro.service.sharding import ShardClusterConfig, run_sharded_server
@@ -303,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the long-running encode service (HTTP front end)",
-        description="Persistent-pool encode server: POST /encode with a "
+        description="Encode server: POST /encode with a "
                     "BMP/PGM/PPM body returns the .j2c codestream; "
                     "GET /healthz, /metrics, /stats observe it.  "
                     "SIGTERM drains gracefully.  --shards N pre-forks N "
@@ -313,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000)
     p.add_argument("--workers", type=parse_workers, default=None, metavar="N",
-                   help="pool worker processes; 'auto' (default) = one per core")
+                   help="Tier-1 threads shared by all requests; 'auto' "
+                        "(default) = one per core")
     p.add_argument("--cache-mb", type=int, default=64,
                    help="result-cache byte budget in MiB (0 disables)")
     p.add_argument("--max-queue", type=int, default=32,
@@ -336,12 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="p95 latency objective; above it uncached requests "
                         "are shed with 503 + Retry-After (default: off)")
-    p.add_argument("--batch-window", default="off", metavar="off|auto|SECONDS",
-                   help="micro-batch sub-threshold encodes into one pool "
-                        "dispatch per window; 'auto' sizes the window from "
-                        "live encode latency (default: off)")
-    p.add_argument("--batch-max", type=int, default=8,
-                   help="flush a micro-batch early at this many requests")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-request access logs")
     p.set_defaults(func=cmd_serve)

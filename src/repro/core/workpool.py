@@ -9,15 +9,13 @@ cores.
 
 One task type reaches a worker: a *block group*, a run of blocks that
 carries its data inline — coefficient views for encode, compressed
-bytes for decode.  A library ``encode``/``decode`` call runs its groups
-on a :class:`ThreadPool` that lives for the call: the block kernels are
-``ctypes`` calls, which release the GIL, so threads of the calling
-process code blocks in parallel on the planes they already share, as
-the paper's SPEs and PPE share one main memory.  The encode service
-keeps one :class:`WorkerPool` of processes alive across requests
-instead: it needs crash isolation and runs whole small images in
-Python; there each group is pickled, so each block's samples cross to
-exactly one worker, once, as a block's coefficients reach one SPE by DMA.
+bytes for decode.  Every group runs on a :class:`ThreadPool`: the
+block kernels are ``ctypes`` calls, which release the GIL, so threads of
+the calling process code blocks in parallel on the planes they already
+share, as the paper's SPEs and PPE share one main memory.  A library
+``encode``/``decode`` call opens one for the call; the encode service
+keeps one for its lifetime and hands it groups of concurrent requests
+through its scheduler.
 
 Determinism is non-negotiable: the codestream must be byte-identical for
 any worker count.  Workers may *finish* groups in any order (that is the
@@ -29,11 +27,10 @@ sees them.  Tier-1 itself is bit-exact against the scalar oracles
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,17 +44,9 @@ from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
 
 #: Code blocks below which the Tier-1 pool cannot win: per-group
 #: dispatch costs more than the blocks themselves.  The value predates
-#: the native block coders; DESIGN.md section 11 records where each pool
-#: wins now.  The encoder, the decoder and the service's
-#: micro-batcher read it at call time.
+#: the native block coders; DESIGN.md section 11 records where the
+#: threads win now.  The encoder and the decoder read it at call time.
 TIER1_AUTO_SERIAL_MIN_BLOCKS = 24
-
-#: Seconds a liveness ping may take before the pool is declared dead.
-PING_TIMEOUT_S = 10.0
-
-#: Seconds a caller waits for a group result before checking whether a
-#: worker died (a SIGKILLed worker's group never completes).
-LOST_WORKER_POLL_S = 0.2
 
 
 def available_cores() -> int:
@@ -107,15 +96,13 @@ class QueueStats:
     blocks: int
     groups: int = 0
     #: Blocks completed per worker, keyed by the native thread id of the
-    #: thread that coded them (a pool process's pid for a
-    #: :class:`WorkerPool`, whose groups run on its main thread).  Uneven
-    #: counts on a busy machine are the dynamic queue doing its job — the
-    #: paper's Table 1 load imbalance.
+    #: thread that coded them.  Uneven counts on a busy machine are the
+    #: dynamic queue doing its job — the paper's Table 1 load imbalance.
     blocks_per_worker: dict[int, int] = field(default_factory=dict)
 
 
 def _group_task(payload):
-    """Worker entry point for every block group; module-level for spawn.
+    """Worker entry point for every block group.
 
     ``payload`` is ``(op, seqs, items)``.  Decode groups run the one block
     decoder, encode groups the one block encoder, both bound when this
@@ -130,333 +117,83 @@ def _group_task(payload):
     return seqs, worker, encode_codeblocks_batched(items)
 
 
-def _ping_task(i: int) -> int:
-    """Trivial worker task used for warm-up and health checks."""
-    return os.getpid()
-
-
-def _abandon(process_pool) -> None:
-    """Tear down a possibly-wedged ``multiprocessing.Pool`` without joining.
-
-    A worker SIGKILLed mid-queue-operation leaves the pool's shared queue
-    locks held forever, so ``Pool.terminate()`` (which puts a sentinel on
-    those queues and joins helper threads) can deadlock — observed on
-    CPython 3.11.  Kill the worker processes directly, then run the
-    built-in teardown on a daemon thread: it cleans up when the locks are
-    free and merely leaks one parked thread when they are not.
-    """
-    for proc in list(getattr(process_pool, "_pool", None) or []):
-        try:
-            proc.kill()
-        except Exception:
-            pass
-    threading.Thread(
-        target=process_pool.terminate, name="pool-reaper", daemon=True
-    ).start()
-
-
-class WorkerLost(RuntimeError):
-    """A pool worker died while groups were outstanding; they are lost."""
-
-
-def _fail(lost: dict) -> None:
-    """Fail the groups a respawn lost (no pool lock held)."""
-    for error_callback in lost.values():
-        error_callback(WorkerLost("a pool worker died; its work was lost"))
-
-
-@dataclass
-class PoolStats:
-    """Lifetime counters of one :class:`WorkerPool`."""
-
-    #: Tasks (block groups and micro-batches) completed.
-    tasks_done: int = 0
-    respawns: int = 0
-    #: Blocks completed per worker pid across the pool's whole lifetime.
-    blocks_per_worker: dict[int, int] = field(default_factory=dict)
-
-
 class ThreadPool:
-    """Block groups on threads of the calling process, for one library call.
+    """Block groups on threads of the calling process.
 
-    ``encode``/``decode`` with ``workers > 1`` open one and close it on
-    return.  Groups carry views of the caller's planes: nothing is
-    pickled or copied, and the block kernels release the GIL while they
-    code.  Leaving the ``with`` block waits for the threads; on an error
-    it first cancels the groups not yet started.
+    A library ``encode``/``decode`` with ``workers > 1`` opens one for
+    the call; the encode service keeps one for its lifetime and feeds it
+    through its scheduler (:meth:`submit`).  Groups carry views of the
+    caller's planes: nothing is pickled or copied, and the block kernels
+    release the GIL while they code.  Leaving the ``with`` block waits
+    for the threads; on an error it first cancels the groups not yet
+    started.
     """
 
     def __init__(self, workers: int | None = None) -> None:
-        self.workers = default_workers() if workers is None else workers
-        self._executor = ThreadPoolExecutor(self.workers,
-                                            thread_name_prefix="tier1")
-
-    def imap_unordered(self, payloads):
-        """Yield ``(seqs, thread id, results)`` as groups finish."""
-        futures = [self._executor.submit(_group_task, p) for p in payloads]
-        for future in as_completed(futures):
-            yield future.result()
-
-    def __enter__(self) -> "ThreadPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
-
-
-class WorkerPool:
-    """The encode service's process pool for Tier-1 groups and batches.
-
-    The service keeps one alive across requests (the paper's SPEs,
-    loaded once, pulling work forever): a worker that crashes costs one
-    request a :class:`WorkerLost`, not the server, and the micro-batches
-    of whole small images it runs (:meth:`run`) are Python that only
-    processes run in parallel.  Library calls use a :class:`ThreadPool`.
-    Processes start on first use, or at construction with ``warmup=True``,
-    which also waits until every worker has answered a ping so the first
-    real request does not pay process start-up latency.
-
-    A SIGKILLed worker's group never completes and may wedge the pool's
-    task queue, so callers waiting on results (:meth:`wait`) poll
-    :meth:`check_workers`: a dead worker fails every outstanding group
-    with :class:`WorkerLost` and the pool respawns.
-
-    Release the pool with :meth:`close` after a clean run and
-    :meth:`terminate` on error (both idempotent; the context-manager form
-    picks one).
-    """
-
-    def __init__(self, workers: int | None = None, warmup: bool = False) -> None:
         if workers is None:
             workers = default_workers()
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._warmup = warmup
+        self._executor = ThreadPoolExecutor(workers, thread_name_prefix="tier1")
         self._lock = threading.Lock()
-        self._pool = None
-        self._procs: list = []
-        #: Submitted, unsettled groups: token -> error callback.
-        self._outstanding: dict[int, object] = {}
-        self._next_token = 0
         self._closed = False
-        self.stats = PoolStats()
-        if warmup:
-            with self._lock:
-                self._start()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _start(self) -> None:
-        """Fork the workers (caller holds the lock)."""
-        self._pool = multiprocessing.get_context().Pool(processes=self.workers)
-        self._procs = list(self._pool._pool)
-        if self._warmup:
-            self.warm_up()
-
-    def warm_up(self) -> list[int]:
-        """Run a round of pings through the pool; returns the worker pids."""
-        # One round of pings per worker warms whichever processes answer;
-        # nothing makes every worker take one (a fast worker can answer
-        # them all), so the live set is read from the processes themselves.
-        self._pool.map(_ping_task, range(self.workers * 2), chunksize=1)
-        return sorted(proc.pid for proc in self._procs)
-
-    def ping(self, timeout: float = PING_TIMEOUT_S) -> bool:
-        """True if the running pool answers a trivial task within ``timeout``."""
-        pool = self._pool
-        if pool is None or self._closed:
-            return False
-        try:
-            pool.apply_async(_ping_task, (0,)).get(timeout=timeout)
-            return True
-        except Exception:
-            return False
-
-    def _worker_died(self) -> bool:
-        return any(proc.exitcode is not None for proc in self._procs)
-
-    def ensure_healthy(self, timeout: float = PING_TIMEOUT_S) -> bool:
-        """Respawn the pool if a worker died or it stopped answering pings.
-
-        Returns True if a respawn happened.
-        """
-        if not self._worker_died() and self.ping(timeout=timeout):
-            return False
-        self.respawn()
-        return True
-
-    def check_workers(self) -> None:
-        """Respawn if a worker died; its group (maybe others) is lost."""
-        with self._lock:
-            if self._closed or self._pool is None or not self._worker_died():
-                return
-            lost = self._respawn_locked()
-        _fail(lost)
-
-    def respawn(self) -> None:
-        """Abandon the current worker set and start a fresh one.
-
-        The old pool is presumed wedged and never joined (see
-        :func:`_abandon`); every outstanding group fails with
-        :class:`WorkerLost`.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            lost = self._respawn_locked()
-        _fail(lost)
-
-    def _respawn_locked(self) -> dict:
-        lost, self._outstanding = self._outstanding, {}
-        if self._pool is not None:
-            _abandon(self._pool)
-            self._pool = None
-        self.stats.respawns += 1
-        self._start()
-        return lost
-
-    def _live(self):
-        """The running pool and the groups lost getting it (lock held).
-
-        Starts the workers on first use, and respawns them if one died
-        since the last call — so work submitted after a worker's death
-        never waits on a pool it may have wedged.
-        """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        lost: dict = {}
-        if self._pool is None:
-            self._start()
-        elif self._worker_died():
-            lost = self._respawn_locked()
-        return self._pool, lost
-
-    def close(self) -> None:
-        """Drain outstanding tasks and stop the workers (idempotent).
-
-        A pool that lost a worker may hold a group that never completes,
-        and a wedged one (e.g. a worker SIGKILLed while holding the shared
-        task-queue lock) cannot drain; rather than hang the shutdown path,
-        abandon either.
-        """
-        responsive = not self._worker_died() and self.ping(timeout=PING_TIMEOUT_S)
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if self._pool is not None:
-                if responsive:
-                    self._pool.close()
-                    self._pool.join()
-                else:
-                    _abandon(self._pool)
-                self._pool = None
-
-    def terminate(self) -> None:
-        """Kill the workers without draining (idempotent).
-
-        Uses the abandon path unconditionally: terminate is the abort
-        handler, and joining a pool that might be wedged trades a fast
-        exit for a potential deadlock.
-        """
-        with self._lock:
-            self._closed = True
-            if self._pool is not None:
-                _abandon(self._pool)
-                self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.terminate()
-
-    # -- work submission ---------------------------------------------------
+        self._tasks_done = 0
+        #: Blocks coded per worker thread over the pool's lifetime.
+        self._blocks_per_worker: dict[int, int] = {}
 
     def submit(self, payload, callback, error_callback) -> None:
         """Run one block group asynchronously.
 
-        ``callback`` receives ``(seqs, pid, results)``; ``error_callback``
-        the exception.  Either runs on the pool's result-handler thread —
-        or on the thread that notices a dead worker — exactly once.
+        ``callback`` receives ``(seqs, thread id, results)``,
+        ``error_callback`` the exception (a cancelled group's
+        ``CancelledError`` too); exactly one of them runs, once, on the
+        thread that finished the group.
         """
-        with self._lock:
-            pool, lost = self._live()
-            token = self._next_token
-            self._next_token += 1
-            self._outstanding[token] = error_callback
-        _fail(lost)
+        if self._closed:
+            raise RuntimeError("pool is closed")
 
-        def done(res) -> None:
-            if self._settle(token, res):
-                callback(res)
-
-        def failed(exc) -> None:
-            if self._settle(token):
-                error_callback(exc)
-
-        try:
-            pool.apply_async(
-                _group_task, (payload,), callback=done, error_callback=failed
-            )
-        except Exception as exc:  # pool torn down by a concurrent respawn
-            failed(exc)
-
-    def _settle(self, token: int, res=None) -> bool:
-        """Retire ``token``; False if a respawn already failed it."""
-        with self._lock:
-            if self._outstanding.pop(token, None) is None:
-                return False
-            if res is not None:
-                seqs, pid, _ = res
-                self.stats.tasks_done += 1
-                self.stats.blocks_per_worker[pid] = (
-                    self.stats.blocks_per_worker.get(pid, 0) + len(seqs)
-                )
-            return True
-
-    def wait(self, results: queue.Queue):
-        """Next item of ``results``, raising it if it is an exception.
-
-        Polls :meth:`check_workers` while waiting, so a dead worker turns
-        into :class:`WorkerLost` instead of a hang.
-        """
-        while True:
+        def done(future) -> None:
             try:
-                item = results.get(timeout=LOST_WORKER_POLL_S)
-            except queue.Empty:
-                self.check_workers()
-                continue
-            if isinstance(item, BaseException):
-                raise item
-            return item
+                res = future.result()
+            except BaseException as exc:
+                # Handed on, to be raised in the thread waiting for the
+                # group: an exception escaping a done-callback is only
+                # logged, and that thread would wait forever.
+                error_callback(exc)
+                return
+            seqs, worker, _ = res
+            with self._lock:
+                self._tasks_done += 1
+                self._blocks_per_worker[worker] = (
+                    self._blocks_per_worker.get(worker, 0) + len(seqs)
+                )
+            callback(res)
+
+        self._executor.submit(_group_task, payload).add_done_callback(done)
 
     def imap_unordered(self, payloads):
-        """Yield ``(seqs, pid, results)`` as groups finish."""
+        """Yield ``(seqs, thread id, results)`` as groups finish."""
         payloads = list(payloads)
         results: queue.Queue = queue.Queue()
         for payload in payloads:
             self.submit(payload, results.put, results.put)
         for _ in payloads:
-            yield self.wait(results)
+            yield next_result(results)
 
-    def run(self, fn, arg, timeout: float | None = None):
-        """Run ``fn(arg)`` on one worker and return its result (blocking).
+    def close(self, cancel: bool = False) -> None:
+        """Refuse new groups and wait for the running ones (idempotent).
 
-        The service's micro-batches of whole small images use this; Tier-1
-        work goes through :meth:`submit`.
+        ``cancel`` drops the groups not yet started.
         """
-        with self._lock:
-            pool, lost = self._live()
-        _fail(lost)
-        result = pool.apply_async(fn, (arg,)).get(timeout=timeout)
-        with self._lock:
-            self.stats.tasks_done += 1
-        return result
+        self._closed = True
+        self._executor.shutdown(wait=True, cancel_futures=cancel)
+
+    def __enter__(self) -> "ThreadPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(cancel=exc_type is not None)
 
     def snapshot(self) -> dict:
         """JSON-ready view for ``/stats``."""
@@ -464,13 +201,19 @@ class WorkerPool:
             return {
                 "workers": self.workers,
                 "closed": self._closed,
-                "tasks_done": self.stats.tasks_done,
-                "respawns": self.stats.respawns,
+                "tasks_done": self._tasks_done,
                 "blocks_per_worker": {
-                    str(k): v
-                    for k, v in sorted(self.stats.blocks_per_worker.items())
+                    str(k): v for k, v in sorted(self._blocks_per_worker.items())
                 },
             }
+
+
+def next_result(results: queue.Queue):
+    """Next group outcome from ``results``, raising it if it is an error."""
+    item = results.get()
+    if isinstance(item, BaseException):
+        raise item
+    return item
 
 
 class CodeBlockWorkQueue:
@@ -478,8 +221,7 @@ class CodeBlockWorkQueue:
 
     ``pool`` is anything with a ``workers`` count and an
     ``imap_unordered(payloads)`` yielding ``(seqs, worker id, results)`` —
-    a :class:`ThreadPool`, a :class:`WorkerPool`, or a scheduler job of
-    the encode service (:class:`repro.service.scheduler.SchedulerJob`).
+    a :class:`ThreadPool` or a scheduler job of the encode service (:class:`repro.service.scheduler.SchedulerJob`).
     The queue never codes blocks itself: in-process coding is the
     caller's serial path.  Encode groups run the one block encoder,
     decode groups the one block decoder.
@@ -517,10 +259,8 @@ class CodeBlockWorkQueue:
         """Encode plane-described blocks in groups; results in block order.
 
         ``blocks[i]`` is ``(plane index, row0, col0, height, width, band)``.
-        Groups carry each block as a view of its plane: a
-        :class:`ThreadPool` codes the views in place, a :class:`WorkerPool`
-        pickles one group at a time, so only that block's samples are
-        copied, to the one worker that codes it.  The planes must stay
+        Groups carry each block as a view of its plane, which the pool's
+        threads code in place: nothing is copied.  The planes must stay
         unmodified until this returns, which it does only once every
         group is back.
         """

@@ -39,8 +39,8 @@ Design constraints:
   binding is ``None`` and callers run the scalar oracles.  No third-party
   packages are involved — only the system C compiler.
 * **Cached**: :func:`build_library` builds the shared object once per
-  source hash in a per-user cache directory, so repeated processes (and
-  multiprocessing workers under ``spawn``) just ``dlopen`` it.
+  source hash in a per-user cache directory, so repeated processes just
+  ``dlopen`` it.
 """
 
 from __future__ import annotations

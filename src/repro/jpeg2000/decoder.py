@@ -154,7 +154,7 @@ def decode(
     ``backend`` selects the Tier-1 decode implementation (see
     :data:`DEC_BACKENDS`; ``None`` means ``"auto"``).  ``workers``
     fans code blocks out over threads of this process (``None`` = one per
-    core); ``pool`` (a :class:`repro.core.workpool.WorkerPool` or a
+    core); ``pool`` (a :class:`repro.core.workpool.ThreadPool` or a
     service scheduler job) runs the Tier-1 block groups in place of the
     thread pool opened for this call.
     The output is sample-identical for every backend, worker count and

@@ -209,7 +209,7 @@ def encode(
     ``pool`` optionally injects the worker pool Tier-1 block groups run
     on (see :class:`repro.core.workpool.CodeBlockWorkQueue`) in place of
     the thread pool opened for this call from ``params.workers`` — the
-    encode service passes a scheduler job of its shared process pool this
+    encode service passes a scheduler job of its shared thread pool this
     way.  The codestream is byte-identical with or without it.
     """
     if params is None:
@@ -326,7 +326,7 @@ def encode(
                 tile_slices.append((t, start, len(batch_planned)))
 
             # Phase 2: Tier-1 encode the batch's blocks — serially or
-            # through the multiprocessing work queue (the executable
+            # through the threaded work queue (the executable
             # analogue of the paper's SPE dynamic queue).  Results come
             # back in submission order, so everything downstream is
             # identical for any worker count.
@@ -459,7 +459,7 @@ def _encode_pending(
     reference = params.tier1_backend == "reference"
     if pool is not None and len(blocks) >= 2 and not reference:
         # Lazily imported: the serial path must not pay the
-        # multiprocessing import.
+        # work-queue import.
         from repro.core.workpool import CodeBlockWorkQueue, tier1_auto_workers
 
         if tier1_auto_workers(pool.workers, len(blocks)) > 1:

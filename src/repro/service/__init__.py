@@ -1,9 +1,9 @@
 """Long-running encode service: the serving layer over the offline codec.
 
-One-shot CLI encodes open a worker pool per call; a server cannot.
-This package keeps a single :class:`repro.core.workpool.WorkerPool` alive
-across requests (the paper's SPEs, loaded once), multiplexes the block
-groups of concurrent encodes and decodes onto it through
+A library call opens its Tier-1 threads for that call; a server keeps
+one :class:`repro.core.workpool.ThreadPool` alive across requests (the
+paper's SPEs, loaded once, sharing the PPE's memory), multiplexes the
+block groups of concurrent encodes and decodes onto it through
 :class:`EncodeScheduler` (the paper's PPE-side dynamic queue),
 short-circuits repeated work through a
 content-addressed :class:`ResultCache`, bounds load with
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.workpool import WorkerPool
+from repro.core.workpool import ThreadPool
 from repro.jpeg2000.dwt_fast import DecodeStageTimings, StageTimings
 from repro.jpeg2000.encoder import EncodeResult, encode
 from repro.jpeg2000.params import EncoderParams
@@ -73,11 +73,6 @@ class ServiceConfig:
     bus_path: str | None = None
     #: p95 latency objective for load shedding; None disables the shedder.
     shed_target_p95_s: float | None = None
-    #: Micro-batch window: None = off, "auto" = size from live encode
-    #: latency, or a fixed window in seconds.
-    batch_window: str | float | None = None
-    #: Flush a micro-batch early once this many requests are waiting.
-    batch_max: int = 8
 
 
 @dataclass
@@ -92,8 +87,6 @@ class EncodeResponse:
     result: EncodeResult | None = field(default=None, repr=False)
     #: Where a hit came from: "local", "remote" (cross-shard bus), or None.
     cache_source: str | None = None
-    #: True when the encode rode a micro-batch dispatch.
-    batched: bool = False
 
 
 @dataclass
@@ -110,7 +103,7 @@ class EncodeService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        self.pool = WorkerPool(workers=self.config.workers, warmup=True)
+        self.pool = ThreadPool(self.config.workers)
         self.scheduler = EncodeScheduler(self.pool)
         self.cache = ResultCache(self.config.cache_bytes)
         self.admission = AdmissionController(
@@ -137,9 +130,6 @@ class EncodeService:
         )
         self._shed = m.counter(
             "shed_total", "requests refused by the latency shedder"
-        )
-        self._batched = m.counter(
-            "batched_total", "requests encoded via a micro-batch dispatch"
         )
         self._hit_ratio_gauge = m.gauge(
             "cache_hit_ratio",
@@ -196,24 +186,6 @@ class EncodeService:
             self.shedder = LoadShedder(
                 self._request_time, self.config.shed_target_p95_s
             )
-        self.batcher = None
-        if self.config.batch_window is not None:
-            from repro.service.sharding.batching import MicroBatcher
-
-            if self.config.batch_window == "auto":
-                # Wait about half a typical pool encode: long enough to
-                # collect a burst, short enough not to dominate latency.
-                self.batcher = MicroBatcher(
-                    pool=self.pool,
-                    window_provider=self._batch_window_suggestion,
-                    max_batch=self.config.batch_max,
-                )
-            else:
-                self.batcher = MicroBatcher(
-                    pool=self.pool,
-                    window_s=float(self.config.batch_window),
-                    max_batch=self.config.batch_max,
-                )
 
     # -- serving -----------------------------------------------------------
 
@@ -321,17 +293,10 @@ class EncodeService:
             t_admitted = time.perf_counter()
             self._queue_wait.observe(t_admitted - t_start)
             self._inflight_gauge.inc()
-            batched = False
-            result = None
             try:
-                if self.batcher is not None and self._is_micro(image, params):
-                    codestream = self.batcher.submit(image, params).codestream
-                    batched = True
-                    self._batched.inc()
-                else:
-                    with self.scheduler.job(priority=priority) as job:
-                        result = encode(image, params, pool=job)
-                    codestream = result.codestream
+                with self.scheduler.job(priority=priority) as job:
+                    result = encode(image, params, pool=job)
+                codestream = result.codestream
             except Exception:
                 self._errors.inc()
                 raise
@@ -344,7 +309,7 @@ class EncodeService:
             self._encoded.inc()
             self._encode_time.observe(t_done - t_admitted)
             self._request_time.observe(t_done - t_start)
-            if result is not None and result.timings is not None:
+            if result.timings is not None:
                 for stage, hist in self._stage_times.items():
                     hist.observe(getattr(result.timings, stage))
             self.cache.put(key, codestream)
@@ -357,7 +322,7 @@ class EncodeService:
             return EncodeResponse(
                 codestream=codestream, cache_hit=False,
                 queue_wait_s=t_admitted - t_start, encode_s=t_done - t_admitted,
-                params=params, result=result, batched=batched,
+                params=params, result=result,
             )
         finally:
             if remote_lease:
@@ -422,20 +387,6 @@ class EncodeService:
         self.cache.put(key, _pack_image(image))
         return DecodeResponse(image=image, cache_hit=False, decode_s=decode_s)
 
-    @staticmethod
-    def _is_micro(image, params) -> bool:
-        from repro.service.sharding.batching import is_micro_request
-
-        return is_micro_request(image.shape, params)
-
-    def _batch_window_suggestion(self) -> float:
-        """Micro-batch window: half the live p50 encode time.
-
-        Returns 0 until the ``encode_seconds`` histogram has samples; the
-        batcher then falls back to its default window.
-        """
-        return self._encode_time.quantile(0.5) / 2
-
     def _update_hit_ratio(self) -> None:
         requests = self._requests.value
         if requests:
@@ -460,7 +411,7 @@ class EncodeService:
     # -- observability -----------------------------------------------------
 
     def healthy(self) -> bool:
-        return not self._closed and self.pool.ping()
+        return not self._closed
 
     def stats(self) -> dict:
         """JSON-ready rollup for ``GET /stats``."""
@@ -476,8 +427,6 @@ class EncodeService:
         }
         if self.shedder is not None:
             out["shedder"] = self.shedder.snapshot()
-        if self.batcher is not None:
-            out["batcher"] = self.batcher.snapshot()
         if self.remote_cache is not None:
             out["bus_client"] = self.remote_cache.snapshot()
         return out
@@ -496,7 +445,9 @@ class EncodeService:
         """Shut down; with ``drain`` wait for in-flight work (idempotent).
 
         New submissions fail immediately; in-flight jobs run to completion
-        when draining (graceful SIGTERM path), or are killed otherwise.
+        when draining (graceful SIGTERM path), or fail with
+        :class:`SchedulerClosed` otherwise, once the groups already coding
+        are done.
         """
         with self._close_lock:
             if self._closed:
@@ -506,13 +457,8 @@ class EncodeService:
             deadline = time.time() + 60.0
             while self.admission.inflight > 0 and time.time() < deadline:
                 time.sleep(0.02)
-        if self.batcher is not None:
-            self.batcher.close()  # flushes queued micro-batches
         self.scheduler.close()
-        if drain:
-            self.pool.close()
-        else:
-            self.pool.terminate()
+        self.pool.close(cancel=not drain)
 
     def __enter__(self) -> "EncodeService":
         return self

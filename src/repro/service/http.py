@@ -2,7 +2,7 @@
 
     POST /encode     raw BMP or binary PGM/PPM body -> .j2c codestream
     POST /decode     raw .j2c codestream body -> binary PGM/PPM image
-    GET  /healthz    liveness (pings the worker pool)
+    GET  /healthz    liveness (200 until the service starts closing)
     GET  /metrics    JSON metrics snapshot (counters/gauges/histograms)
     GET  /stats      pool / scheduler / cache / admission rollup
 
@@ -21,14 +21,14 @@ answers 400 with the typed error name for malformed codestreams.
 
 Each connection is handled on its own thread (``ThreadingHTTPServer``);
 the Tier-1 work of encodes and decodes alike is interleaved group by
-group onto the shared worker pool by the scheduler, so one huge upload
-cannot starve small ones.  A worker that dies mid-request
-fails only the requests it held work for, with 503 and ``Retry-After``.
+group onto the service's Tier-1 threads by the scheduler, so one huge
+upload cannot starve small ones.  A group that raises fails only its own
+request.
 
 ``run_server`` (the ``python -m repro serve`` entry) installs SIGTERM /
 SIGINT handlers that stop accepting connections, let in-flight requests
-finish, drain the worker pool, and exit 0 — a clean drain that the CI
-smoke job asserts.
+finish, drain the Tier-1 threads, and exit 0 — a clean drain that the CI
+smoke job asserts, also when a second signal arrives during it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.core.workpool import WorkerLost
 from repro.image import ImageFormatError, parse_image
 from repro.jpeg2000.params import CODING_FIELDS, EncoderParams, parse_bool
 from repro.service import EncodeService, ServiceConfig
@@ -151,7 +150,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             if service.healthy():
                 self._json(200, {"status": "ok"})
             else:
-                self._error(503, "worker pool unavailable")
+                self._error(503, "service is shutting down")
         elif path == "/metrics":
             provider = self.server.metrics_provider
             self._json(
@@ -216,9 +215,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except SchedulerClosed:
             self._error(503, "service is shutting down")
             return
-        except WorkerLost as exc:
-            self._error(503, str(exc), {"Retry-After": "1"})
-            return
         except VerificationError as exc:
             # The encode ran but its bytes failed the round-trip check:
             # the request was well-formed, the entity is not servable.
@@ -237,8 +233,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         }
         if response.cache_source is not None:
             headers["X-Cache-Source"] = response.cache_source
-        if response.batched:
-            headers["X-Batched"] = "1"
         if verify:
             headers["X-Verified"] = "roundtrip"
         self._respond(
@@ -266,9 +260,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         except SchedulerClosed:
             self._error(503, "service is shutting down")
-            return
-        except WorkerLost as exc:
-            self._error(503, str(exc), {"Retry-After": "1"})
             return
         except CodestreamError as exc:
             self._error(400, f"{type(exc).__name__}: {exc}")
@@ -333,9 +324,12 @@ def run_server(
     try:
         server.serve_forever(poll_interval=0.1)
     finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
+        # The handlers stay until the drain is over: a second signal
+        # during it only repeats the shutdown request, where the default
+        # action would kill the process halfway.
         server.server_close()  # joins in-flight request threads
         service.close(drain=True)
         print("repro encode service: drained cleanly", flush=True)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return 0

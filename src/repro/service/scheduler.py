@@ -3,11 +3,11 @@
 The paper's PPE keeps a single dynamic queue of code blocks that idle SPEs
 pull from.  A server gets the same structure one level up: many requests
 are in flight at once, each contributing an independent batch of block
-groups (encode or decode), and all of them share one
-:class:`repro.core.workpool.WorkerPool`.  Simply letting each request dump
-its whole batch into the pool would serialize requests
-(multiprocessing's internal task queue is FIFO), so the first large
-image would starve everything behind it.
+groups (encode or decode), and all of them share the service's one
+:class:`repro.core.workpool.ThreadPool`.  Simply letting each request dump
+its whole batch into the pool would serialize requests (the pool's task
+queue is FIFO), so the first large image would starve everything behind
+it.
 
 Instead each request gets a *lane*; a dispatcher thread drains lanes one
 block group at a time — highest priority first, round-robin within a
@@ -31,7 +31,7 @@ import queue
 import threading
 from collections import deque
 
-from repro.core.workpool import WorkerPool
+from repro.core.workpool import ThreadPool, next_result
 
 
 class SchedulerClosed(RuntimeError):
@@ -73,11 +73,12 @@ class SchedulerJob:
         return self._lane.priority
 
     def imap_unordered(self, payloads):
-        """Yield ``(seqs, pid, results)`` for this job's groups as they finish."""
+        """Yield ``(seqs, thread id, results)`` for this job's groups as they
+        finish; a group's exception is raised here."""
         payloads = list(payloads)
         self._scheduler._enqueue(self._lane, payloads)
         for _ in range(len(payloads)):
-            yield self._scheduler.pool.wait(self._lane.results)
+            yield next_result(self._lane.results)
 
     def close(self) -> None:
         self._scheduler._remove_lane(self._lane)
@@ -95,7 +96,7 @@ class EncodeScheduler:
     Parameters
     ----------
     pool:
-        The shared :class:`repro.core.workpool.WorkerPool`.
+        The shared :class:`repro.core.workpool.ThreadPool`.
     max_inflight:
         Maximum groups handed to the pool but not yet completed.  Small
         values maximize fairness (the dispatcher re-decides after every
@@ -103,7 +104,7 @@ class EncodeScheduler:
         leaving at most one group per worker queued inside the pool.
     """
 
-    def __init__(self, pool: WorkerPool, max_inflight: int | None = None) -> None:
+    def __init__(self, pool: ThreadPool, max_inflight: int | None = None) -> None:
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.pool = pool
@@ -189,8 +190,8 @@ class EncodeScheduler:
 
     def _settle(self, lane: _Lane, item) -> None:
         """Hand a group's result (or exception) to its lane."""
-        # Runs on the pool's result-handler thread, or on the request
-        # thread that noticed a dead worker.
+        # Runs on the pool thread that finished the group, or on the
+        # dispatcher if the submit itself failed.
         lane.results.put(item)
         with self._cond:
             self._inflight -= 1

@@ -4,8 +4,8 @@ One :class:`~repro.service.EncodeService` process tops out at one core's
 worth of Python — accept/parse, scheduling, and small serial encodes all
 contend for a single GIL while the other cores idle.  This package scales
 the service the way the paper scales Tier-1 across SPEs: N independent
-shard *processes*, each a full service (scheduler + warm pool + local
-cache), all accepting on one listening port.
+shard *processes*, each a full service (scheduler + Tier-1 threads +
+local cache), all accepting on one listening port.
 
 The pieces:
 
@@ -17,9 +17,6 @@ The pieces:
   cache-server thread owns codestream values in shared-memory segments
   and extends single-flight coalescing across shard boundaries via
   leases, so a hit or in-flight encode on any shard serves all shards.
-* :mod:`batching` — micro-batching of requests below the auto-serial
-  thresholds into one pool dispatch per batch window, sized from the live
-  ``encode_seconds`` histogram.
 
 Load shedding lives with admission control
 (:class:`repro.service.admission.LoadShedder`); per-shard p95/p99 drive

@@ -4,7 +4,7 @@ One :class:`~repro.service.EncodeService` process is GIL-bound on its
 front half — accept/parse, scheduling, small serial encodes.  The fix is
 the classic pre-fork shape: a supervisor process owns the port and the
 cross-shard cache bus, and forks N *shard* processes, each running a full
-service (scheduler + warm worker pool + local cache + its own metrics).
+service (scheduler + Tier-1 threads + local cache + its own metrics).
 
 Two listener strategies, picked at start-up:
 
@@ -24,10 +24,10 @@ Two listener strategies, picked at start-up:
     without ``SO_REUSEPORT``.
 
 The supervisor's monitor thread respawns any shard that dies outside an
-orderly shutdown (same recovery posture as the worker pool's
-``ensure_healthy``).  ``stop(graceful=True)`` SIGTERMs every shard; each
+orderly shutdown: a crash inside native code costs one shard's
+requests, never the port.  ``stop(graceful=True)`` SIGTERMs every shard; each
 drains exactly like the single-process server — stop accepting, finish
-in-flight requests, drain the pool — and the supervisor prints the same
+in-flight requests, drain the Tier-1 threads — and the supervisor prints the same
 ``drained cleanly`` line the CI smoke jobs grep for.
 
 Shards are forked, not spawned: the inherit strategy needs FD

@@ -250,12 +250,12 @@ class TestWorkpoolDecodeAll:
             assert np.array_equal(g, w)
 
     def test_serial_and_parallel_agree(self):
-        from repro.core.workpool import CodeBlockWorkQueue, WorkerPool
+        from repro.core.workpool import CodeBlockWorkQueue, ThreadPool
         from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
 
         blocks = _decode_blocks()
         serial = decode_codeblocks_batched(blocks)
-        with WorkerPool(3) as pool:
+        with ThreadPool(3) as pool:
             parallel = CodeBlockWorkQueue(pool).decode_groups(blocks)
         assert len(serial) == len(parallel) == len(blocks)
         for s, p in zip(serial, parallel):

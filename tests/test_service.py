@@ -1,4 +1,4 @@
-"""Encode service: concurrent determinism, scheduler fairness, pool health.
+"""Encode service: concurrent determinism, scheduler fairness, the shared pool.
 
 The service's contract is the repo's central invariant lifted to serving:
 whatever mix of concurrent requests, worker counts, priorities, and cache
@@ -7,8 +7,6 @@ states, every response is byte-identical to the offline ``encode()``.
 
 from __future__ import annotations
 
-import os
-import signal
 import threading
 import time
 
@@ -19,8 +17,6 @@ from repro.core import workpool
 from repro.core.workpool import (
     CodeBlockWorkQueue,
     ThreadPool,
-    WorkerLost,
-    WorkerPool,
     _group_task,
     available_cores,
 )
@@ -64,13 +60,6 @@ def pool_path(monkeypatch):
     cores = available_cores()
     monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 0)
     monkeypatch.setattr(workpool, "available_cores", lambda: max(2, cores))
-
-
-def _shm_entries() -> set:
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:
-        return set()
 
 
 def _group_payloads(n, seed=0):
@@ -137,14 +126,21 @@ class TestConcurrentDeterminism:
     def test_sequential_requests_reuse_one_pool(self, gray48, rgb48,
                                                 pool_path):
         with EncodeService(_no_cache(2)) as service:
-            warm = set(service.pool.warm_up())
+            pool = service.pool
             service.encode_image(gray48, PARAMS)
             service.encode_image(rgb48, PARAMS)
-            snap = service.pool.snapshot()
-            # Same worker pids across both images: the pool survived.
-            assert {int(p) for p in snap["blocks_per_worker"]} <= warm
+            snap = pool.snapshot()
+            tier1_threads = {t.native_id for t in threading.enumerate()
+                             if t.name.startswith("tier1")}
+            # The service's own threads coded both images: one pool,
+            # kept across requests, in this process.
+            assert service.pool is pool and not snap["closed"]
             assert snap["tasks_done"] > 0
-            assert service.pool.stats.respawns == 0
+            assert {int(t) for t in snap["blocks_per_worker"]} <= tier1_threads
+            assert sum(snap["blocks_per_worker"].values()) == (
+                service.scheduler.snapshot()["blocks_dispatched"])
+            assert "respawns" not in snap
+        assert pool.snapshot()["closed"]
 
     def test_fresh_encode_uses_library_groups(self):
         # 192x192x3 at cb 16 is ~900 blocks: past the clamp, the service
@@ -172,11 +168,7 @@ class TestConcurrentDeterminism:
 
 
 class TestPersistentPool:
-    def test_warm_up_reports_workers(self):
-        with WorkerPool(workers=2, warmup=True) as pool:
-            pids = pool.warm_up()
-            assert 1 <= len(pids) <= 2
-            assert all(pid != os.getpid() for pid in pids)
+    """The service's one ThreadPool: kept for its lifetime, shared by all."""
 
     def test_imap_interface_matches_one_shot_queue(self):
         rng = np.random.default_rng(7)
@@ -186,78 +178,66 @@ class TestPersistentPool:
         with ThreadPool(workers=2) as one_shot_pool:
             one_shot = CodeBlockWorkQueue(one_shot_pool).encode_plane_groups(
                 planes, blocks)
-        # The service's pool: warm, reused across calls.
-        with WorkerPool(workers=2, warmup=True) as pool:
+        # The service's pool: the same class, reused across calls.
+        with ThreadPool(workers=2) as pool:
             injected = CodeBlockWorkQueue(pool).encode_plane_groups(
                 planes, blocks)
             again = CodeBlockWorkQueue(pool).encode_plane_groups(
                 planes, blocks)
-            assert pool.stats.tasks_done >= 2
+            assert pool.snapshot()["tasks_done"] >= 2
         assert injected == one_shot
         assert again == one_shot  # pool reused across calls
 
-    def test_ping_and_respawn(self):
-        pool = WorkerPool(workers=1, warmup=True)
-        try:
-            assert pool.ping()
-            assert pool.ensure_healthy() is False  # healthy: no respawn
-            # Wedge the pool by terminating its workers behind its back.
-            pool._pool.terminate()
-            pool._pool.join()
-            assert not pool.ping(timeout=0.5)
-            assert pool.ensure_healthy() is True  # dead: respawned
-            assert pool.stats.respawns == 1
-            assert pool.ping()
-        finally:
-            pool.terminate()
-
-    def test_recovers_from_killed_worker(self, pool_path, monkeypatch):
-        # SIGKILLing a worker loses the group it held and can poison the
-        # pool's shared task queue (an idle worker holds the queue lock
-        # while blocked reading), so the contract is: the request in
-        # flight ends (bytes or WorkerLost, never a hang), nothing is left
-        # in /dev/shm, and the pool respawns for the next request.  Groups
-        # carry their blocks inline, so the service never starts (or
-        # feeds) a resource tracker whose warnings a dead worker could
-        # trigger.
-        from multiprocessing import resource_tracker
-
-        tracker_calls = []
-        for name in ("ensure_running", "register"):
-            monkeypatch.setattr(resource_tracker, name,
-                                lambda *args, _n=name: tracker_calls.append(_n))
+    def test_failing_group_fails_its_request(self, pool_path, monkeypatch):
+        # A group that raises fails its own request with that exception
+        # (no hang), its in-flight slot settles, the next request is
+        # byte-identical to the offline encode, and closing the service
+        # leaves no thread behind.
         img = watch_face_image(256, 256, channels=3)
         params = EncoderParams(codeblock_size=16)
         offline = encode(img, params).codestream
-        shm_before = _shm_entries()
-        with EncodeService(_no_cache(2)) as service:
-            victim = service.pool.warm_up()[0]
+        real = workpool.encode_codeblocks_batched
+        calls = []
+
+        class GroupFailed(RuntimeError):
+            pass
+
+        def failing_second_group(items):
+            calls.append(len(items))
+            if len(calls) == 2:
+                raise GroupFailed("injected group failure")
+            return real(items)
+
+        baseline = threading.active_count()
+        service = EncodeService(_no_cache(2))
+        try:
+            monkeypatch.setattr(workpool, "encode_codeblocks_batched",
+                                failing_second_group)
             outcome = []
 
             def request():
                 try:
-                    outcome.append(service.encode_image(img, params).codestream)
-                except WorkerLost as exc:
+                    outcome.append(service.encode_image(img, params))
+                except Exception as exc:
                     outcome.append(exc)
 
             thread = threading.Thread(target=request)
             thread.start()
-            deadline = time.time() + 30
-            while (time.time() < deadline
-                   and not service.scheduler.snapshot()["groups_dispatched"]):
-                time.sleep(0.005)
-            os.kill(victim, signal.SIGKILL)
             thread.join(timeout=60)
-            assert not thread.is_alive(), "killed request hung"
-            assert outcome and (outcome[0] == offline
-                                or isinstance(outcome[0], WorkerLost))
-            assert _shm_entries() <= shm_before, "killed request leaked shm"
+            assert not thread.is_alive(), "failed request hung"
+            assert len(outcome) == 1 and isinstance(outcome[0], GroupFailed)
+            deadline = time.monotonic() + 30
+            while (service.scheduler.snapshot()["inflight_groups"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert service.scheduler.snapshot()["inflight_groups"] == 0
             again = service.encode_image(img, params)
             assert again.codestream == offline
-            assert service.pool.stats.respawns >= 1
-            assert victim not in service.pool.warm_up()
+            assert again.result.stats.tier1_dispatch == "pool"
             assert service.healthy()
-        assert tracker_calls == []
+        finally:
+            service.close()
+        assert threading.active_count() == baseline
 
     def test_concurrent_submitters_settle_every_group(self):
         # More workers than cores, many submitting threads and a short
@@ -268,7 +248,7 @@ class TestPersistentPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with WorkerPool(workers=available_cores() + 2) as pool:
+            with ThreadPool(workers=available_cores() + 2) as pool:
                 out = [None] * 8
 
                 def submit(i):
@@ -287,28 +267,28 @@ class TestPersistentPool:
                         (k,) for k in range(6)]
                     assert sorted((r[0], r[2]) for r in results) == sorted(
                         (w[0], w[2]) for w in want)
-                assert pool.stats.tasks_done == 8 * 6
-                assert sum(pool.stats.blocks_per_worker.values()) == 8 * 6
-                assert not pool._outstanding
+                snap = pool.snapshot()
+                assert snap["tasks_done"] == 8 * 6
+                assert sum(snap["blocks_per_worker"].values()) == 8 * 6
         finally:
             sys.setswitchinterval(interval)
 
     def test_closed_pool_refuses_work(self):
-        pool = WorkerPool(workers=1, warmup=True)
+        pool = ThreadPool(workers=1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             list(pool.imap_unordered(_group_payloads(1)))
-        assert not pool.ping()
+        assert pool.snapshot()["closed"]
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
-            WorkerPool(workers=0)
+            ThreadPool(workers=0)
 
 
 class TestScheduler:
     def test_interleaves_two_jobs(self, gray48, rgb48, pool_path):
         """Two jobs running concurrently both finish and stay correct."""
-        with WorkerPool(workers=2, warmup=True) as pool:
+        with ThreadPool(workers=2) as pool:
             scheduler = EncodeScheduler(pool, max_inflight=2)
             try:
                 results = {}
@@ -334,7 +314,7 @@ class TestScheduler:
     def test_priority_prefers_higher(self):
         """With a saturated single worker, high-priority groups dispatch
         ahead of queued low-priority ones."""
-        with WorkerPool(workers=1, warmup=True) as pool:
+        with ThreadPool(workers=1) as pool:
             scheduler = EncodeScheduler(pool, max_inflight=1)
             try:
                 lo = scheduler.job(priority=0)
@@ -352,7 +332,7 @@ class TestScheduler:
                     target=lambda: out_hi.extend(hi.imap_unordered(payloads)))
                 t1.start(); t2.start(); t1.join(); t2.join()
                 assert len(out_lo) == len(out_hi) == 4
-                assert sorted(seqs for seqs, _pid, _res in out_hi) == [
+                assert sorted(seqs for seqs, _worker, _res in out_hi) == [
                     (0,), (1,), (2,), (3,)
                 ]
                 lo.close(); hi.close()
@@ -360,7 +340,7 @@ class TestScheduler:
                 scheduler.close()
 
     def test_closed_scheduler_rejects_jobs(self):
-        with WorkerPool(workers=1) as pool:
+        with ThreadPool(workers=1) as pool:
             scheduler = EncodeScheduler(pool)
             scheduler.close()
             with pytest.raises(SchedulerClosed):
@@ -368,7 +348,7 @@ class TestScheduler:
             scheduler.close()  # idempotent
 
     def test_invalid_max_inflight(self):
-        with WorkerPool(workers=1) as pool:
+        with ThreadPool(workers=1) as pool:
             with pytest.raises(ValueError, match="max_inflight"):
                 EncodeScheduler(pool, max_inflight=0)
 

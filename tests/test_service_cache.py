@@ -125,12 +125,12 @@ class TestServiceCacheIntegration:
         with EncodeService(ServiceConfig(workers=1)) as service:
             first = service.encode_image(gray48, PARAMS)
             assert first.cache_hit is False
-            tasks_after_miss = service.pool.stats.tasks_done
+            tasks_after_miss = service.pool.snapshot()["tasks_done"]
             second = service.encode_image(gray48, PARAMS)
             assert second.cache_hit is True
             assert second.codestream == first.codestream == offline
             # The hit ran zero pool tasks and admitted zero jobs.
-            assert service.pool.stats.tasks_done == tasks_after_miss
+            assert service.pool.snapshot()["tasks_done"] == tasks_after_miss
             assert service.admission.snapshot()["admitted"] == 1
             assert service.cache.snapshot()["hits"] == 1
 

@@ -274,6 +274,17 @@ class TestObservabilityEndpoints:
         assert exc.value.code == 2
         assert "--tier1-backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--batch-window", "--batch-max"])
+    def test_serve_has_no_micro_batch_flags(self, flag, capsys):
+        # Served encodes run on their request threads and the shared
+        # Tier-1 threads; there is no batch to size.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, "1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestQueryParsing:
     def test_defaults(self):
@@ -491,3 +502,61 @@ class TestDecodeEndpoint:
         vs = metrics["verify_seconds"]
         assert vs["type"] == "histogram"
         assert vs["count"] >= 1
+
+
+class TestGracefulDrain:
+    def test_second_sigterm_mid_drain_still_drains(self):
+        # ``python -m repro serve`` gets SIGTERM while a request is still
+        # uploading its body, then a second SIGTERM once the accept loop
+        # has stopped: the request still gets its codestream, the server
+        # prints its drain line and exits 0 instead of dying on the
+        # second signal.
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        import time
+
+        from repro.image.pnm import dump_pnm
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "2", "--quiet"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(banner.split("http://", 1)[1].split()[0]
+                       .rsplit(":", 1)[1])
+            img = watch_face_image(64, 64, channels=1)
+            body = dump_pnm(img)
+            head = (b"POST /encode?levels=3 HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Connection: close\r\nContent-Length: %d\r\n\r\n"
+                    % len(body))
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=60) as sock:
+                sock.sendall(head + body[:16])
+                time.sleep(0.5)  # a handler thread is reading the body
+                proc.send_signal(signal.SIGTERM)
+                time.sleep(0.5)  # the accept loop has stopped
+                proc.send_signal(signal.SIGTERM)
+                time.sleep(0.2)
+                assert proc.poll() is None, "second SIGTERM killed the drain"
+                sock.sendall(body[16:])
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            status, _, payload = reply.partition(b"\r\n\r\n")
+            assert status.startswith(b"HTTP/1.1 200"), status
+            assert payload == encode(img, EncoderParams(levels=3)).codestream
+            out, _ = proc.communicate(timeout=60)
+            assert proc.returncode == 0, out
+            assert "drained cleanly" in out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()

@@ -1,7 +1,7 @@
-"""Sharded serving tier: cache bus, micro-batching, shedding, cluster.
+"""Sharded serving tier: cache bus, shedding, cluster.
 
 The unit half exercises each sharding component in-process (bus protocol,
-lease single-flight, batcher, shedder, histogram merging).  The
+lease single-flight, shedder, histogram merging).  The
 integration half forks real shard clusters and talks to them over HTTP —
 byte identity across shard counts, cluster-wide single-flight, crash
 respawn, and orphan-free graceful shutdown are the load-bearing
@@ -28,11 +28,6 @@ from repro.service import EncodeService, ServiceConfig
 from repro.service.admission import LoadShedder, ShedError
 from repro.service.metrics import Histogram, MetricsRegistry, merge_metric_states
 from repro.service.sharding import ShardCluster, ShardClusterConfig
-from repro.service.sharding.batching import (
-    MicroBatcher,
-    estimate_code_blocks,
-    is_micro_request,
-)
 from repro.service.sharding.cachebus import CacheBusClient, CacheBusServer
 
 
@@ -194,97 +189,6 @@ class TestCacheBus:
         assert blobs["3"]["payload"] == {"requests": 7}
 
 
-# -- micro-batching -----------------------------------------------------------
-
-
-class TestBatching:
-    def test_estimate_matches_full_decomposition_shape(self):
-        # 64x64, 5 levels, cb=64: each detail band and the final LL fit in
-        # one block -> 3 bands/level * 5 levels + 1 = 16.
-        assert estimate_code_blocks((64, 64), 5, 64) == 16
-        # Three components triple the count.
-        assert estimate_code_blocks((64, 64, 3), 5, 64) == 48
-
-    def test_micro_predicate_splits_small_from_large(self):
-        params = EncoderParams.lossless_default()
-        assert is_micro_request((48, 48), params)
-        assert not is_micro_request((2048, 2048, 3), params)
-
-    def test_batched_encode_is_byte_identical(self):
-        params = EncoderParams.lossless_default()
-        image = _small_image()
-        batcher = MicroBatcher(pool=None, window_s=0.01)
-        try:
-            item = batcher.submit(image, params)
-        finally:
-            batcher.close()
-        assert item.codestream == encode(image, params).codestream
-
-    def test_window_collects_concurrent_requests_into_one_flush(self):
-        params = EncoderParams.lossless_default()
-        images = [_small_image(i) for i in range(4)]
-        batcher = MicroBatcher(pool=None, window_s=0.25, max_batch=8)
-        results = [None] * len(images)
-
-        def submit(i):
-            results[i] = batcher.submit(images[i], params).codestream
-
-        threads = [
-            threading.Thread(target=submit, args=(i,))
-            for i in range(len(images))
-        ]
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            batcher.close()
-        assert batcher.flushes == 1
-        assert batcher.batched == len(images)
-        for image, codestream in zip(images, results):
-            assert codestream == encode(image, params).codestream
-
-    def test_max_batch_flushes_early(self):
-        params = EncoderParams.lossless_default()
-        batcher = MicroBatcher(pool=None, window_s=30.0, max_batch=1)
-        try:
-            item = batcher.submit(_small_image(), params, timeout=60.0)
-        finally:
-            batcher.close()
-        assert item.codestream is not None
-        assert batcher.flushes == 1
-
-    def test_bad_item_fails_alone(self):
-        batcher = MicroBatcher(pool=None, window_s=0.01)
-        bad = np.zeros((0, 0), dtype=np.uint8)  # nothing to encode
-        try:
-            with pytest.raises(Exception):
-                batcher.submit(bad, EncoderParams.lossless_default())
-            good = batcher.submit(
-                _small_image(), EncoderParams.lossless_default()
-            )
-        finally:
-            batcher.close()
-        assert good.codestream is not None
-
-    def test_closed_batcher_rejects_submissions(self):
-        batcher = MicroBatcher(pool=None, window_s=0.01)
-        batcher.close()
-        with pytest.raises(RuntimeError):
-            batcher.submit(_small_image(), EncoderParams.lossless_default())
-
-    def test_adaptive_window_clamped(self):
-        for suggested, expected in ((1e-6, 0.002), (5.0, 0.05), (0.01, 0.01)):
-            batcher = MicroBatcher(
-                pool=None, window_provider=lambda s=suggested: s
-            )
-            try:
-                assert batcher.window() == pytest.approx(expected)
-            finally:
-                batcher.close()
-
-
 # -- load shedding ------------------------------------------------------------
 
 
@@ -384,17 +288,6 @@ class TestMetricsMerge:
 
 
 class TestServiceShardingFeatures:
-    def test_micro_batched_service_encode_is_byte_identical(self):
-        params = EncoderParams.lossless_default()
-        image = _small_image()
-        with EncodeService(
-            ServiceConfig(workers=1, batch_window=0.005)
-        ) as service:
-            response = service.encode_image(image, params)
-            assert response.batched
-            assert response.codestream == encode(image, params).codestream
-            assert service.metrics.snapshot()["batched_total"]["value"] == 1
-
     def test_cache_hit_ratio_gauge_tracks_hits(self):
         image = _small_image()
         with EncodeService(ServiceConfig(workers=1)) as service:
@@ -440,9 +333,7 @@ def _post(url: str, body: bytes):
 
 
 def _cluster(shards: int, **overrides) -> ShardCluster:
-    service = overrides.pop(
-        "service", ServiceConfig(workers=1, batch_window="auto")
-    )
+    service = overrides.pop("service", ServiceConfig(workers=1))
     config = ShardClusterConfig(
         shards=shards, service=service, quiet=True, heartbeat_s=0.2,
         **overrides,

@@ -356,24 +356,6 @@ class TestPlannerSurface:
 
         assert choose_tile_size(64, 64, 3, 1 << 30) is None
 
-    def test_estimate_counts_ragged_tiled_blocks(self):
-        # Each tile runs its own decomposition, so a ragged grid's block
-        # count is the per-tile estimate summed, and matches the encoder.
-        from repro.service.sharding.batching import estimate_code_blocks
-
-        img = watch_face_image(150, 200, channels=3)
-        counts = {}
-        for ts in (None, 64):
-            result = encode(img, EncoderParams(levels=3, codeblock_size=32,
-                                               tile_size=ts))
-            est = sum(
-                estimate_code_blocks((th, tw, 3), 3, 32)
-                for _, _, th, tw in tile_grid(200, 150, ts, ts)
-            )
-            assert est == len(result.stats.blocks)
-            counts[ts] = est
-        assert counts[64] > counts[None]
-
     def test_cache_key_distinguishes_tiling(self, rgb_img):
         from repro.service.cache import cache_key
 

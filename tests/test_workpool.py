@@ -22,7 +22,6 @@ from repro.core.workpool import (
     CodeBlockWorkQueue,
     QueueStats,
     ThreadPool,
-    WorkerPool,
     default_workers,
 )
 from repro.jpeg2000.decoder import decode
@@ -55,14 +54,14 @@ def _as_planes(blocks):
 
 def _encode_groups(blocks, workers):
     planes, descs = _as_planes(blocks)
-    with WorkerPool(workers) as pool:
+    with ThreadPool(workers) as pool:
         queue = CodeBlockWorkQueue(pool)
         return queue.encode_plane_groups(planes, descs), queue.last_stats
 
 
 @pytest.fixture(scope="module")
 def pool2():
-    with WorkerPool(2) as pool:
+    with ThreadPool(2) as pool:
         yield pool
 
 
@@ -124,8 +123,8 @@ class TestQueue:
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
-            WorkerPool(workers=0)
-        assert WorkerPool(workers=None).workers == default_workers()
+            ThreadPool(workers=0)
+        assert ThreadPool(workers=None).workers == default_workers()
         assert default_workers() >= 1
 
     def test_duplicate_seq_rejected(self):
@@ -270,7 +269,7 @@ class TestPlaneDispatch:
             assert pooled.codestream == serial.codestream
 
     def test_pickle_path_matches_serial(self, pool2):
-        # Groups pickle views of the planes: nothing lands in /dev/shm.
+        # Groups carry views of the planes: nothing lands in /dev/shm.
         before = _shm_entries()
         planes, tasks = _planes_and_tasks()
         queue = CodeBlockWorkQueue(pool2)
@@ -348,7 +347,8 @@ class TestThreadDispatch:
 
 
 # ---------------------------------------------------------------------------
-# A library call forks nothing, and so starts no resource tracker.
+# A library call or a served request forks nothing, and so starts no
+# resource tracker.
 # ---------------------------------------------------------------------------
 
 _FRESH_POOL_SCRIPT = """
@@ -365,10 +365,11 @@ from repro.image.synthetic import watch_face_image
 from repro.jpeg2000.decoder import decode
 from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.params import EncoderParams
+from repro.service import EncodeService, ServiceConfig
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("a library call started a process")
+    raise AssertionError("a library call or the service started a process")
 
 
 os.fork = refuse
@@ -388,6 +389,11 @@ if workpool.available_cores() < 2:
 img = watch_face_image(256, 256, channels=3)
 res = encode(img, EncoderParams(workers=2))
 back = decode(res.codestream, workers=2)
+library_groups = len(groups)
+with EncodeService(ServiceConfig(workers=2, cache_bytes=0)) as service:
+    served = service.encode_image(img, EncoderParams())
+    served_back = service.decode_image(served.codestream).image
+    sched = service.scheduler.snapshot()
 print(json.dumps({
     "blocks": len(res.stats.blocks),
     "dispatch": res.stats.tier1_dispatch,
@@ -395,6 +401,11 @@ print(json.dumps({
     "tracker_pid": resource_tracker._resource_tracker._pid,
     "ops": sorted({op for op, _ in groups}),
     "on_main_thread": any(name == "MainThread" for _, name in groups),
+    "served_identical": served.codestream == res.codestream,
+    "served_round_trip": bool(np.array_equal(served_back, img)),
+    "served_groups": len(groups) - library_groups,
+    "served_ops": sorted({op for op, _ in groups[library_groups:]}),
+    "served_dispatched": sched["groups_dispatched"],
 }))
 """
 
@@ -421,3 +432,8 @@ class TestNoResourceTracker:
         assert out["ops"] == ["decode", "encode"]
         assert not out["on_main_thread"]
         assert out["round_trip"]
+        # The service ran its encode's and decode's groups on its own
+        # threads too, through its scheduler.
+        assert out["served_identical"] and out["served_round_trip"]
+        assert out["served_ops"] == ["decode", "encode"]
+        assert out["served_groups"] == out["served_dispatched"] > 0
