@@ -14,8 +14,8 @@ block kernels are ``ctypes`` calls, which release the GIL, so threads of
 the calling process code blocks in parallel on the planes they already
 share, as the paper's SPEs and PPE share one main memory.  A library
 ``encode``/``decode`` call opens one for the call; the encode service
-keeps one for its lifetime and hands it groups of concurrent requests
-through its scheduler.
+keeps one for its lifetime, and its threads pull the groups of
+concurrent requests lane by lane.
 
 Determinism is non-negotiable: the codestream must be byte-identical for
 any worker count.  Workers may *finish* groups in any order (that is the
@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,16 +117,65 @@ def _group_task(payload):
     return seqs, worker, encode_codeblocks_batched(items)
 
 
-class ThreadPool:
-    """Block groups on threads of the calling process.
+class PoolClosed(RuntimeError):
+    """Raised when a :class:`ThreadPool`, or the service owning it, is closed."""
 
-    A library ``encode``/``decode`` with ``workers > 1`` opens one for
-    the call; the encode service keeps one for its lifetime and feeds it
-    through its scheduler (:meth:`submit`).  Groups carry views of the
-    caller's planes: nothing is pickled or copied, and the block kernels
-    release the GIL while they code.  Leaving the ``with`` block waits
-    for the threads; on an error it first cancels the groups not yet
-    started.
+
+class Lane:
+    """One caller's queue of block groups on a :class:`ThreadPool`.
+
+    Opened by :meth:`ThreadPool.job`; has what :class:`CodeBlockWorkQueue`
+    needs of a pool, ``workers`` and ``imap_unordered``.  Closing it
+    drops its groups not yet started.
+    """
+
+    def __init__(self, pool: "ThreadPool", priority: int) -> None:
+        self.pool = pool
+        self.priority = priority
+        self.pending: deque = deque()
+        self.results: queue.Queue = queue.Queue()
+        self.last_pick = 0  # pool tick of the last group taken
+
+    @property
+    def workers(self) -> int:
+        return self.pool.workers
+
+    def imap_unordered(self, payloads):
+        """Yield ``(seqs, thread id, results)`` as this lane's groups
+        finish; a group's exception is raised here."""
+        payloads = list(payloads)
+        self.pool._enqueue(self, payloads)
+        for _ in payloads:
+            item = self.results.get()
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+
+    def close(self) -> None:
+        self.pool._drop(self)
+
+    def __enter__(self) -> "Lane":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+class ThreadPool:
+    """Block groups on threads of the calling process, pulled by lane.
+
+    As the paper's idle SPEs pull code blocks from one dynamic queue,
+    each of the ``workers`` threads loops: it takes the next group from
+    the lane with the highest priority, the least recently picked lane
+    among equals, codes it and hands the outcome back to that lane.  So a
+    thumbnail's few groups overtake a photograph's instead of queueing
+    behind them.  A library ``encode``/``decode`` with ``workers > 1``
+    opens a pool for the call and runs one lane (:meth:`imap_unordered`);
+    the encode service keeps one for its lifetime and opens a lane per
+    request (:meth:`job`).  Groups carry views of the caller's planes:
+    nothing is pickled or copied, and the block kernels release the GIL
+    while they code.  Threads start with the first group, so a call the
+    serial clamp keeps in process starts none.
     """
 
     def __init__(self, workers: int | None = None) -> None:
@@ -135,59 +184,114 @@ class ThreadPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._executor = ThreadPoolExecutor(workers, thread_name_prefix="tier1")
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
+        self._lanes: list[Lane] = []
+        self._threads: list[threading.Thread] = []
         self._closed = False
+        self._tick = 0
+        self._inflight = 0
+        self._peak_inflight = 0
+        self._groups_dispatched = 0
+        self._blocks_dispatched = 0
         self._tasks_done = 0
         #: Blocks coded per worker thread over the pool's lifetime.
         self._blocks_per_worker: dict[int, int] = {}
 
-    def submit(self, payload, callback, error_callback) -> None:
-        """Run one block group asynchronously.
-
-        ``callback`` receives ``(seqs, thread id, results)``,
-        ``error_callback`` the exception (a cancelled group's
-        ``CancelledError`` too); exactly one of them runs, once, on the
-        thread that finished the group.
-        """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-
-        def done(future) -> None:
-            try:
-                res = future.result()
-            except BaseException as exc:
-                # Handed on, to be raised in the thread waiting for the
-                # group: an exception escaping a done-callback is only
-                # logged, and that thread would wait forever.
-                error_callback(exc)
-                return
-            seqs, worker, _ = res
-            with self._lock:
-                self._tasks_done += 1
-                self._blocks_per_worker[worker] = (
-                    self._blocks_per_worker.get(worker, 0) + len(seqs)
-                )
-            callback(res)
-
-        self._executor.submit(_group_task, payload).add_done_callback(done)
+    def job(self, priority: int = 0) -> Lane:
+        """Open a lane for one request; higher ``priority`` is served first."""
+        with self._cond:
+            if self._closed:
+                raise PoolClosed("pool is closed")
+            lane = Lane(self, priority)
+            self._lanes.append(lane)
+            return lane
 
     def imap_unordered(self, payloads):
-        """Yield ``(seqs, thread id, results)`` as groups finish."""
-        payloads = list(payloads)
-        results: queue.Queue = queue.Queue()
-        for payload in payloads:
-            self.submit(payload, results.put, results.put)
-        for _ in payloads:
-            yield next_result(results)
+        """Yield ``(seqs, thread id, results)`` as groups finish, on a
+        priority-0 lane that closes with the iteration."""
+        with self.job() as lane:
+            yield from lane.imap_unordered(payloads)
+
+    def _enqueue(self, lane: Lane, payloads: list) -> None:
+        with self._cond:
+            if self._closed or lane not in self._lanes:
+                raise PoolClosed("pool is closed" if self._closed
+                                 else "lane is closed")
+            lane.pending.extend(payloads)
+            if not self._threads:
+                self._threads = [
+                    threading.Thread(target=self._work, name=f"tier1_{i}",
+                                     daemon=True)
+                    for i in range(self.workers)
+                ]
+                for thread in self._threads:
+                    thread.start()
+            self._cond.notify_all()
+
+    def _drop(self, lane: Lane) -> None:
+        with self._cond:
+            lane.pending.clear()
+            if lane in self._lanes:
+                self._lanes.remove(lane)
+
+    def _pick(self) -> Lane | None:
+        """Highest priority wins; the least recently picked breaks ties."""
+        best = None
+        for lane in self._lanes:
+            if lane.pending and (best is None or (-lane.priority, lane.last_pick)
+                                 < (-best.priority, best.last_pick)):
+                best = lane
+        return best
+
+    def _work(self) -> None:
+        """One thread's loop: pull a group, code it, hand it to its lane."""
+        worker = threading.get_native_id()
+        while True:
+            with self._cond:
+                while (lane := self._pick()) is None:
+                    if self._closed:
+                        return
+                    self._cond.wait()
+                payload = lane.pending.popleft()
+                self._tick += 1
+                lane.last_pick = self._tick
+                self._inflight += 1
+                self._peak_inflight = max(self._peak_inflight, self._inflight)
+                self._groups_dispatched += 1
+                self._blocks_dispatched += len(payload[1])
+            try:
+                item = _group_task(payload)
+            except BaseException as exc:
+                # Handed on, to be raised in the thread reading the lane.
+                item = exc
+            with self._cond:
+                self._inflight -= 1
+                if not isinstance(item, BaseException):
+                    self._tasks_done += 1
+                    self._blocks_per_worker[worker] = (
+                        self._blocks_per_worker.get(worker, 0) + len(payload[1])
+                    )
+            lane.results.put(item)
 
     def close(self, cancel: bool = False) -> None:
-        """Refuse new groups and wait for the running ones (idempotent).
+        """Refuse new lanes and groups and wait for the threads (idempotent).
 
-        ``cancel`` drops the groups not yet started.
+        The threads first code the groups already queued, unless
+        ``cancel``: then every open lane is dropped and fails with
+        :class:`PoolClosed`, and only the groups already coding finish.
         """
-        self._closed = True
-        self._executor.shutdown(wait=True, cancel_futures=cancel)
+        with self._cond:
+            self._closed = True
+            failed = self._lanes if cancel else []
+            if cancel:
+                for lane in failed:
+                    lane.pending.clear()
+                self._lanes = []
+            self._cond.notify_all()
+        for lane in failed:
+            lane.results.put(PoolClosed("pool is closed"))
+        for thread in self._threads:
+            thread.join()
 
     def __enter__(self) -> "ThreadPool":
         return self
@@ -197,10 +301,16 @@ class ThreadPool:
 
     def snapshot(self) -> dict:
         """JSON-ready view for ``/stats``."""
-        with self._lock:
+        with self._cond:
             return {
                 "workers": self.workers,
                 "closed": self._closed,
+                "open_lanes": len(self._lanes),
+                "pending_groups": sum(len(l.pending) for l in self._lanes),
+                "inflight_groups": self._inflight,
+                "peak_inflight_groups": self._peak_inflight,
+                "groups_dispatched": self._groups_dispatched,
+                "blocks_dispatched": self._blocks_dispatched,
                 "tasks_done": self._tasks_done,
                 "blocks_per_worker": {
                     str(k): v for k, v in sorted(self._blocks_per_worker.items())
@@ -208,20 +318,13 @@ class ThreadPool:
             }
 
 
-def next_result(results: queue.Queue):
-    """Next group outcome from ``results``, raising it if it is an error."""
-    item = results.get()
-    if isinstance(item, BaseException):
-        raise item
-    return item
-
-
 class CodeBlockWorkQueue:
     """Dynamic queue of block groups with deterministic reassembly.
 
     ``pool`` is anything with a ``workers`` count and an
     ``imap_unordered(payloads)`` yielding ``(seqs, worker id, results)`` —
-    a :class:`ThreadPool` or a scheduler job of the encode service (:class:`repro.service.scheduler.SchedulerJob`).
+    a :class:`ThreadPool` or one of its lanes (a request of the encode
+    service, :meth:`ThreadPool.job`).
     The queue never codes blocks itself: in-process coding is the
     caller's serial path.  Encode groups run the one block encoder,
     decode groups the one block decoder.

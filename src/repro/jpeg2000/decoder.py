@@ -155,8 +155,8 @@ def decode(
     :data:`DEC_BACKENDS`; ``None`` means ``"auto"``).  ``workers``
     fans code blocks out over threads of this process (``None`` = one per
     core); ``pool`` (a :class:`repro.core.workpool.ThreadPool` or a
-    service scheduler job) runs the Tier-1 block groups in place of the
-    thread pool opened for this call.
+    service request's lane of one) runs the Tier-1 block groups in place
+    of the thread pool opened for this call.
     The output is sample-identical for every backend, worker count and
     pool.  ``timings`` (a
     :class:`repro.jpeg2000.dwt_fast.DecodeStageTimings`) accumulates

@@ -209,8 +209,9 @@ def encode(
     ``pool`` optionally injects the worker pool Tier-1 block groups run
     on (see :class:`repro.core.workpool.CodeBlockWorkQueue`) in place of
     the thread pool opened for this call from ``params.workers`` — the
-    encode service passes a scheduler job of its shared thread pool this
-    way.  The codestream is byte-identical with or without it.
+    encode service passes a lane of its shared thread pool
+    (:meth:`repro.core.workpool.ThreadPool.job`) this way.  The
+    codestream is byte-identical with or without it.
     """
     if params is None:
         params = EncoderParams.lossless_default()
@@ -446,7 +447,8 @@ def _encode_pending(
     """Tier-1 encode the collected blocks, in process or on ``pool``.
 
     ``pool`` (the call's :class:`repro.core.workpool.ThreadPool` or a
-    service scheduler job) sets the worker count; ``None`` stays serial.
+    service request's lane of one) sets the worker count; ``None`` stays
+    serial.
     Past the :func:`repro.core.workpool.tier1_auto_workers` clamp the
     blocks go to the pool as block groups that carry their coefficients
     inline.  ``tier1_backend="reference"`` codes every block with the

@@ -2,19 +2,18 @@
 
 A library call opens its Tier-1 threads for that call; a server keeps
 one :class:`repro.core.workpool.ThreadPool` alive across requests (the
-paper's SPEs, loaded once, sharing the PPE's memory), multiplexes the
-block groups of concurrent encodes and decodes onto it through
-:class:`EncodeScheduler` (the paper's PPE-side dynamic queue),
-short-circuits repeated work through a
-content-addressed :class:`ResultCache`, bounds load with
-:class:`AdmissionController`, and observes it all via
-:class:`MetricsRegistry`.  :mod:`repro.service.http` puts a stdlib HTTP
-front end on top (``python -m repro serve``).
+paper's SPEs, loaded once, sharing the PPE's memory).  Each encode or
+decode gets a lane of it, from which the pool's threads pull block
+groups by priority (the paper's dynamic queue).  The service
+short-circuits repeated work through a content-addressed
+:class:`ResultCache`, bounds load with :class:`AdmissionController`, and
+observes it all via :class:`MetricsRegistry`.  :mod:`repro.service.http`
+puts a stdlib HTTP front end on top (``python -m repro serve``).
 
 Every codestream produced here is byte-identical to the offline
 :func:`repro.jpeg2000.encoder.encode`, and every decode sample-identical
 to :func:`repro.jpeg2000.decoder.decode` — determinism survives the pool,
-the scheduler interleaving, and the cache by construction, and is
+the interleaving of lanes, and the cache by construction, and is
 enforced by tests.
 """
 
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.workpool import ThreadPool
+from repro.core.workpool import PoolClosed, ThreadPool
 from repro.jpeg2000.dwt_fast import DecodeStageTimings, StageTimings
 from repro.jpeg2000.encoder import EncodeResult, encode
 from repro.jpeg2000.params import EncoderParams
@@ -40,19 +39,17 @@ from repro.service.admission import (
 )
 from repro.service.cache import ResultCache, cache_key
 from repro.service.metrics import MetricsRegistry
-from repro.service.scheduler import EncodeScheduler, SchedulerClosed
 
 __all__ = [
     "AdmissionController",
     "DecodeResponse",
     "EncodeResponse",
-    "EncodeScheduler",
     "EncodeService",
     "LoadShedder",
     "MetricsRegistry",
+    "PoolClosed",
     "QueueFullError",
     "ResultCache",
-    "SchedulerClosed",
     "ServiceConfig",
     "ShedError",
     "cache_key",
@@ -104,7 +101,6 @@ class EncodeService:
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         self.pool = ThreadPool(self.config.workers)
-        self.scheduler = EncodeScheduler(self.pool)
         self.cache = ResultCache(self.config.cache_bytes)
         self.admission = AdmissionController(
             self.config.max_queue, policy=self.config.admission_policy
@@ -209,10 +205,10 @@ class EncodeService:
         maps it to 422.
 
         Raises :class:`QueueFullError` when admission sheds the request and
-        :class:`SchedulerClosed` if the service is shutting down.
+        :class:`PoolClosed` if the service is shutting down.
         """
         if self._closed:
-            raise SchedulerClosed("service is closed")
+            raise PoolClosed("service is closed")
         if params is None:
             params = EncoderParams.lossless_default()
         self._requests.inc()
@@ -294,7 +290,7 @@ class EncodeService:
             self._queue_wait.observe(t_admitted - t_start)
             self._inflight_gauge.inc()
             try:
-                with self.scheduler.job(priority=priority) as job:
+                with self.pool.job(priority=priority) as job:
                     result = encode(image, params, pool=job)
                 codestream = result.codestream
             except Exception:
@@ -340,19 +336,19 @@ class EncodeService:
 
         Parsing and the inverse front end run on the request thread; past
         the same auto-serial clamp as encode, the Tier-1 block groups go
-        through the scheduler onto the shared pool.  Decodes share the
+        to the shared pool on a lane of their own.  Decodes share the
         encode path's admission control — a decode burst cannot starve
         the pool queue unbounded — and a content-addressed cache keyed on
         the codestream bytes alone.
 
         Raises :class:`repro.jpeg2000.errors.CodestreamError` for malformed
         input (HTTP 400), :class:`QueueFullError` when admission sheds the
-        request (503), and :class:`SchedulerClosed` while shutting down.
+        request (503), and :class:`PoolClosed` while shutting down.
         """
         from repro.jpeg2000.decoder import decode
 
         if self._closed:
-            raise SchedulerClosed("service is closed")
+            raise PoolClosed("service is closed")
         self._dec_requests.inc()
         key = "dec:" + hashlib.sha256(codestream).hexdigest()
         cached = self.cache.get(key)
@@ -370,7 +366,7 @@ class EncodeService:
         timings = DecodeStageTimings()
         t0 = time.perf_counter()
         try:
-            with self.scheduler.job() as job:
+            with self.pool.job() as job:
                 image = decode(codestream, timings=timings, pool=job)
         except Exception:
             self._dec_errors.inc()
@@ -420,7 +416,6 @@ class EncodeService:
             "closed": self._closed,
             "shard_id": self.config.shard_id,
             "pool": self.pool.snapshot(),
-            "scheduler": self.scheduler.snapshot(),
             "cache": self.cache.snapshot(),
             "admission": self.admission.snapshot(),
             "tier1_geometry_cache": self._geometry_cache_stats(),
@@ -446,7 +441,7 @@ class EncodeService:
 
         New submissions fail immediately; in-flight jobs run to completion
         when draining (graceful SIGTERM path), or fail with
-        :class:`SchedulerClosed` otherwise, once the groups already coding
+        :class:`PoolClosed` otherwise, once the groups already coding
         are done.
         """
         with self._close_lock:
@@ -457,8 +452,8 @@ class EncodeService:
             deadline = time.time() + 60.0
             while self.admission.inflight > 0 and time.time() < deadline:
                 time.sleep(0.02)
-        self.scheduler.close()
-        self.pool.close(cancel=not drain)
+        # Past the drain, a request still waiting is not served.
+        self.pool.close(cancel=True)
 
     def __enter__(self) -> "EncodeService":
         return self

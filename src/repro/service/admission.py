@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 
 POLICIES = ("reject", "block")
 
@@ -160,39 +159,21 @@ class AdmissionController:
         Maximum jobs admitted but not yet finished (queued + encoding).
     policy:
         ``"reject"`` raises :class:`QueueFullError` when full;
-        ``"block"`` waits for a slot (optionally up to ``block_timeout_s``).
-    block_timeout_s:
-        Under ``block``, how long to wait before giving up and raising
-        :class:`QueueFullError` anyway.  ``None`` waits forever.
+        ``"block"`` waits for a slot.
     """
 
-    def __init__(
-        self,
-        max_queue: int,
-        policy: str = "reject",
-        block_timeout_s: float | None = None,
-    ) -> None:
+    def __init__(self, max_queue: int, policy: str = "reject") -> None:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
         self.max_queue = max_queue
         self.policy = policy
-        self.block_timeout_s = block_timeout_s
         self._cond = threading.Condition()
         self._inflight = 0
         self.peak_inflight = 0
         self.admitted = 0
         self.rejected = 0
-
-    def try_acquire(self) -> bool:
-        """Non-blocking admission attempt (the ``reject`` fast path)."""
-        with self._cond:
-            if self._inflight >= self.max_queue:
-                self.rejected += 1
-                return False
-            self._admit_locked()
-            return True
 
     def acquire(self) -> None:
         """Admit one job according to the configured policy."""
@@ -201,21 +182,11 @@ class AdmissionController:
                 if self._inflight >= self.max_queue:
                     self.rejected += 1
                     raise QueueFullError(self.max_queue)
-                self._admit_locked()
-                return
-            ok = self._cond.wait_for(
-                lambda: self._inflight < self.max_queue,
-                timeout=self.block_timeout_s,
-            )
-            if not ok:
-                self.rejected += 1
-                raise QueueFullError(self.max_queue)
-            self._admit_locked()
-
-    def _admit_locked(self) -> None:
-        self._inflight += 1
-        self.peak_inflight = max(self.peak_inflight, self._inflight)
-        self.admitted += 1
+            else:
+                self._cond.wait_for(lambda: self._inflight < self.max_queue)
+            self._inflight += 1
+            self.peak_inflight = max(self.peak_inflight, self._inflight)
+            self.admitted += 1
 
     def release(self) -> None:
         with self._cond:
@@ -224,25 +195,10 @@ class AdmissionController:
             self._inflight -= 1
             self._cond.notify()
 
-    @contextmanager
-    def admit(self):
-        """``with admission.admit(): ...`` — acquire/release bracket."""
-        self.acquire()
-        try:
-            yield
-        finally:
-            self.release()
-
     @property
     def inflight(self) -> int:
         with self._cond:
             return self._inflight
-
-    @property
-    def shedding(self) -> bool:
-        """True while at capacity (new ``reject``-policy work would shed)."""
-        with self._cond:
-            return self._inflight >= self.max_queue
 
     def snapshot(self) -> dict:
         """JSON-ready view for ``/stats``."""
@@ -254,5 +210,4 @@ class AdmissionController:
                 "peak_inflight": self.peak_inflight,
                 "admitted": self.admitted,
                 "rejected": self.rejected,
-                "shedding": self._inflight >= self.max_queue,
             }

@@ -4,7 +4,7 @@
     POST /decode     raw .j2c codestream body -> binary PGM/PPM image
     GET  /healthz    liveness (200 until the service starts closing)
     GET  /metrics    JSON metrics snapshot (counters/gauges/histograms)
-    GET  /stats      pool / scheduler / cache / admission rollup
+    GET  /stats      pool / cache / admission rollup
 
 Coding parameters ride on the ``/encode`` query string, one key per
 :data:`repro.jpeg2000.params.CODING_FIELDS` field that changes the
@@ -20,10 +20,12 @@ JSON body instead of bad bytes.  ``/decode`` takes no query keys and
 answers 400 with the typed error name for malformed codestreams.
 
 Each connection is handled on its own thread (``ThreadingHTTPServer``);
-the Tier-1 work of encodes and decodes alike is interleaved group by
-group onto the service's Tier-1 threads by the scheduler, so one huge
-upload cannot starve small ones.  A group that raises fails only its own
-request.
+every encode and decode gets a lane of the service's Tier-1 pool, whose
+threads interleave the lanes group by group, so one huge upload cannot
+starve small ones.  A group that raises fails only its own request.  A
+client read that waits longer than :data:`READ_TIMEOUT_S` drops the
+connection (408 if a body was still coming), so a stalled client cannot
+hold a drain open.
 
 ``run_server`` (the ``python -m repro serve`` entry) installs SIGTERM /
 SIGINT handlers that stop accepting connections, let in-flight requests
@@ -41,13 +43,16 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.image import ImageFormatError, parse_image
 from repro.jpeg2000.params import CODING_FIELDS, EncoderParams, parse_bool
-from repro.service import EncodeService, ServiceConfig
+from repro.service import EncodeService, PoolClosed, ServiceConfig
 from repro.service.admission import QueueFullError
-from repro.service.scheduler import SchedulerClosed
 from repro.verify.roundtrip import VerificationError
 
 #: Largest accepted upload; a 3072x3072x3 BMP (the paper's image) is ~28 MB.
 MAX_BODY_BYTES = 128 * 2**20
+
+#: Longest wait, in seconds, for one read from a client: a body that
+#: stops arriving answers 408 and an idle keep-alive connection closes.
+READ_TIMEOUT_S = 10.0
 
 
 #: ``/encode`` query key -> coding field: only fields that change the
@@ -115,6 +120,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     # -- plumbing ----------------------------------------------------------
+
+    def setup(self) -> None:
+        self.timeout = READ_TIMEOUT_S  # per socket read; looked up per connection
+        super().setup()
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if not self.server.quiet:
@@ -184,7 +193,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             self._error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
             return
-        handler(parsed, self.rfile.read(length))
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self._error(408, f"request body stalled for {READ_TIMEOUT_S:g} s",
+                        {"Connection": "close"})
+            return
+        handler(parsed, body)
 
     def _post_encode(self, parsed, body: bytes) -> None:
         service = self.server.service
@@ -212,7 +227,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 {"Retry-After": str(int(retry_after)) if retry_after else "1"},
             )
             return
-        except SchedulerClosed:
+        except PoolClosed:
             self._error(503, "service is shutting down")
             return
         except VerificationError as exc:
@@ -258,7 +273,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 {"Retry-After": str(int(retry_after)) if retry_after else "1"},
             )
             return
-        except SchedulerClosed:
+        except PoolClosed:
             self._error(503, "service is shutting down")
             return
         except CodestreamError as exc:

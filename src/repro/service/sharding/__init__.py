@@ -4,8 +4,8 @@ One :class:`~repro.service.EncodeService` process tops out at one core's
 worth of Python — accept/parse, scheduling, and small serial encodes all
 contend for a single GIL while the other cores idle.  This package scales
 the service the way the paper scales Tier-1 across SPEs: N independent
-shard *processes*, each a full service (scheduler + Tier-1 threads +
-local cache), all accepting on one listening port.
+shard *processes*, each a full service (Tier-1 thread pool + local
+cache), all accepting on one listening port.
 
 The pieces:
 

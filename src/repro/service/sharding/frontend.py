@@ -4,7 +4,7 @@ One :class:`~repro.service.EncodeService` process is GIL-bound on its
 front half — accept/parse, scheduling, small serial encodes.  The fix is
 the classic pre-fork shape: a supervisor process owns the port and the
 cross-shard cache bus, and forks N *shard* processes, each running a full
-service (scheduler + Tier-1 threads + local cache + its own metrics).
+service (Tier-1 thread pool + local cache + its own metrics).
 
 Two listener strategies, picked at start-up:
 

@@ -1,4 +1,4 @@
-"""Encode service: concurrent determinism, scheduler fairness, the shared pool.
+"""Encode service: concurrent determinism, lane priority and fairness, the shared pool.
 
 The service's contract is the repo's central invariant lifted to serving:
 whatever mix of concurrent requests, worker counts, priorities, and cache
@@ -16,6 +16,7 @@ import pytest
 from repro.core import workpool
 from repro.core.workpool import (
     CodeBlockWorkQueue,
+    PoolClosed,
     ThreadPool,
     _group_task,
     available_cores,
@@ -25,7 +26,6 @@ from repro.jpeg2000.encoder import encode
 from repro.jpeg2000.params import EncoderParams
 from repro.service import EncodeService, ServiceConfig
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.service.scheduler import EncodeScheduler, SchedulerClosed
 
 PARAMS = EncoderParams(levels=3)
 
@@ -138,7 +138,7 @@ class TestConcurrentDeterminism:
             assert snap["tasks_done"] > 0
             assert {int(t) for t in snap["blocks_per_worker"]} <= tier1_threads
             assert sum(snap["blocks_per_worker"].values()) == (
-                service.scheduler.snapshot()["blocks_dispatched"])
+                snap["blocks_dispatched"])
             assert "respawns" not in snap
         assert pool.snapshot()["closed"]
 
@@ -150,7 +150,7 @@ class TestConcurrentDeterminism:
         offline = encode(img, params).codestream
         with EncodeService(_no_cache(2)) as service:
             out = service.encode_image(img, params)
-            snap = service.scheduler.snapshot()
+            snap = service.pool.snapshot()
         assert out.codestream == offline
         if available_cores() <= 1:
             return  # the single-core clamp keeps Tier-1 in the request thread
@@ -227,10 +227,10 @@ class TestPersistentPool:
             assert not thread.is_alive(), "failed request hung"
             assert len(outcome) == 1 and isinstance(outcome[0], GroupFailed)
             deadline = time.monotonic() + 30
-            while (service.scheduler.snapshot()["inflight_groups"]
+            while (service.pool.snapshot()["inflight_groups"]
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            assert service.scheduler.snapshot()["inflight_groups"] == 0
+            assert service.pool.snapshot()["inflight_groups"] == 0
             again = service.encode_image(img, params)
             assert again.codestream == offline
             assert again.result.stats.tier1_dispatch == "pool"
@@ -285,79 +285,179 @@ class TestPersistentPool:
             ThreadPool(workers=0)
 
 
+def _run_lane(lane, payloads, out):
+    """Read ``lane``'s groups on a thread of its own, as a request does;
+    ``out`` gets the results, or the :class:`PoolClosed` that ends them."""
+
+    def read():
+        try:
+            out.extend(lane.imap_unordered(payloads))
+        except PoolClosed as exc:
+            out.append(exc)
+
+    thread = threading.Thread(target=read)
+    thread.start()
+    return thread
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+@pytest.fixture
+def pick_order(monkeypatch):
+    """Record the order groups are coded in, behind one held group.
+
+    Groups are ``(tag, seqs, None)``; the group tagged ``"hold"`` keeps
+    its thread until ``release`` is set, so lanes opened meanwhile queue
+    up and the pool's pick rule alone orders them.
+    """
+    order = []
+    release = threading.Event()
+
+    def task(payload):
+        tag, seqs, _ = payload
+        if tag == "hold":
+            release.wait(30)
+        else:
+            order.append(tag)
+        return seqs, threading.get_native_id(), [None] * len(seqs)
+
+    monkeypatch.setattr(workpool, "_group_task", task)
+    return order, release
+
+
 class TestScheduler:
     def test_interleaves_two_jobs(self, gray48, rgb48, pool_path):
         """Two jobs running concurrently both finish and stay correct."""
         with ThreadPool(workers=2) as pool:
-            scheduler = EncodeScheduler(pool, max_inflight=2)
-            try:
-                results = {}
+            results = {}
 
-                def run(name, img):
-                    with scheduler.job() as job:
-                        results[name] = encode(img, PARAMS, pool=job)
+            def run(name, img):
+                with pool.job() as job:
+                    results[name] = encode(img, PARAMS, pool=job)
 
-                t1 = threading.Thread(target=run, args=("a", gray48))
-                t2 = threading.Thread(target=run, args=("b", rgb48))
-                t1.start(); t2.start(); t1.join(); t2.join()
-                assert results["a"].codestream == encode(gray48, PARAMS).codestream
-                assert results["b"].codestream == encode(rgb48, PARAMS).codestream
-                snap = scheduler.snapshot()
-                assert snap["groups_dispatched"] > 0
-                assert snap["blocks_dispatched"] >= snap["groups_dispatched"]
-                assert snap["inflight_groups"] == 0
-                assert snap["peak_inflight_groups"] <= 2
-                assert snap["open_lanes"] == 0
-            finally:
-                scheduler.close()
+            t1 = threading.Thread(target=run, args=("a", gray48))
+            t2 = threading.Thread(target=run, args=("b", rgb48))
+            t1.start(); t2.start(); t1.join(); t2.join()
+            assert results["a"].codestream == encode(gray48, PARAMS).codestream
+            assert results["b"].codestream == encode(rgb48, PARAMS).codestream
+            snap = pool.snapshot()
+            assert snap["groups_dispatched"] > 0
+            assert snap["blocks_dispatched"] >= snap["groups_dispatched"]
+            assert snap["inflight_groups"] == 0
+            assert snap["peak_inflight_groups"] <= 2
+            assert snap["open_lanes"] == 0
+            assert snap["pending_groups"] == 0
 
-    def test_priority_prefers_higher(self):
-        """With a saturated single worker, high-priority groups dispatch
-        ahead of queued low-priority ones."""
+    def test_priority_prefers_higher(self, pick_order):
+        """On a busy single thread, every queued group of a priority-5
+        lane runs before any group of a priority-0 lane queued first."""
+        order, release = pick_order
         with ThreadPool(workers=1) as pool:
-            scheduler = EncodeScheduler(pool, max_inflight=1)
-            try:
-                lo = scheduler.job(priority=0)
-                hi = scheduler.job(priority=5)
-                assert hi.priority > lo.priority
-                # Both lanes race; completion of both proves the dispatcher
-                # serves multiple lanes.  (Strict ordering is not observable
-                # from outside without hooking the pool.)
-                payloads = _group_payloads(4)
-                out_lo = []
-                out_hi = []
-                t1 = threading.Thread(
-                    target=lambda: out_lo.extend(lo.imap_unordered(payloads)))
-                t2 = threading.Thread(
-                    target=lambda: out_hi.extend(hi.imap_unordered(payloads)))
-                t1.start(); t2.start(); t1.join(); t2.join()
-                assert len(out_lo) == len(out_hi) == 4
-                assert sorted(seqs for seqs, _worker, _res in out_hi) == [
-                    (0,), (1,), (2,), (3,)
-                ]
-                lo.close(); hi.close()
-            finally:
-                scheduler.close()
+            held = _run_lane(pool.job(), [("hold", (0,), None)], [])
+            _wait_for(lambda: pool.snapshot()["inflight_groups"] == 1)
+            lo, hi = pool.job(priority=0), pool.job(priority=5)
+            out_lo, out_hi = [], []
+            threads = [_run_lane(lo, [("lo", (i,), None) for i in range(3)],
+                                 out_lo)]
+            _wait_for(lambda: pool.snapshot()["pending_groups"] == 3)
+            threads.append(_run_lane(
+                hi, [("hi", (i,), None) for i in range(3)], out_hi))
+            _wait_for(lambda: pool.snapshot()["pending_groups"] == 6)
+            release.set()
+            for t in [held, *threads]:
+                t.join(timeout=30)
+            assert order == ["hi"] * 3 + ["lo"] * 3
+            assert sorted(seqs for seqs, _w, _r in out_hi) == [(0,), (1,), (2,)]
+            assert len(out_lo) == 3
+            lo.close(); hi.close()
+
+    def test_equal_priorities_alternate(self, pick_order):
+        """Two lanes of one priority take turns, group by group."""
+        order, release = pick_order
+        with ThreadPool(workers=1) as pool:
+            held = _run_lane(pool.job(), [("hold", (0,), None)], [])
+            _wait_for(lambda: pool.snapshot()["inflight_groups"] == 1)
+            threads = []
+            for n, tag in enumerate(("a", "b"), start=1):
+                threads.append(_run_lane(
+                    pool.job(), [(tag, (i,), None) for i in range(3)], []))
+                _wait_for(lambda: pool.snapshot()["pending_groups"] == 3 * n)
+            release.set()
+            for t in [held, *threads]:
+                t.join(timeout=30)
+            assert order == ["a", "b"] * 3
 
     def test_closed_scheduler_rejects_jobs(self):
-        with ThreadPool(workers=1) as pool:
-            scheduler = EncodeScheduler(pool)
-            scheduler.close()
-            with pytest.raises(SchedulerClosed):
-                scheduler.job()
-            scheduler.close()  # idempotent
+        pool = ThreadPool(workers=1)
+        pool.close()
+        with pytest.raises(PoolClosed):
+            pool.job()
+        pool.close()  # idempotent
 
-    def test_invalid_max_inflight(self):
-        with ThreadPool(workers=1) as pool:
-            with pytest.raises(ValueError, match="max_inflight"):
-                EncodeScheduler(pool, max_inflight=0)
+    def test_cancel_fails_waiting_lanes(self, pick_order):
+        """``close(cancel=True)`` fails a lane still waiting for groups
+        and drops them unstarted; the group already coding finishes."""
+        order, release = pick_order
+        pool = ThreadPool(workers=1)
+        held_out, waiting_out = [], []
+        held = _run_lane(pool.job(), [("hold", (0,), None)], held_out)
+        _wait_for(lambda: pool.snapshot()["inflight_groups"] == 1)
+        waiter = _run_lane(pool.job(), [("x", (0,), None)], waiting_out)
+        _wait_for(lambda: pool.snapshot()["pending_groups"] == 1)
+        closer = threading.Thread(target=pool.close, kwargs={"cancel": True})
+        closer.start()
+        waiter.join(timeout=30)
+        assert len(waiting_out) == 1
+        assert isinstance(waiting_out[0], PoolClosed)
+        assert closer.is_alive()  # still waiting for the held group
+        release.set()
+        for t in (held, closer):
+            t.join(timeout=30)
+        assert order == []
+        assert isinstance(held_out[0], PoolClosed)
+        snap = pool.snapshot()
+        assert snap["closed"] and snap["open_lanes"] == 0
+        assert snap["tasks_done"] == 1
+
+
+class TestPoolThreads:
+    def test_service_runs_exactly_its_workers(self, gray48, pool_path):
+        before = {t.ident for t in threading.enumerate()}
+        with EncodeService(_no_cache(2)) as service:
+            service.encode_image(gray48, PARAMS)
+            new = [t.name for t in threading.enumerate()
+                   if t.ident not in before]
+            assert service.pool.snapshot()["groups_dispatched"] > 0
+        assert sorted(n for n in new if n.startswith("tier1")) == [
+            "tier1_0", "tier1_1"]
+        assert "encode-scheduler" not in new
+
+    def test_clamped_library_call_starts_no_thread(self, gray48,
+                                                   monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        res = encode(gray48, EncoderParams(levels=3, workers=2))
+        assert len(res.stats.blocks) < workpool.TIER1_AUTO_SERIAL_MIN_BLOCKS
+        assert res.stats.tier1_dispatch == "serial"
+        assert started == []
 
 
 class TestServiceLifecycle:
     def test_closed_service_rejects_submissions(self, gray48):
         service = EncodeService(_no_cache(1))
         service.close()
-        with pytest.raises(SchedulerClosed):
+        with pytest.raises(PoolClosed):
             service.encode_image(gray48, PARAMS)
         service.close()  # idempotent
 

@@ -2,7 +2,7 @@
 
 The server under test binds port 0 (ephemeral) and runs on a background
 thread; requests go through ``urllib`` so the whole stack — request
-parsing, image sniffing, scheduler, pool, cache, response headers — is
+parsing, image sniffing, pool lanes, cache, response headers — is
 exercised exactly as a client sees it.
 """
 
@@ -156,7 +156,8 @@ class TestEncodeEndpoint:
         service = server.service
         # Saturate admission so the next uncached encode sheds.
         slots = 0
-        while service.admission.try_acquire():
+        while slots < service.admission.max_queue:
+            service.admission.acquire()
             slots += 1
         try:
             unique = watch_face_image(40, 40, channels=1)
@@ -262,7 +263,11 @@ class TestObservabilityEndpoints:
             stats = json.load(resp)
         assert stats["pool"]["workers"] == 2
         assert "backend" not in stats["pool"]
-        assert set(stats) >= {"pool", "scheduler", "cache", "admission"}
+        assert set(stats) >= {"pool", "cache", "admission"}
+        assert "scheduler" not in stats
+        assert "max_inflight" not in stats["pool"]
+        assert "shedding" not in stats["admission"]
+        assert stats["pool"]["open_lanes"] >= 0
 
     def test_serve_has_no_tier1_backend_flag(self, capsys):
         # The server picks the coder; a server-wide flag that nothing read
@@ -475,12 +480,12 @@ class TestDecodeEndpoint:
         img = watch_face_image(96, 96, channels=3)
         cs = encode(img, EncoderParams(levels=3, codeblock_size=16)).codestream
         service = server.service
-        before = service.scheduler.snapshot()["blocks_dispatched"]
+        before = service.pool.snapshot()["blocks_dispatched"]
         with _post(f"{base_url}/decode", cs) as resp:
             assert resp.headers["X-Cache"] == "MISS"
             out = parse_pnm(resp.read())
         assert np.array_equal(out, decode_reference(cs))
-        dispatched = service.scheduler.snapshot()["blocks_dispatched"] - before
+        dispatched = service.pool.snapshot()["blocks_dispatched"] - before
         if available_cores() > 1:  # else the single-core clamp keeps it inline
             assert dispatched >= 24  # ~ 3 x 48 blocks, past the serial clamp
 
@@ -504,6 +509,38 @@ class TestDecodeEndpoint:
         assert vs["count"] >= 1
 
 
+def _serve(*setup: str):
+    """Start ``python -m repro serve`` on a free port after ``setup`` lines.
+
+    Returns the process and its port, read from the banner.
+    """
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    script = "\n".join(
+        ["import sys", *setup, "from repro.cli import main",
+         "sys.exit(main(sys.argv[1:]))"])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "serve", "--port", "0",
+         "--workers", "2", "--quiet"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env,
+    )
+    banner = proc.stdout.readline()
+    port = int(banner.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+    return proc, port
+
+
+def _read_all(sock) -> bytes:
+    reply = b""
+    while chunk := sock.recv(65536):
+        reply += chunk
+    return reply
+
+
 class TestGracefulDrain:
     def test_second_sigterm_mid_drain_still_drains(self):
         # ``python -m repro serve`` gets SIGTERM while a request is still
@@ -511,27 +548,14 @@ class TestGracefulDrain:
         # has stopped: the request still gets its codestream, the server
         # prints its drain line and exits 0 instead of dying on the
         # second signal.
-        import os
         import signal
         import socket
-        import subprocess
-        import sys
         import time
 
         from repro.image.pnm import dump_pnm
 
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--workers", "2", "--quiet"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            env=env,
-        )
+        proc, port = _serve()
         try:
-            banner = proc.stdout.readline()
-            port = int(banner.split("http://", 1)[1].split()[0]
-                       .rsplit(":", 1)[1])
             img = watch_face_image(64, 64, channels=1)
             body = dump_pnm(img)
             head = (b"POST /encode?levels=3 HTTP/1.1\r\nHost: localhost\r\n"
@@ -547,15 +571,53 @@ class TestGracefulDrain:
                 time.sleep(0.2)
                 assert proc.poll() is None, "second SIGTERM killed the drain"
                 sock.sendall(body[16:])
-                reply = b""
-                while chunk := sock.recv(65536):
-                    reply += chunk
+                reply = _read_all(sock)
             status, _, payload = reply.partition(b"\r\n\r\n")
             assert status.startswith(b"HTTP/1.1 200"), status
             assert payload == encode(img, EncoderParams(levels=3)).codestream
             out, _ = proc.communicate(timeout=60)
             assert proc.returncode == 0, out
             assert "drained cleanly" in out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+    def test_stalled_upload_does_not_hold_the_drain(self):
+        # One client sends half a body and stalls, another idles on a
+        # keep-alive connection after one request.  SIGTERM still ends
+        # in a clean drain: the stalled read answers 408 and the idle
+        # connection closes, each after one read timeout.
+        import signal
+        import socket
+        import time
+
+        from repro.image.pnm import dump_pnm
+
+        proc, port = _serve("from repro.service import http",
+                            "http.READ_TIMEOUT_S = 0.5")
+        try:
+            body = dump_pnm(watch_face_image(64, 64, channels=1))
+            head = (b"POST /encode HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body))
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=60) as stalled, \
+                    socket.create_connection(("127.0.0.1", port),
+                                             timeout=60) as idle:
+                idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: localhost"
+                             b"\r\n\r\n")
+                reply = b""
+                while not reply.endswith(b"}\n"):  # the whole response
+                    reply += idle.recv(65536)
+                assert reply.startswith(b"HTTP/1.1 200")
+                stalled.sendall(head + body[: len(body) // 2])
+                time.sleep(0.2)  # a handler thread is reading the body
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=30)
+                assert proc.returncode == 0, out
+                assert "drained cleanly" in out
+                assert _read_all(stalled).startswith(b"HTTP/1.1 408")
+                assert _read_all(idle) == b""
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -393,7 +393,7 @@ library_groups = len(groups)
 with EncodeService(ServiceConfig(workers=2, cache_bytes=0)) as service:
     served = service.encode_image(img, EncoderParams())
     served_back = service.decode_image(served.codestream).image
-    sched = service.scheduler.snapshot()
+    pool_stats = service.pool.snapshot()
 print(json.dumps({
     "blocks": len(res.stats.blocks),
     "dispatch": res.stats.tier1_dispatch,
@@ -405,7 +405,7 @@ print(json.dumps({
     "served_round_trip": bool(np.array_equal(served_back, img)),
     "served_groups": len(groups) - library_groups,
     "served_ops": sorted({op for op, _ in groups[library_groups:]}),
-    "served_dispatched": sched["groups_dispatched"],
+    "served_dispatched": pool_stats["groups_dispatched"],
 }))
 """
 
@@ -433,7 +433,7 @@ class TestNoResourceTracker:
         assert not out["on_main_thread"]
         assert out["round_trip"]
         # The service ran its encode's and decode's groups on its own
-        # threads too, through its scheduler.
+        # threads too, each on a lane of its pool.
         assert out["served_identical"] and out["served_round_trip"]
         assert out["served_ops"] == ["decode", "encode"]
         assert out["served_groups"] == out["served_dispatched"] > 0
