@@ -7,8 +7,8 @@ three ways and records imgs/s plus p50/p95 latency to
 * ``baseline``       — the CLI path: each request encodes with
                        ``EncoderParams(workers=W)``, which opens and closes
                        a thread pool of its own per image;
-* ``service_nocache`` — the service's long-lived Tier-1 threads +
-                       scheduler with the result cache disabled (isolates
+* ``service_nocache`` — the service's long-lived Tier-1 threads, one
+                       lane per request, with the result cache disabled (isolates
                        concurrent serving from caching);
 * ``service_cached``  — the full service; repeated images hit the
                        content-addressed cache.
