@@ -1,14 +1,16 @@
 """DWT front-end benchmark: the native kernel against the dwt.py oracle.
 
 Times the front end in each direction — level shift + MCT + DWT +
-quantize forward (:func:`repro.jpeg2000.dwt_fast.run_frontend`), inverse
-DWT + inverse MCT + level unshift back
+quantize forward (:func:`repro.jpeg2000.dwt_fast.run_frontend`),
+dequantize + inverse DWT + inverse MCT + level unshift back from the
+int32 bands and their steps into the image
 (:func:`repro.jpeg2000.dwt_fast.run_inverse_frontend`) — with the native
 kernel and with the per-stage oracle (:mod:`repro.jpeg2000.mct`,
-:mod:`repro.jpeg2000.dwt`, :func:`repro.jpeg2000.quantize.quantize`),
-for both filters and several image sizes, and records the numbers to
-``BENCH_dwt.json``.  Every native run is checked equal to the oracle's
-output before its timing counts.
+:mod:`repro.jpeg2000.dwt`, :func:`repro.jpeg2000.quantize.quantize` and
+:func:`~repro.jpeg2000.quantize.dequantize`), for both filters and
+several image sizes, and records the numbers to ``BENCH_dwt.json``.
+Every native run is checked equal to the oracle's output before its
+timing counts.
 
 Usage::
 
@@ -31,7 +33,7 @@ from _util import add_repeats_flag, bench_report, check_repeats, time_fn, write_
 from repro.image.synthetic import watch_face_image
 from repro.jpeg2000 import _mq_native, mct
 from repro.jpeg2000.dwt import Decomposition, inverse_dwt2d
-from repro.jpeg2000.dwt_fast import run_frontend, run_inverse_frontend
+from repro.jpeg2000.dwt_fast import band_keys, run_frontend, run_inverse_frontend
 from repro.jpeg2000.encoder import _normalize_image
 from repro.jpeg2000.params import EncoderParams
 from repro.jpeg2000.quantize import dequantize
@@ -51,11 +53,18 @@ def _identical(a, b) -> bool:
     return True
 
 
-def _dequantized(d: Decomposition, step: float) -> Decomposition:
+def _bands(d: Decomposition) -> list[np.ndarray]:
+    """Subbands in the front end's band order: HL, LH, HH per level,
+    finest first, then LL."""
+    return [b for lvl in d.details for b in lvl] + [d.ll]
+
+
+def _dequantized(d: Decomposition, steps) -> Decomposition:
+    """The oracle's float subbands, from int32 bands and their steps."""
+    deq = [dequantize(b, s) for b, s in zip(_bands(d), steps)]
     return Decomposition(
-        shape=d.shape, levels=d.levels, reversible=False,
-        ll=dequantize(d.ll, step),
-        details=[tuple(dequantize(b, step) for b in lvl) for lvl in d.details],
+        shape=d.shape, levels=d.levels, reversible=False, ll=deq[-1],
+        details=[tuple(deq[3 * i : 3 * i + 3]) for i in range(d.levels)],
     )
 
 
@@ -80,22 +89,30 @@ def bench_case(size: int, channels: int, lossless: bool, repeats: int) -> dict:
         lambda: run_frontend(comps, depth, params), repeats
     )
 
-    # The decoder's coefficient planes: C-ordered, dequantized when lossy.
+    # The decoder's int32 subband planes and their quantizer steps; the
+    # native front end dequantizes them itself and stores the image.
     decomps = native.decomps
-    if not lossless:
-        decomps = [_dequantized(d, 0.5) for d in decomps]
+    steps = [native.quants[k].step for k in band_keys(native.levels)]
+    image = np.empty((size, size, channels) if channels > 1 else (size, size),
+                     np.uint8 if depth <= 8 else np.uint16)
 
     def oracle():
+        planes = decomps if lossless else [
+            _dequantized(d, steps) for d in decomps]
         return mct.inverse_mct(
-            [inverse_dwt2d(d) for d in decomps], depth, lossless
+            [inverse_dwt2d(d) for d in planes], depth, lossless
         )
 
-    got = run_inverse_frontend(decomps, depth, lossless)
+    bands = [_bands(d) for d in decomps]
+
+    def inverse():
+        run_inverse_frontend(bands, steps, depth, lossless, image)
+
+    inverse()
+    got = [image] if channels == 1 else [image[..., c] for c in range(channels)]
     identical &= all(np.array_equal(a, b) for a, b in zip(oracle(), got))
     out["inverse_reference"] = time_fn(oracle, repeats)
-    out["inverse_native"] = time_fn(
-        lambda: run_inverse_frontend(decomps, depth, lossless), repeats
-    )
+    out["inverse_native"] = time_fn(inverse, repeats)
 
     for way in ("forward", "inverse"):
         ref = out[f"{way}_reference"]["median_s"]

@@ -19,10 +19,11 @@ concurrent requests lane by lane.
 
 Determinism is non-negotiable: the codestream must be byte-identical for
 any worker count.  Workers may *finish* groups in any order (that is the
-point of dynamic scheduling), so every block carries a sequence number
-and results are re-assembled into submission order before the caller
-sees them.  Tier-1 itself is bit-exact against the scalar oracles
-(differentially tested), so scheduling is the only ordering concern.
+point of dynamic scheduling), so encode results carry sequence numbers
+and are re-assembled into submission order, and decoded blocks land in
+disjoint windows of their planes.  Tier-1 itself is bit-exact against
+the scalar oracles (differentially tested), so scheduling is the only
+ordering concern.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ class ThreadPool:
 
 
 class CodeBlockWorkQueue:
-    """Dynamic queue of block groups with deterministic reassembly.
+    """Dynamic queue of block groups.
 
     ``pool`` is anything with a ``workers`` count and an
     ``imap_unordered(payloads)`` yielding ``(seqs, worker id, results)`` —
@@ -334,8 +335,9 @@ class CodeBlockWorkQueue:
         self.pool = pool
         self.last_stats: QueueStats | None = None
 
-    def _run(self, op: str, items: list) -> list:
-        """Cut ``items`` into groups, run them, reassemble in order."""
+    def _run(self, op: str, items: list):
+        """Cut ``items`` into groups, run them, yield each ``(seqs,
+        results)``."""
         runs = group_runs(len(items), self.pool.workers)
         stats = QueueStats(workers=self.pool.workers, blocks=len(items),
                            groups=len(runs))
@@ -344,17 +346,11 @@ class CodeBlockWorkQueue:
             (op, tuple(run), tuple(items[i] for i in run))
             for run in runs
         ]
-        results: list = [None] * len(items)
         for seqs, worker, group_results in self.pool.imap_unordered(payloads):
-            for s, r in zip(seqs, group_results):
-                results[s] = r
             stats.blocks_per_worker[worker] = (
                 stats.blocks_per_worker.get(worker, 0) + len(seqs)
             )
-        missing = sum(r is None for r in results)
-        if missing:
-            raise RuntimeError(f"work queue lost {missing} block results")
-        return results
+            yield seqs, group_results
 
     def encode_plane_groups(
         self, planes: list[np.ndarray], blocks: list[tuple]
@@ -371,19 +367,26 @@ class CodeBlockWorkQueue:
             (planes[p][r0 : r0 + h, c0 : c0 + w], band)
             for p, r0, c0, h, w, band in blocks
         ]
-        return self._run("encode", items)
+        results: list = [None] * len(items)
+        for seqs, group_results in self._run("encode", items):
+            for s, r in zip(seqs, group_results):
+                results[s] = r
+        missing = sum(r is None for r in results)
+        if missing:
+            raise RuntimeError(f"work queue lost {missing} block results")
+        return results
 
     # perfbench/tracing.py looks this name up; it goes with that reader.
     encode_plane_blocks = encode_plane_groups
 
-    def decode_groups(self, blocks: list[tuple]) -> list[np.ndarray]:
-        """Decode code blocks in groups; int32 planes in block order.
+    def decode_groups(self, blocks: list[tuple]) -> None:
+        """Decode code blocks in groups, each into its ``dst`` view.
 
-        ``blocks[i]`` is ``(data, height, width, band, msbs, num_passes)``
-        — the arguments of
-        :func:`repro.jpeg2000.tier1.decode_codeblock`.  Code
-        blocks are as independent on decode as on encode, so the same
-        dynamic queue applies, and groups carry the compressed bytes
-        inline as encode groups carry coefficients.
+        ``blocks[i]`` is an item of
+        :func:`repro.jpeg2000.tier1_dec_vec.decode_codeblocks_batched`.
+        Groups carry the compressed bytes inline, as encode groups carry
+        coefficients, and their views keep the planes alive while they
+        are in flight.  Returns once every group is back.
         """
-        return self._run("decode", list(blocks))
+        for _ in self._run("decode", list(blocks)):
+            pass

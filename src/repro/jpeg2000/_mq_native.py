@@ -14,10 +14,10 @@ translation unit into one shared object:
   :func:`repro.jpeg2000.tier1.decode_codeblock`, wrapped by
   :mod:`repro.jpeg2000._t1_dec_native`.
 * ``fe_forward`` / ``fe_inverse`` are the front end in each direction
-  (level shift, MCT, every DWT level and quantization), the executable
-  form of the paper's Section 4 lifting kernel over the column chunks of
-  its Section 2 decomposition; :mod:`repro.jpeg2000.dwt_fast` drives
-  them.
+  (level shift, MCT, every DWT level and (de)quantization), the
+  executable form of the paper's Section 4 lifting kernel over the
+  column chunks of its Section 2 decomposition;
+  :mod:`repro.jpeg2000.dwt_fast` drives them.
 
 Tier-1 is serial within a block, so one call codes one block with a
 fixed state footprint, like the paper's constant Local-Store footprint
@@ -413,12 +413,14 @@ _T1_DEC_BODY = r"""
     key[_nb[6]] += 1;  key[_nb[7]] += 1; \
 } while (0)
 
-/* Decode one block to its midpoint-reconstructed int32 samples.  The
-   caller guarantees 1 <= msbs <= 62 (MAX_MSBS), 1 <= num_passes <=
-   1 + 3 * (msbs - 1) and height * width <= MAXN. */
+/* Decode one block to its midpoint-reconstructed int32 samples, stored
+   in rows of stride samples from out (the block's window of its subband
+   plane).  The caller guarantees 1 <= msbs <= 62 (MAX_MSBS), 1 <=
+   num_passes <= 1 + 3 * (msbs - 1) and height * width <= MAXN. */
 int t1_decode_block(const uint8_t *data, long dlen,
                     int height, int width, int msbs, int num_passes,
-                    const uint8_t *lut, const int32_t *nbr, int32_t *out)
+                    const uint8_t *lut, const int32_t *nbr, int32_t *out,
+                    long stride)
 {
     long n = (long)height * width;
     int32_t sig[MAXN + 1];
@@ -542,14 +544,16 @@ int t1_decode_block(const uint8_t *data, long dlen,
     /* Midpoint reconstruction in int64, then narrowed to the low 32 bits
        two's complement, exactly as the reference's .astype(np.int32)
        (GCC and Clang define the signed conversion as modulo 2^32). */
-    for (long i = 0; i < n; i++) {
-        int64_t v = 0;
-        if (mag[i]) {
-            v = mag[i] + ((((int64_t)1) << prec[i]) >> 1);
-            if (sgn[i]) v = -v;
+    for (long r = 0; r < height; r++)
+        for (long j = 0; j < width; j++) {
+            long i = r * width + j;
+            int64_t v = 0;
+            if (mag[i]) {
+                v = mag[i] + ((((int64_t)1) << prec[i]) >> 1);
+                if (sgn[i]) v = -v;
+            }
+            out[r * stride + j] = (int32_t)(uint32_t)(uint64_t)v;
         }
-        out[i] = (int32_t)(uint32_t)(uint64_t)v;
-    }
     return 0;
 }
 """
@@ -640,6 +644,34 @@ static void inv97(double *lo, double *hi, long ns, long nd, long m)
     lift97(hi, lo, nd, ns, m, 0, -LIFT_ALPHA);
 }
 
+/* quantize.dequantize of one quantizer index: sign(q) * (|q| + 0.5) *
+   step in NumPy's operation order, and 0 for q = 0.  The product of the
+   sign and |q| + 0.5 is exact, so copysign gives it bit for bit. */
+static inline double dequant(int32_t q, double step)
+{
+    double x = (double)q;
+    double v = copysign(fabs(x) + 0.5, x) * step;
+    return q ? v : 0.0;
+}
+
+/* Columns either side of a chunk that the last level's horizontal
+   synthesis also runs over: the four 9/7 lifting steps reach 4 samples
+   past a cut in the row (the two 5/3 steps 2).  Even, so a chunk's halo
+   starts on a low sample. */
+#define HALO 4
+
+/* Rows ahead whose inputs a horizontal synthesis pass prefetches: the
+   last level reads a chunk's few columns of every row, a row apart in
+   memory, which the hardware prefetchers do not follow.  Without it the
+   3072^2 x 3 lossless inverse front end takes twice as long. */
+#define PREFETCH_ROWS 8
+
+static inline void prefetch(const void *p, long bytes)
+{
+    for (long o = 0; o < bytes; o += 64)
+        __builtin_prefetch((const char *)p + o);
+}
+
 /* The source samples of one tile: up to three components sharing a
    sample type (kind = bytes per sample: uint8, uint16 or int32). */
 typedef struct {
@@ -661,6 +693,26 @@ static void shifted(const Src *s, int c, long i, long j0, long n, int32_t *dst)
     else
         for (long j = 0; j < n; j++) dst[j] = *(const int32_t *)(p + j * cs);
     for (long j = 0; j < n; j++) dst[j] -= s->half;
+}
+
+/* The output samples of one tile, Src's mirror: up to three components
+   of uint8 (kind 1) or uint16 (kind 2) at their own strides. */
+typedef struct {
+    char *base[3];
+    long rs[3], cs[3];
+    int kind;
+} Dst;
+
+/* Store n samples of src into row i, columns j0..j0+n-1 of component c. */
+static void store(const Dst *d, int c, long i, long j0, long n,
+                  const int32_t *src)
+{
+    char *p = d->base[c] + i * d->rs[c] + j0 * d->cs[c];
+    long cs = d->cs[c];
+    if (d->kind == 1)
+        for (long j = 0; j < n; j++) *(uint8_t *)(p + j * cs) = src[j];
+    else
+        for (long j = 0; j < n; j++) *(uint16_t *)(p + j * cs) = src[j];
 }
 
 /* The same row of component c after the merged level shift and RCT
@@ -779,31 +831,55 @@ static void FORWARD(const Src *s, long h, long w, int levels,
     }
 }
 
-/* One horizontal synthesis pass: rows of (ll, hl) and of (lh, hh), the
-   bands of a level whose plane is ph x pw, interleave into the low rows,
-   then the high rows, of v. */
-static void UNROWS(const T *ll, const T *const *b, long ph, long pw, T *v,
-                   W *scr)
+/* Horizontal synthesis of columns a..e-1 (a even) of a level whose
+   plane is ph x pw: rows of (ll, HL) and of (LH, HH) interleave into the
+   low rows, then the high rows, of v, in rows of vs samples.  ll is the
+   level's LL plane, (ph + 1) / 2 x (pw + 1) / 2 samples; the detail bands
+   b are int32, read through DEQ with their steps st.  Where a or e cuts
+   the row inside, the symmetric extension at the cut is not the row's,
+   and the samples within HALO of it are wrong: the caller drops them. */
+static void UNROWS(const T *ll, const int32_t *const *b, const double *st,
+                   long ph, long pw, long a, long e, T *v, long vs, W *scr)
 {
     long ns_v = (ph + 1) / 2, ns_h = (pw + 1) / 2, nd_h = pw / 2;
+    long k0 = a / 2, ns = (e + 1) / 2 - k0, nd = e / 2 - k0;
     for (long r = 0; r < ph; r++) {
         int low = r < ns_v;
         long rr = low ? r : r - ns_v;
-        const T *a = low ? ll + rr * ns_h : b[1] + rr * ns_h;
-        const T *d = low ? b[0] + rr * nd_h : b[2] + rr * nd_h;
-        T *dst = v + r * pw;
-        if (pw == 1) { dst[0] = a[0]; continue; }
-        W *lo = scr, *hi = scr + ns_h;
-        for (long k = 0; k < ns_h; k++) lo[k] = UNLO(a[k]);
-        for (long k = 0; k < nd_h; k++) hi[k] = UNHI(d[k]);
-        UNLIFT(lo, hi, ns_h, nd_h, 1);
-        for (long k = 0; k < ns_h; k++) dst[2 * k] = NARROW(lo[k]);
-        for (long k = 0; k < nd_h; k++) dst[2 * k + 1] = NARROW(hi[k]);
+        T *dst = v + r * vs;
+        long pr = r + PREFETCH_ROWS;
+        if (pr < ph) {
+            int plow = pr < ns_v;
+            long prr = plow ? pr : pr - ns_v;
+            if (plow)
+                prefetch(ll + prr * ns_h + k0, ns * (long)sizeof(T));
+            else
+                prefetch(b[1] + prr * ns_h + k0, ns * 4);
+            prefetch((plow ? b[0] : b[2]) + prr * nd_h + k0, nd * 4);
+        }
+        if (pw == 1) {
+            dst[0] = low ? ll[rr] : DEQ(b[1][rr], st[1]);
+            continue;
+        }
+        W *lo = scr, *hi = scr + ns;
+        if (low) {
+            const T *l = ll + rr * ns_h + k0;
+            for (long k = 0; k < ns; k++) lo[k] = UNLO(l[k]);
+        } else {
+            const int32_t *q = b[1] + rr * ns_h + k0;
+            for (long k = 0; k < ns; k++) lo[k] = UNLO(DEQ(q[k], st[1]));
+        }
+        const int32_t *d = (low ? b[0] : b[2]) + rr * nd_h + k0;
+        double ds = low ? st[0] : st[2];
+        for (long k = 0; k < nd; k++) hi[k] = UNHI(DEQ(d[k], ds));
+        UNLIFT(lo, hi, ns, nd, 1);
+        for (long k = 0; k < ns; k++) dst[2 * k] = NARROW(lo[k]);
+        for (long k = 0; k < nd; k++) dst[2 * k + 1] = NARROW(hi[k]);
     }
 }
 
 /* One vertical synthesis of columns c0..c0+cw-1 of v (ph rows: low, then
-   high) into dst rows of dst_stride samples. */
+   high, of pw samples) into dst rows of dst_stride samples. */
 static void UNCOLS(const T *v, long ph, long pw, long c0, long cw, T *dst,
                    long dst_stride, W *scr)
 {
@@ -820,44 +896,67 @@ static void UNCOLS(const T *v, long ph, long pw, long c0, long cw, T *dst,
                 NARROW(scr[(i & 1 ? ns_v + i / 2 : i / 2) * cw + j]);
 }
 
-/* Synthesis of one component up to its last vertical pass: levels down
-   to 2 into plane (through vq), both of ((h + 1) / 2) * ((w + 1) / 2)
-   samples, then level 1's horizontal pass into v (h x w).  Returns v,
-   or the LL band itself when levels is 0. */
-static const T *INVERSE(long h, long w, int levels, const T *const *bands,
-                        T *v, T *plane, T *vq, W *scr)
+/* Synthesis of one component down to level 1's LL ((h + 1) / 2 x
+   (w + 1) / 2 samples, in plane): the LL band through DEQ, then each
+   level from levels down to 2, horizontally into vq and vertically back
+   into plane.  bands and steps are laid out as in FORWARD; levels >= 1. */
+static void INVERSE(long h, long w, int levels, const int32_t *const *bands,
+                    const double *steps, T *plane, T *vq, W *scr)
 {
-    const T *ll = bands[3 * levels];
-    for (int l = levels; l >= 1; l--) {
-        long ph = h, pw = w;
+    long ph = h, pw = w;
+    for (int i = 0; i < levels; i++) { ph = (ph + 1) / 2; pw = (pw + 1) / 2; }
+    for (long e = 0; e < ph * pw; e++)
+        plane[e] = DEQ(bands[3 * levels][e], steps[3 * levels]);
+    for (int l = levels; l >= 2; l--) {
+        ph = h;
+        pw = w;
         for (int i = 1; i < l; i++) { ph = (ph + 1) / 2; pw = (pw + 1) / 2; }
-        const T *const *b = bands + 3 * (l - 1);
-        if (l == 1) {
-            UNROWS(ll, b, ph, pw, v, scr);
-            return v;
-        }
-        UNROWS(ll, b, ph, pw, vq, scr);
+        UNROWS(plane, bands + 3 * (l - 1), steps + 3 * (l - 1), ph, pw,
+               0, pw, vq, pw, scr);
         for (long c0 = 0; c0 < pw; c0 += CHUNK)
             UNCOLS(vq, ph, pw, c0, pw - c0 < CHUNK ? pw - c0 : CHUNK,
                    plane + c0, pw, scr);
-        ll = plane;
     }
-    return ll;
+}
+
+/* Columns c0..c0+cw-1 of one component's synthesized h x w plane into
+   dst (h rows of cw samples): level 1's horizontal pass over the chunk
+   and HALO columns either side of it into vbuf, then its vertical pass
+   over the chunk.  plane holds INVERSE's result; with no levels the LL
+   band is the plane, read through DEQ. */
+static void LAST(long h, long w, int levels, const int32_t *const *bands,
+                 const double *steps, const T *plane, long c0, long cw,
+                 T *vbuf, T *dst, W *scr)
+{
+    if (levels == 0) {
+        for (long i = 0; i < h; i++)
+            for (long j = 0; j < cw; j++)
+                dst[i * cw + j] = DEQ(bands[0][i * w + c0 + j], steps[0]);
+        return;
+    }
+    long a = c0 >= HALO ? c0 - HALO : 0;
+    long e = c0 + cw + HALO < w ? c0 + cw + HALO : w;
+    UNROWS(plane, bands, steps, h, w, a, e, vbuf, e - a, scr);
+    UNCOLS(vbuf, h, e - a, c0 - a, cw, dst, cw, scr);
 }
 """
 
 _FE_FILTERS = (
     {"T": "int32_t", "W": "int64_t", "FORWARD": "forward53",
      "INVERSE": "inverse53", "UNROWS": "unrows53", "UNCOLS": "uncols53",
+     "LAST": "last53",
      "ROW": "rct_row", "LIFT": "fwd53", "UNLIFT": "inv53",
      "LO(x)": "(x)", "HI(x)": "(x)", "QUANT(x, step)": "((void)(step), (x))",
+     "DEQ(q, step)": "((void)(step), (q))",
      "UNLO(x)": "((int64_t)(x))", "UNHI(x)": "((int64_t)(x))",
      "NARROW(x)": "((int32_t)(uint32_t)(uint64_t)(x))"},
     {"T": "double", "W": "double", "FORWARD": "forward97",
      "INVERSE": "inverse97", "UNROWS": "unrows97", "UNCOLS": "uncols97",
+     "LAST": "last97",
      "ROW": "ict_row", "LIFT": "fwd97", "UNLIFT": "inv97",
      "LO(x)": "((x) * INV_K)", "HI(x)": "((x) * LIFT_K)",
      "QUANT(x, step)": "((int32_t)((x) / (step)))",
+     "DEQ(q, step)": "dequant((q), (step))",
      "UNLO(x)": "((x) * LIFT_K)", "UNHI(x)": "((x) * INV_K)",
      "NARROW(x)": "(x)"},
 )
@@ -886,8 +985,7 @@ long fe_work(int inverse, int ncomp, long h, long w, int lossless)
     long scr = SCRATCH(h, w) * wsz;
     long quarter = ((h + 1) / 2) * ((w + 1) / 2);
     if (!inverse) return scr + t * (h * w + quarter);
-    /* 5/3 synthesis keeps level 1's rows in out itself (see fe_inverse). */
-    return scr + t * ((lossless ? 0 : ncomp * h * w) + 2 * quarter
+    return scr + t * ((ncomp + 1) * quarter + h * (CHUNK + 2 * HALO)
                       + ncomp * h * CHUNK);
 }
 
@@ -922,100 +1020,104 @@ static inline int32_t unshift_real(double x, int32_t half, int32_t top)
 }
 
 /* Inverse MCT (mct.inverse_mct: the RCT in int64 narrowed to int32, or
-   the ICT row by row), rint, level unshift and clip of an h x cw block:
-   p[c] holds component c's samples (int32 for 5/3, double for 9/7) in
-   rows of cw, out[c] its output in rows of w. */
+   the ICT row by row), rint, level unshift and clip of columns
+   c0..c0+cw-1: p[c] holds component c's synthesized samples (int32 for
+   5/3, double for 9/7) in h rows of cw, stored into d. */
 static void unshift(int ncomp, int lossless, const void *const *p, long h,
-                    long cw, long w, int depth, int32_t *const *out)
+                    long c0, long cw, int depth, const Dst *d)
 {
     int32_t half = 1 << (depth - 1), top = (1 << depth) - 1;
+    int32_t row[3][CHUNK];
     for (long i = 0; i < h; i++) {
-        long a = i * cw, o = i * w;
+        long a = i * cw;
         if (lossless) {
             const int32_t *y = (const int32_t *)p[0] + a;
-            if (ncomp == 1) {
+            if (ncomp == 1)
                 for (long j = 0; j < cw; j++)
-                    out[0][o + j] = unshift_int(y[j], half, top);
-                continue;
-            }
-            const int32_t *u = (const int32_t *)p[1] + a;
-            const int32_t *v = (const int32_t *)p[2] + a;
-            for (long j = 0; j < cw; j++) {
-                int64_t g = (int64_t)y[j] - (((int64_t)u[j] + v[j]) >> 2);
-                out[0][o + j] = unshift_int(v[j] + g, half, top);
-                out[1][o + j] = unshift_int(g, half, top);
-                out[2][o + j] = unshift_int(u[j] + g, half, top);
+                    row[0][j] = unshift_int(y[j], half, top);
+            else {
+                const int32_t *u = (const int32_t *)p[1] + a;
+                const int32_t *v = (const int32_t *)p[2] + a;
+                for (long j = 0; j < cw; j++) {
+                    int64_t g = (int64_t)y[j] - (((int64_t)u[j] + v[j]) >> 2);
+                    row[0][j] = unshift_int(v[j] + g, half, top);
+                    row[1][j] = unshift_int(g, half, top);
+                    row[2][j] = unshift_int(u[j] + g, half, top);
+                }
             }
         } else {
             const double *y = (const double *)p[0] + a;
-            if (ncomp == 1) {
+            if (ncomp == 1)
                 for (long j = 0; j < cw; j++)
-                    out[0][o + j] = unshift_real(y[j], half, top);
-                continue;
-            }
-            const double *cb = (const double *)p[1] + a;
-            const double *cr = (const double *)p[2] + a;
-            for (int c = 0; c < 3; c++) {
-                const double *m = ICT_INV[c];
-                for (long j = 0; j < cw; j++)
-                    out[c][o + j] = unshift_real(
-                        y[j] * m[0] + cb[j] * m[1] + cr[j] * m[2], half, top);
+                    row[0][j] = unshift_real(y[j], half, top);
+            else {
+                const double *cb = (const double *)p[1] + a;
+                const double *cr = (const double *)p[2] + a;
+                for (int c = 0; c < 3; c++) {
+                    const double *m = ICT_INV[c];
+                    for (long j = 0; j < cw; j++)
+                        row[c][j] = unshift_real(
+                            y[j] * m[0] + cb[j] * m[1] + cr[j] * m[2],
+                            half, top);
+                }
             }
         }
+        for (int c = 0; c < ncomp; c++) store(d, c, i, c0, cw, row[c]);
     }
 }
 
-/* Inverse front end of one tile (bands laid out as in fe_forward, int32
-   for 5/3 and double for 9/7): each component is synthesized up to its
-   last vertical pass (INVERSE); that pass then runs chunk by chunk for
-   all components together, and each chunk's rows go straight through
-   the inverse MCT, rint, level unshift and clip into out.  On the 5/3
-   path level 1's horizontal pass writes into out, whose int32 planes a
-   chunk's columns leave before its results come back.  work holds
-   fe_work(1, ...) bytes. */
-void fe_inverse(int ncomp, int depth, long h, long w, int lossless,
-                int levels, const void *const *bands, int32_t *const *out,
-                char *work)
+/* Inverse front end of one tile, fe_forward's mirror: bands (int32
+   quantizer indices, dequantized by their first load on 9/7) and steps
+   laid out as in FORWARD, and base, strides and kind describe the ncomp
+   output components (kind 1 uint8, 2 uint16).  Each component is
+   synthesized down to level 1's LL (INVERSE); the last level then runs
+   chunk by chunk for all components together (LAST), and each chunk's
+   rows go straight through the inverse MCT, rint, level unshift and clip
+   into the output.  work holds fe_work(1, ...) bytes. */
+void fe_inverse(int ncomp, char *const *base, const long *strides,
+                int kind, int depth, long h, long w, int lossless, int levels,
+                const double *steps, const int32_t *const *bands, char *work)
 {
-    long n = h * w, nq = ((h + 1) / 2) * ((w + 1) / 2);
+    Dst d = {{0}, {0}, {0}, kind};
+    for (int c = 0; c < ncomp; c++) {
+        d.base[c] = base[c];
+        d.rs[c] = strides[2 * c];
+        d.cs[c] = strides[2 * c + 1];
+    }
+    long nq = ((h + 1) / 2) * ((w + 1) / 2);
     long nbands = 3L * levels + 1;
     size_t t = lossless ? sizeof(int32_t) : sizeof(double);
     void *scr = work;
-    char *v = work + SCRATCH(h, w) * (lossless ? sizeof(int64_t) : t);
-    char *quarter = lossless ? v : v + t * n * ncomp;
-    char *chunks = quarter + t * nq * 2;
-    const void *vc[3];
-    for (int c = 0; c < ncomp; c++) {
-        const void *const *cb = bands + c * nbands;
-        char *vcomp = lossless ? (char *)out[c] : v + t * n * c;
-        char *vq = quarter + t * nq;
-        vc[c] = lossless
-            ? (const void *)inverse53(h, w, levels, (const int32_t *const *)cb,
-                                      (int32_t *)vcomp, (int32_t *)quarter,
-                                      (int32_t *)vq, scr)
-            : (const void *)inverse97(h, w, levels, (const double *const *)cb,
-                                      (double *)vcomp, (double *)quarter,
-                                      (double *)vq, scr);
+    char *planes = work + SCRATCH(h, w) * (lossless ? sizeof(int64_t) : t);
+    char *vq = planes + t * nq * ncomp;
+    char *vbuf = vq + t * nq;
+    char *chunks = vbuf + t * h * (CHUNK + 2 * HALO);
+    for (int c = 0; c < ncomp && levels > 0; c++) {
+        const int32_t *const *cb = bands + c * nbands;
+        char *plane = planes + t * nq * c;
+        if (lossless)
+            inverse53(h, w, levels, cb, steps, (int32_t *)plane,
+                      (int32_t *)vq, scr);
+        else
+            inverse97(h, w, levels, cb, steps, (double *)plane,
+                      (double *)vq, scr);
     }
     for (long c0 = 0; c0 < w; c0 += CHUNK) {
         long cw = w - c0 < CHUNK ? w - c0 : CHUNK;
         const void *p[3];
         for (int c = 0; c < ncomp; c++) {
+            const int32_t *const *cb = bands + c * nbands;
+            const char *plane = planes + t * nq * c;
             char *dst = chunks + t * h * CHUNK * c;
             p[c] = dst;
-            /* Level 0 has no vertical pass: the chunk is the LL band's. */
-            if (levels == 0)
-                for (long i = 0; i < h; i++)
-                    memcpy(dst + t * i * cw,
-                           (const char *)vc[c] + t * (i * w + c0), t * cw);
-            else if (lossless)
-                uncols53(vc[c], h, w, c0, cw, (int32_t *)dst, cw, scr);
+            if (lossless)
+                last53(h, w, levels, cb, steps, (const int32_t *)plane, c0,
+                       cw, (int32_t *)vbuf, (int32_t *)dst, scr);
             else
-                uncols97(vc[c], h, w, c0, cw, (double *)dst, cw, scr);
+                last97(h, w, levels, cb, steps, (const double *)plane, c0,
+                       cw, (double *)vbuf, (double *)dst, scr);
         }
-        int32_t *o[3];
-        for (int c = 0; c < ncomp; c++) o[c] = out[c] + c0;
-        unshift(ncomp, lossless, p, h, cw, w, depth, o);
+        unshift(ncomp, lossless, p, h, c0, cw, depth, &d);
     }
 }
 """

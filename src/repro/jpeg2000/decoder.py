@@ -12,16 +12,15 @@ The decoder has two backends, sample-identical (differentially tested):
 ``auto``
     The default.  The code blocks of the whole image go to
     :func:`repro.jpeg2000.tier1_dec_vec.decode_codeblocks_batched` in one
-    call: the native whole-block kernel per block where a C compiler is
-    available, the scalar oracle per block where not.  The inverse DWT +
-    MCT front end (:func:`repro.jpeg2000.dwt_fast.run_inverse_frontend`,
-    one native call per tile) follows.
+    call, each decoded into its window of its int32 subband plane.  The
+    front end (:func:`repro.jpeg2000.dwt_fast.run_inverse_frontend`, one
+    native call per tile) dequantizes the planes and stores the tile into
+    its window of the one output image.
 
 ``decode(..., workers=N)`` additionally fans block groups out over
 :class:`repro.core.workpool.CodeBlockWorkQueue` (threads of the calling
-process, sequence-numbered reassembly); it is deterministic for any
-worker count, and small images auto-clamp to serial exactly like the
-encoder.
+process); it is deterministic for any worker count, and small images
+auto-clamp to serial exactly like the encoder.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from repro.jpeg2000 import mct
 from repro.jpeg2000.codeblocks import partition_subband
 from repro.jpeg2000.codestream import CodestreamInfo, parse_codestream
 from repro.jpeg2000.dwt import Decomposition, inverse_dwt2d
-from repro.jpeg2000.dwt_fast import DecodeStageTimings, run_inverse_frontend
+from repro.jpeg2000.dwt_fast import DecodeStageTimings, band_keys, run_inverse_frontend
 from repro.jpeg2000.errors import (
     CodestreamError,
     DecodeLimits,
@@ -202,17 +201,24 @@ def _tile_layout(info: CodestreamInfo) -> tuple[list[bytes], list[tuple[int, int
 
 
 def _empty_coeff(
-    info: CodestreamInfo, layouts: list[_SubbandLayout]
+    info: CodestreamInfo, layouts: list[_SubbandLayout], dtype=np.int32
 ) -> list[dict[tuple[str, int], np.ndarray]]:
     """Per-component, per-subband zeroed coefficient planes."""
-    dtype = np.int32 if info.reversible else np.float64
     return [
         {
-            (lay.band, lay.dlevel): np.zeros((lay.height, lay.width), dtype=dtype)
+            (lay.band, lay.dlevel): np.zeros((lay.height, lay.width), dtype)
             for lay in layouts
         }
         for _ in range(info.num_components)
     ]
+
+
+def _band_step(info: CodestreamInfo, lay: _SubbandLayout) -> float:
+    """A subband's quantizer step (1.0 on the reversible path)."""
+    if info.reversible:
+        return 1.0
+    rb = nominal_range_bits(info.bit_depth, lay.band, False)
+    return exponent_mantissa_to_step(lay.exponent, lay.mantissa, rb)
 
 
 def _iter_tile_blocks(
@@ -227,7 +233,6 @@ def _iter_tile_blocks(
     this one generator, so header validation raises identical typed
     errors at identical points regardless of backend.
     """
-    chroma_expanded = info.reversible and info.use_mct
     nres = info.levels + 1
     res_layouts: list[list[_SubbandLayout]] = []
     res_parts: list[list[tuple[list, int, int]]] = []
@@ -273,13 +278,8 @@ def _iter_tile_blocks(
             band_sel.append(sel)
         parsed, pos = parse_packet(data, pos, band_grids)
         for lay, sel, blocks in zip(res_layouts[res], band_sel, parsed):
-            rb = nominal_range_bits(info.bit_depth, lay.band, chroma_expanded)
             num_bitplanes = lay.exponent + info.guard_bits - 1
-            step = (
-                1.0
-                if info.reversible
-                else exponent_mantissa_to_step(lay.exponent, lay.mantissa, rb)
-            )
+            step = _band_step(info, lay)
             for spec, blk in zip(sel, blocks):
                 if not blk.included:
                     continue
@@ -310,7 +310,7 @@ def _decode_tile_reference(
     path is differentially tested against.
     """
     layouts = _subband_layouts(info, height, width)
-    coeff = _empty_coeff(info, layouts)
+    coeff = _empty_coeff(info, layouts, np.int32 if info.reversible else np.float64)
     for ci, lay, spec, blk, msbs, step in _iter_tile_blocks(info, layouts, data):
         vals = decode_codeblock(
             blk.data, spec.height, spec.width, lay.band, msbs, blk.num_passes
@@ -369,7 +369,7 @@ def _decode_parsed_fast(
     timings: DecodeStageTimings | None,
     pool=None,
 ) -> np.ndarray:
-    """Batched decode: collect blocks, decode per image, fuse.
+    """Decode in place: blocks into their planes, tiles into the image.
 
     The packet walk (:func:`_iter_tile_blocks`, shared with the reference
     path) *collects* block tasks instead of decoding inline, so every
@@ -377,36 +377,35 @@ def _decode_parsed_fast(
     the same order.  Tier-1 decoding itself is total for validated inputs
     — the MQ decoder treats truncation as an endless ``0xFF`` tail and
     never raises — so deferring it cannot reorder failures.  Blocks from
-    *all tiles* decode in one batched call (or over the work queue) — a
-    tiled stream parallelizes across spatial regions as well as blocks —
-    then are dequantized, placed, and each tile's inverse front end
-    reconstructs its components into the stitched output.
+    *all tiles* decode in one batched call (or over the work queue) into
+    their windows of the planes, then each tile's front end stores into
+    its window of the output.
     """
     t0 = time.perf_counter()
     tiles, grid = _tile_layout(info)
 
     # Packet walk per tile: identical traversal and identical typed-error
     # ordering to the reference; blocks are recorded, not decoded.
-    blocks_in: list[tuple[bytes, int, int, str, int, int]] = []
-    placements: list[tuple[np.ndarray, object, float]] = []
+    blocks_in: list[tuple] = []
     tile_coeffs = []
     for body, (_row0, _col0, t_h, t_w) in zip(tiles, grid):
         layouts = _subband_layouts(info, t_h, t_w)
         coeff = _empty_coeff(info, layouts)
         tile_coeffs.append(coeff)
-        for ci, lay, spec, blk, msbs, step in _iter_tile_blocks(
+        for ci, lay, spec, blk, msbs, _step in _iter_tile_blocks(
             info, layouts, body
         ):
+            plane = coeff[ci][(lay.band, lay.dlevel)]
             blocks_in.append((
                 blk.data, spec.height, spec.width, lay.band,
                 msbs, blk.num_passes,
+                plane[spec.row0 : spec.row0 + spec.height,
+                      spec.col0 : spec.col0 + spec.width],
             ))
-            placements.append((coeff[ci][(lay.band, lay.dlevel)], spec, step))
     t1 = time.perf_counter()
 
-    # Tier-1: per image, not per block or per tile.  The work queue path
-    # reassembles by sequence number, so results are identical at any
-    # worker count; tiny images clamp to serial exactly like the encoder.
+    # Tier-1: per image, not per block or per tile.  Blocks store into
+    # disjoint windows, so any worker count gives the same planes.
     from repro.core.workpool import (
         CodeBlockWorkQueue,
         ThreadPool,
@@ -418,63 +417,34 @@ def _decode_parsed_fast(
     )
     if tier1_workers > 1:
         if pool is not None:
-            results = CodeBlockWorkQueue(pool).decode_groups(blocks_in)
+            CodeBlockWorkQueue(pool).decode_groups(blocks_in)
         else:
             with ThreadPool(tier1_workers) as own_pool:
-                results = CodeBlockWorkQueue(own_pool).decode_groups(blocks_in)
+                CodeBlockWorkQueue(own_pool).decode_groups(blocks_in)
     else:
         from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
 
-        results = decode_codeblocks_batched(blocks_in)
+        decode_codeblocks_batched(blocks_in)
+    del blocks_in
     t2 = time.perf_counter()
 
-    # Dequantize + place (elementwise; identical to the reference's
-    # inline per-block handling).
-    for (target, spec, step), vals in zip(placements, results):
-        if info.reversible:
-            out = vals
-        else:
-            out = dequantize(vals, step)
-        target[spec.row0 : spec.row0 + spec.height,
-               spec.col0 : spec.col0 + spec.width] = out
-    t3 = time.perf_counter()
-
-    # Inverse DWT + inverse MCT + level unshift, per tile, stitched
-    # into the full-image output planes.
-    full: list[np.ndarray] | None = None
-    out = None
+    ncomp = info.num_components
+    out = np.empty(
+        (info.height, info.width) + ((ncomp,) if ncomp > 1 else ()),
+        np.uint8 if info.bit_depth <= 8 else np.uint16,
+    )
+    lays = {(lay.band, lay.dlevel): lay for lay in _subband_layouts(info)}
+    keys = band_keys(info.levels)
+    steps = [_band_step(info, lays[k]) for k in keys]
     for coeff, (row0, col0, t_h, t_w) in zip(tile_coeffs, grid):
-        decomps = []
-        for ci in range(info.num_components):
-            details = []
-            for dl in range(1, info.levels + 1):
-                details.append(
-                    (coeff[ci][("HL", dl)], coeff[ci][("LH", dl)],
-                     coeff[ci][("HH", dl)])
-                )
-            decomps.append(Decomposition(
-                shape=(t_h, t_w), levels=info.levels,
-                reversible=info.reversible,
-                ll=coeff[ci][("LL", info.levels)], details=details,
-            ))
-        comps = run_inverse_frontend(decomps, info.bit_depth, info.reversible)
-        if info.tiles is None:
-            out = _stack_output(comps, info.bit_depth)
-            break
-        if full is None:
-            full = [
-                np.zeros((info.height, info.width), dtype=c.dtype)
-                for c in comps
-            ]
-        for ci, c in enumerate(comps):
-            full[ci][row0 : row0 + t_h, col0 : col0 + t_w] = c
-    if out is None:
-        assert full is not None
-        out = _stack_output(full, info.bit_depth)
-    t4 = time.perf_counter()
+        run_inverse_frontend(
+            [[planes[k] for k in keys] for planes in coeff], steps,
+            info.bit_depth, info.reversible,
+            out[row0 : row0 + t_h, col0 : col0 + t_w],
+        )
+    t3 = time.perf_counter()
     if timings is not None:
         timings.parse += t1 - t0
         timings.tier1 += t2 - t1
-        timings.dequantize += t3 - t2
-        timings.idwt_mct += t4 - t3
+        timings.idwt_mct += t3 - t2
     return out

@@ -16,11 +16,14 @@ library, :mod:`repro.jpeg2000._mq_native`): level shift and RCT/ICT
 merged into the first vertical pass, every level's vertical lifting over
 :data:`~repro.jpeg2000._mq_native.CHUNK_COLS`-column chunks and its
 horizontal lifting over rows, deadzone quantization in the last store;
-and in reverse, ending in inverse MCT, ``rint``, level unshift and clip.
-5/3 analysis is int32, 5/3 synthesis int64 (decoded coefficients are
+and in reverse, dequantization in each band's first load, the last level
+chunk by chunk, and inverse MCT, ``rint``, level unshift and clip stored
+into the caller's image.  5/3
+analysis is int32, 5/3 synthesis int64 (decoded coefficients are
 unbounded, and the oracle goes to int64 for them too), 9/7 double in the
 operation order of :mod:`repro.jpeg2000.dwt`, :mod:`repro.jpeg2000.mct`
-and :func:`repro.jpeg2000.quantize.quantize`, so outputs equal the
+and :func:`repro.jpeg2000.quantize.quantize` /
+:func:`~repro.jpeg2000.quantize.dequantize`, so outputs equal the
 oracle's exactly.
 
 The oracle — :func:`repro.jpeg2000.mct.forward_mct`,
@@ -49,7 +52,7 @@ from repro.jpeg2000.dwt import (
     forward_dwt2d,
     inverse_dwt2d,
 )
-from repro.jpeg2000.quantize import SubbandQuant, derive_quant, quantize
+from repro.jpeg2000.quantize import SubbandQuant, dequantize, derive_quant, quantize
 
 #: Valid DWT backend names: ``auto`` (the native kernel where available)
 #: and ``reference`` (the oracle).
@@ -127,24 +130,21 @@ class DecodeStageTimings:
     """Wall-clock seconds spent in each decode pipeline stage.
 
     The decode mirror of :class:`StageTimings`: ``parse`` covers marker and
-    packet parsing, ``tier1`` the code-block bit decoding, ``dequantize``
-    the step multiply + placement, and ``idwt_mct`` the inverse DWT +
-    inverse MCT + level-unshift front end.  The reference decode backend
-    fills only ``parse`` and ``total`` (its stages are interleaved by
-    design and left untouched as the oracle).
+    packet parsing, ``tier1`` the code-block bit decoding into the subband
+    planes, and ``idwt_mct`` the front end (dequantization, inverse DWT,
+    inverse MCT, level unshift and the store into the image).  The
+    reference decode backend fills only ``total`` (its stages are
+    interleaved by design and left untouched as the oracle).
     """
 
     parse: float = 0.0
     tier1: float = 0.0
-    dequantize: float = 0.0
     idwt_mct: float = 0.0
     total: float = 0.0
 
     #: Stage attribute names in pipeline order (CLI summary, service
     #: metrics).
-    STAGES: ClassVar[tuple[str, ...]] = (
-        "parse", "tier1", "dequantize", "idwt_mct",
-    )
+    STAGES: ClassVar[tuple[str, ...]] = ("parse", "tier1", "idwt_mct")
 
     def as_dict(self) -> dict[str, float]:
         out = {name: getattr(self, name) for name in self.STAGES}
@@ -153,15 +153,12 @@ class DecodeStageTimings:
 
     def summary(self) -> str:
         """One-line, human-oriented stage breakdown for the CLI."""
-        labels = {
-            "parse": "parse", "tier1": "tier1",
-            "dequantize": "dequant", "idwt_mct": "idwt+mct",
-        }
+        labels = {"parse": "parse", "tier1": "tier1", "idwt_mct": "idwt+mct"}
         parts = []
         for name in self.STAGES:
             value = getattr(self, name)
             if value == 0.0:
-                continue  # the reference backend only fills parse/total
+                continue  # the reference backend only fills total
             parts.append(f"{labels[name]} {_fmt_seconds(value)}")
         return " | ".join(parts) if parts else "n/a"
 
@@ -186,8 +183,7 @@ def _bind(lib):
     fwd.argtypes = [i, pp, p, i, i, lg, lg, i, i, p, pp, p]
     inv = lib.fe_inverse
     inv.restype = None
-    # ncomp, depth, h, w, lossless, levels, bands, out, work
-    inv.argtypes = [i, i, lg, lg, i, i, pp, pp, p]
+    inv.argtypes = fwd.argtypes  # with base the output
     return fwd, inv, work
 
 
@@ -204,6 +200,13 @@ def _pointers(arrays) -> ctypes.Array:
     """A C array of the arrays' data pointers (the arrays stay the
     caller's to keep alive)."""
     return (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))
+
+
+def band_keys(levels: int) -> list[tuple[str, int]]:
+    """``(band, dlevel)`` of every subband in the kernel's band order: HL,
+    LH, HH per level, finest first, then LL."""
+    return [(band, dl) for dl in range(1, levels + 1)
+            for band in ("HL", "LH", "HH")] + [("LL", levels)]
 
 
 def _band_shapes(shape: tuple[int, int], levels: int) -> list[tuple[int, int]]:
@@ -332,9 +335,7 @@ def _native_frontend(comps, depth, lossless, levels,
         comps = [np.asarray(c, dtype=np.int32) for c in comps]
     h, w = comps[0].shape
     shapes = _band_shapes((h, w), levels)
-    keys = [(b, i // 3 + 1)
-            for i, b in enumerate(("HL", "LH", "HH") * levels)]
-    steps = np.array([quants[k].step for k in keys + [("LL", levels)]])
+    steps = np.array([quants[k].step for k in band_keys(levels)])
     bands = [[np.empty(s, np.int32) for s in shapes] for _ in comps]
     strides = np.array([s for c in comps for s in c.strides], dtype=np.int64)
     work = _work(False, len(comps), (h, w), lossless)
@@ -352,38 +353,47 @@ def _native_frontend(comps, depth, lossless, levels,
 
 
 def run_inverse_frontend(
-    decomps: list[Decomposition], bit_depth: int, lossless: bool,
-) -> list[np.ndarray]:
-    """Inverse DWT + inverse MCT + level unshift for every component.
+    bands: list[list[np.ndarray]], steps, bit_depth: int, lossless: bool,
+    out: np.ndarray,
+) -> None:
+    """Dequantization + inverse DWT + inverse MCT + level unshift for
+    every component, stored into ``out``.
 
-    Returns unsigned int32 component planes equal to the oracle's
-    ``mct.inverse_mct([inverse_dwt2d(d) for d in decomps], ...)``, which
-    runs instead without the kernel or for input the kernel does not take.
+    ``bands[c]`` holds component ``c``'s int32 subbands and ``steps``
+    their quantizer steps (unused on 5/3), in the kernel's band order.
+    ``out`` is the tile's ``(h, w[, components])`` uint8 or uint16 window
+    of the image.  The oracle, ``dequantize`` + ``inverse_dwt2d`` +
+    ``inverse_mct``, runs instead without the kernel or for input the
+    kernel does not take.
     """
-    if not decomps:
-        raise ValueError("need at least one component decomposition")
-    shape, levels = decomps[0].shape, decomps[0].levels
-    bands = [b for d in decomps
-             for b in [*(b for lvl in d.details for b in lvl), d.ll]]
+    outs = [out] if out.ndim == 2 else [out[:, :, c]
+                                        for c in range(out.shape[2])]
+    shape, levels = out.shape[:2], (len(steps) - 1) // 3
+    flat = [b for comp in bands for b in comp]
     takes = (
-        _INVERSE is not None and len(decomps) in (1, 3)
+        _INVERSE is not None and len(bands) in (1, 3)
+        and len(outs) == len(bands) and out.dtype in (np.uint8, np.uint16)
         and 1 <= bit_depth <= 16
-        and all(d.shape == shape and d.levels == levels
-                and d.reversible == lossless for d in decomps)
-        and [b.shape for b in bands]
-        == _band_shapes(shape, levels) * len(decomps)
-        and (not lossless
-             or all(np.can_cast(b.dtype, np.int32) for b in bands))
+        and len(steps) % 3 == 1 and (lossless or min(steps) > 0)
+        and [b.shape for b in flat] == _band_shapes(shape, levels) * len(bands)
+        and all(np.can_cast(b.dtype, np.int32) for b in flat)
     )
     if not takes:
-        planes = [inverse_dwt2d(d) for d in decomps]
-        return mct.inverse_mct(planes, bit_depth, lossless)
-    dtype = np.int32 if lossless else np.float64
-    bands = [np.ascontiguousarray(b, dtype) for b in bands]
-    out = [np.empty(shape, np.int32) for _ in decomps]
-    work = _work(True, len(decomps), shape, lossless)
+        if not lossless:
+            bands = [[dequantize(b, st) for b, st in zip(comp, steps)]
+                     for comp in bands]
+        planes = [inverse_dwt2d(_decomposition(shape, levels, lossless, comp))
+                  for comp in bands]
+        for o, plane in zip(outs, mct.inverse_mct(planes, bit_depth, lossless),
+                            strict=True):
+            o[...] = plane
+        return
+    flat = [np.ascontiguousarray(b, np.int32) for b in flat]
+    steps = np.array(steps, dtype=np.float64)
+    strides = np.array([s for o in outs for s in o.strides], dtype=np.int64)
+    work = _work(True, len(bands), shape, lossless)
     _INVERSE(
-        len(decomps), bit_depth, shape[0], shape[1], int(lossless), levels,
-        _pointers(bands), _pointers(out), work.ctypes.data,
+        len(bands), _pointers(outs), strides.ctypes.data, out.itemsize,
+        bit_depth, shape[0], shape[1], int(lossless), levels,
+        steps.ctypes.data, _pointers(flat), work.ctypes.data,
     )
-    return out

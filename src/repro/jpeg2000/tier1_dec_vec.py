@@ -7,8 +7,9 @@ blocks, which :mod:`repro.core.workpool` supplies, exactly as for the
 block encoder (:mod:`repro.jpeg2000.tier1_batch`).  The per-block loop is
 the compiled whole-block kernel of :mod:`repro.jpeg2000._t1_dec_native`:
 all passes, the MQ decoder and the midpoint reconstruction run in C and
-return the block's int32 samples.  On a host without a C compiler (or
-with ``REPRO_MQ_NATIVE=0``) every block goes to the scalar oracle,
+store the block's int32 samples into its window of the subband plane.
+On a host without a C compiler (or with ``REPRO_MQ_NATIVE=0``) every
+block goes to the scalar oracle,
 :func:`repro.jpeg2000.tier1.decode_codeblock`, instead.
 
 Both paths are differentially pinned to identical int32 samples for any
@@ -17,6 +18,8 @@ segments.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.jpeg2000 import _t1_dec_native, tier1_geom
 from repro.jpeg2000.tier1 import decode_codeblock
@@ -31,30 +34,38 @@ def _validate(height: int, width: int, msbs: int, num_passes: int) -> None:
         raise ValueError(f"num_passes {num_passes} exceeds maximum {max_passes}")
 
 
-def decode_codeblocks_batched(blocks) -> list:
-    """Decode code blocks to int32 sample planes, in input order.
+def _check_dst(dst, height: int, width: int) -> None:
+    """The kernel stores a block through a row stride of whole samples."""
+    if (not isinstance(dst, np.ndarray) or dst.shape != (height, width)
+            or dst.dtype != np.int32 or dst.strides[1] != 4
+            or dst.strides[0] % 4 or not dst.flags.writeable):
+        raise ValueError(f"bad destination for a {height}x{width} block")
+
+
+def decode_codeblocks_batched(blocks) -> None:
+    """Decode code blocks, each into its own int32 view.
 
     ``blocks`` is a sequence of ``(data, height, width, band, msbs,
-    num_passes)`` tuples, the arguments of
-    :func:`repro.jpeg2000.tier1.decode_codeblock`.  Each block runs
-    through the native kernel.  The scalar oracle takes the blocks the
-    kernel does not: all of them when it is missing, empty blocks (all
-    zeros, band unchecked) and blocks deeper than
+    num_passes, dst)`` tuples: the arguments of
+    :func:`repro.jpeg2000.tier1.decode_codeblock`, then the block's
+    window of its subband plane.  Each block runs through the native
+    kernel.  The scalar oracle takes, into the same window, the blocks
+    the kernel does not: all of them when it is missing, empty blocks
+    (all zeros, band unchecked) and blocks deeper than
     :data:`repro.jpeg2000._t1_dec_native.MAX_MSBS`, which no parsed
     codestream reaches.
     """
     kernel = _t1_dec_native.native_decode_block
-    out = []
-    for blk in blocks:
-        data, height, width, band, msbs, num_passes = blk
+    for data, height, width, band, msbs, num_passes, dst in blocks:
+        _check_dst(dst, height, width)
         if kernel is None or num_passes == 0 or not (
             0 < msbs <= _t1_dec_native.MAX_MSBS
         ):
-            out.append(decode_codeblock(*blk))
+            dst[...] = decode_codeblock(data, height, width, band, msbs,
+                                        num_passes)
             continue
         _validate(height, width, msbs, num_passes)
-        out.append(kernel(
+        kernel(
             data, height, width, tier1_geom.sig_lut_array(band),
-            tier1_geom.geometry(height, width).nbr, msbs, num_passes,
-        ))
-    return out
+            tier1_geom.geometry(height, width).nbr, msbs, num_passes, dst,
+        )

@@ -24,8 +24,9 @@ every encode and decode gets a lane of the service's Tier-1 pool, whose
 threads interleave the lanes group by group, so one huge upload cannot
 starve small ones.  A group that raises fails only its own request.  A
 client read that waits longer than :data:`READ_TIMEOUT_S` drops the
-connection (408 if a body was still coming), so a stalled client cannot
-hold a drain open.
+connection (408 if a body was still coming), and so does a body that
+takes longer than :data:`BODY_DEADLINE_S`, so a stalled or trickling
+client cannot hold a drain open.
 
 ``run_server`` (the ``python -m repro serve`` entry) installs SIGTERM /
 SIGINT handlers that stop accepting connections, let in-flight requests
@@ -38,6 +39,7 @@ from __future__ import annotations
 import json
 import signal
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -53,6 +55,10 @@ MAX_BODY_BYTES = 128 * 2**20
 #: Longest wait, in seconds, for one read from a client: a body that
 #: stops arriving answers 408 and an idle keep-alive connection closes.
 READ_TIMEOUT_S = 10.0
+
+#: Longest time, in seconds, for a whole body, however it trickles in:
+#: ``MAX_BODY_BYTES`` at about 2 MB/s.
+BODY_DEADLINE_S = 60.0
 
 
 #: ``/encode`` query key -> coding field: only fields that change the
@@ -194,12 +200,32 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
             return
         try:
-            body = self.rfile.read(length)
+            body = self._read_body(length)
         except TimeoutError:
-            self._error(408, f"request body stalled for {READ_TIMEOUT_S:g} s",
+            self._error(408, "request body did not arrive in time",
                         {"Connection": "close"})
             return
         handler(parsed, body)
+
+    def _read_body(self, length: int) -> bytes:
+        """Up to ``length`` body bytes, read against one deadline; raises
+        ``TimeoutError`` past it or past one read's timeout."""
+        deadline = time.monotonic() + BODY_DEADLINE_S
+        chunks = []
+        try:
+            while length > 0:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError("request body deadline passed")
+                self.connection.settimeout(min(READ_TIMEOUT_S, left))
+                chunk = self.rfile.read1(length)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                length -= len(chunk)
+        finally:
+            self.connection.settimeout(self.timeout)
+        return b"".join(chunks)
 
     def _post_encode(self, parsed, body: bytes) -> None:
         service = self.server.service

@@ -78,36 +78,57 @@ def _assert_identical(ref: FrontendResult, native: FrontendResult) -> None:
                 assert np.array_equal(bn, br)
 
 
-def _assert_inverse_identical(decomps, depth, lossless) -> None:
-    expected = mct.inverse_mct(
-        [dwt.inverse_dwt2d(d) for d in decomps], depth, lossless
-    )
-    got = run_inverse_frontend(decomps, depth, lossless)
-    assert len(got) == len(expected)
-    for e, g in zip(expected, got):
-        assert e.dtype == g.dtype and np.array_equal(e, g)
+def _kernel_steps(result: FrontendResult) -> list[float]:
+    """The forward result's quantizer steps in the kernel's band order."""
+    return [result.quants[k].step for k in dwt_fast.band_keys(result.levels)]
 
 
-def _dequantized(decomp: dwt.Decomposition, step: float) -> dwt.Decomposition:
-    return dwt.Decomposition(
-        shape=decomp.shape, levels=decomp.levels, reversible=False,
-        ll=dequantize(decomp.ll, step),
-        details=[tuple(dequantize(b, step) for b in lvl)
-                 for lvl in decomp.details],
-    )
+def _bands(decomp: dwt.Decomposition) -> list[np.ndarray]:
+    """A decomposition's subbands in the kernel's band order."""
+    return [*(b for lvl in decomp.details for b in lvl), decomp.ll]
+
+
+def _assert_inverse_identical(shape, bands, depth, lossless, steps) -> None:
+    """run_inverse_frontend on int32 bands and steps equals dequantize +
+    inverse_dwt2d + inverse_mct, and writes only its window of a
+    sentinel-filled output."""
+    levels = (len(steps) - 1) // 3
+    expected = mct.inverse_mct([
+        dwt.inverse_dwt2d(dwt_fast._decomposition(
+            shape, levels, lossless,
+            comp if lossless else [dequantize(b, s)
+                                   for b, s in zip(comp, steps)]))
+        for comp in bands
+    ], depth, lossless)
+    (h, w), ncomp = shape, len(bands)
+    dtype = np.uint8 if depth <= 8 else np.uint16
+    sentinel = np.iinfo(dtype).max - 0x5A
+    full = np.full((h + 3, w + 5) + ((ncomp,) if ncomp > 1 else ()),
+                   sentinel, dtype)
+    window = full[1 : 1 + h, 2 : 2 + w]
+    run_inverse_frontend(bands, steps, depth, lossless, window)
+    got = [window] if ncomp == 1 else [window[..., c] for c in range(ncomp)]
+    for e, g in zip(expected, got, strict=True):
+        assert np.array_equal(g, e)
+    window[...] = sentinel
+    assert (full == sentinel).all(), "wrote outside its window"
+
+
+def _random_bands(shape, levels, ncomp, low=-600, high=600):
+    return [[RNG.integers(low, high, size=s, dtype=np.int64).astype(np.int32)
+             for s in dwt_fast._band_shapes(shape, levels)]
+            for _ in range(ncomp)]
 
 
 def _roundtrip(shape, ncomp, depth, lossless, levels) -> None:
     """Forward native == oracle, then inverse native == oracle on the
-    oracle's coefficients (dequantized on the lossy path)."""
+    oracle's int32 subband data and quantizer steps."""
     comps = _image(shape, ncomp, depth)
     params = EncoderParams(lossless=lossless, levels=levels)
     ref, native = _frontends(comps, depth, params)
     _assert_identical(ref, native)
-    decomps = ref.decomps
-    if not lossless:
-        decomps = [_dequantized(d, 0.75) for d in decomps]
-    _assert_inverse_identical(decomps, depth, lossless)
+    _assert_inverse_identical(shape, [_bands(d) for d in ref.decomps],
+                              depth, lossless, _kernel_steps(ref))
 
 
 class TestLiftKernels:
@@ -187,15 +208,8 @@ class TestLiftKernels:
             out = np.empty(n, np.int64)
             out[0::2], out[1::2] = lo, hi
             assert np.array_equal(out.astype(np.int32), ref)
-        shapes = dwt_fast._band_shapes((37, 29), 3)
-        decomps = [
-            dwt_fast._decomposition((37, 29), 3, True, [
-                RNG.integers(-(1 << 31), (1 << 31) - 1, size=s, dtype=np.int64)
-                .astype(np.int32) for s in shapes
-            ])
-            for _ in range(3)
-        ]
-        _assert_inverse_identical(decomps, 16, True)
+        bands = _random_bands((37, 29), 3, 3, -(1 << 31), (1 << 31) - 1)
+        _assert_inverse_identical((37, 29), bands, 16, True, [1.0] * 10)
 
 
 class TestNativeDifferential:
@@ -216,29 +230,54 @@ class TestNativeDifferential:
 
     @pytest.mark.parametrize("lossless", [True, False], ids=["53", "97"])
     def test_inverse_of_arbitrary_coefficients(self, lossless):
-        # Coefficients no encoder produced: saturating clips, rint ties.
-        shapes = dwt_fast._band_shapes((45, 38), 4)
+        # Subband data no encoder produced: saturating clips, rint ties,
+        # a step per band (so the band order counts), huge indices.
+        steps = list(RNG.uniform(0.25, 4.0, size=13))
         for ncomp in (1, 3):
-            decomps = []
-            for _ in range(ncomp):
-                if lossless:
-                    bands = [RNG.integers(-4000, 4000, size=s).astype(np.int32)
-                             for s in shapes]
-                else:
-                    bands = [np.round(RNG.standard_normal(s) * 900.0) / 4.0
-                             for s in shapes]
-                decomps.append(
-                    dwt_fast._decomposition((45, 38), 4, lossless, bands))
-            _assert_inverse_identical(decomps, 8, lossless)
+            bands = _random_bands((45, 38), 4, ncomp, -4000, 4000)
+            _assert_inverse_identical((45, 38), bands, 8, lossless, steps)
+        if not lossless:
+            bands = _random_bands((45, 38), 4, 1, -(1 << 31), (1 << 31) - 1)
+            _assert_inverse_identical((45, 38), bands, 12, False, steps)
+
+    @pytest.mark.parametrize("lossless", [True, False], ids=["53", "97"])
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    @pytest.mark.parametrize(
+        "width",
+        sorted({1, 2, 3, 5, 7, 9}
+               | {k * _mq_native.CHUNK_COLS + d for k in (1, 2, 3)
+                  for d in (-5, -4, -1, 0, 1, 4, 5)}),
+    )
+    def test_window_every_level_count(self, width, ncomp, lossless):
+        # Widths below the last level's 4-column halo and either side of
+        # a column chunk, odd heights: random int32 bands and steps into
+        # a strided window of a sentinel-filled output.
+        for h in (1, 6, 7):
+            shape = (h, width)
+            for levels in range(min(dwt.effective_levels(shape, 64), 5) + 1):
+                steps = list(RNG.uniform(0.25, 4.0, size=3 * levels + 1))
+                bands = _random_bands(shape, levels, ncomp)
+                for depth in (8, 12):
+                    _assert_inverse_identical(shape, bands, depth, lossless,
+                                              steps)
+
+    @pytest.mark.parametrize("step", [1.0, 3.0, 5.0])
+    def test_dequantization_ties(self, step):
+        # With no levels and one component the sample is rint of the
+        # dequantized index, and (|q| + 0.5) * step lands exactly on a
+        # rint tie: one ulp of difference in the dequantizing load would
+        # round the other way.
+        bands = _random_bands((9, 70), 0, 1, -150, 150)
+        _assert_inverse_identical((9, 70), bands, 8, False, [step])
+        _assert_inverse_identical((9, 70), bands, 12, False, [step])
 
     def test_inconsistent_bands_take_the_oracle(self):
         # A band of the wrong shape is the oracle's to reject.
         d = dwt.forward_dwt2d(np.zeros((8, 8), np.int32), 1, True)
         hl, lh, hh = d.details[0]
-        bad = dwt.Decomposition(shape=(8, 8), levels=1, reversible=True,
-                                ll=d.ll, details=[(hl[:, :3], lh, hh)])
         with pytest.raises(ValueError):
-            run_inverse_frontend([bad], 8, True)
+            run_inverse_frontend([[hl[:, :3], lh, hh, d.ll]], [1.0] * 4, 8,
+                                 True, np.zeros((8, 8), np.uint8))
 
 
 class TestFrontendDifferential:

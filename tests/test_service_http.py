@@ -622,3 +622,51 @@ class TestGracefulDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
+
+    def test_trickled_body_does_not_hold_the_drain(self):
+        # A client sends its body one byte every 0.3 s, each read well
+        # inside the 0.5 s read timeout.  The body's deadline still
+        # answers 408, so SIGTERM ends in a clean drain within a bound
+        # instead of lasting as long as the client keeps trickling.
+        import signal
+        import socket
+        import threading
+        import time
+
+        proc, port = _serve("from repro.service import http",
+                            "http.READ_TIMEOUT_S = 0.5",
+                            "http.BODY_DEADLINE_S = 1.5")
+        stop = threading.Event()
+        try:
+            head = (b"POST /encode HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Content-Length: 1000\r\n\r\n")
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=60) as sock:
+                sock.sendall(head)
+
+                def trickle():
+                    end = time.monotonic() + 12.0
+                    while time.monotonic() < end and not stop.wait(0.3):
+                        try:
+                            sock.sendall(b"P")
+                        except OSError:
+                            return
+
+                sender = threading.Thread(target=trickle, daemon=True)
+                sender.start()
+                time.sleep(0.2)  # a handler thread is reading the body
+                t0 = time.monotonic()
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=60)
+                elapsed = time.monotonic() - t0
+                stop.set()
+                sender.join()
+                assert proc.returncode == 0, out
+                assert "drained cleanly" in out
+                assert elapsed < 5.0, f"drain took {elapsed:.1f} s"
+                assert _read_all(sock).startswith(b"HTTP/1.1 408")
+        finally:
+            stop.set()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()

@@ -112,7 +112,7 @@ class TestQueue:
     def test_empty_and_single(self, pool2, watch_gray_64, monkeypatch):
         queue = CodeBlockWorkQueue(pool2)
         assert queue.encode_plane_groups([], []) == []
-        assert queue.decode_groups([]) == []
+        assert queue.decode_groups([]) is None
         # A single block never pays for a pool, even with the clamp off.
         monkeypatch.setattr(workpool, "TIER1_AUTO_SERIAL_MIN_BLOCKS", 0)
         monkeypatch.setattr(workpool, "available_cores", lambda: 4)
