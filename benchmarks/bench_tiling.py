@@ -1,12 +1,14 @@
-"""Tiled encode: streaming memory ceiling and tile-parallel speedup.
+"""Tiled encode and decode: streaming memory ceiling and tile-parallel
+speedup.
 
-Two claims ride on the tiling tentpole, and this benchmark measures both:
+Two claims ride on tiling, and this benchmark measures both:
 
-1. **Peak RSS under a budget.**  A tall image encoded with ``--tile`` and
-   a ``mem_budget`` streams one batch of tiles at a time, so its peak
-   working set must sit well below the single-tile encoder's (which holds
-   every subband of the whole image at once).  Each configuration runs in
-   its own child process because ``ru_maxrss`` is a per-process high-water
+1. **Peak RSS of the tile-row stream.**  A tall image encoded with
+   ``--tile`` streams one tile row at a time, and so does its decode, so
+   each direction's peak working set must sit well below the single-tile
+   peak (which holds every subband of the whole image at once) and under
+   a bound proportional to one tile row.  Each configuration runs in its
+   own child process because ``ru_maxrss`` is a per-process high-water
    mark — it only ever goes up, so sequential in-process measurements
    would inherit the largest predecessor.
 
@@ -15,9 +17,10 @@ Two claims ride on the tiling tentpole, and this benchmark measures both:
    at 1 worker (bytes are identical at any worker count; the differential
    suite asserts that separately).
 
-``--quick --gate`` is the CI contract: the tiled encode of the tall
-synthetic image must stay under the memory budget (baseline-adjusted) and
-decode to exactly the single-tile pixels.
+``--quick --gate`` is the CI contract: the tiled encode and the tiled
+decode of the tall synthetic image must each stay under the row bound
+(baseline-adjusted) and below the single-tile peak, and both codestreams
+must decode to exactly the source pixels.
 """
 
 from __future__ import annotations
@@ -37,24 +40,25 @@ from _util import (  # noqa: E402
     write_bench_json,
 )
 
-#: RSS the tiled child may sit above the no-encode baseline: the budget
-#: itself plus slack for the raw image, codestream, and allocator overhead.
+#: RSS a tiled child may sit above its baseline: the row bound itself
+#: plus slack for the raw image, codestream, and allocator overhead.
 GATE_SLACK = 3.0
 
+#: Working set per sample of the tile row in flight, in bytes: the front
+#: end's int32 bands and its kernel's scratch plus Tier-1's output.  It
+#: was measured as the encoder's VmHWM rise over the samples of the tile
+#: batch in flight (1024^2x3: 5.9-9.4 untiled, 10.7 serial to 14.8 at
+#: workers=2 for rows of 256-px tiles) and rounded up; the encoder once
+#: sized its batches by it.  The decode's row holds int32 planes only, so
+#: the same bound covers it.
+ROW_WORKSET_BYTES = 16
 
-def _mem_budget(tile: int, channels: int) -> int:
-    """Streaming budget for a configuration: one tile's working set.
 
-    The encoder can never hold less than one tile in flight, so a fixed
-    byte budget would be unsatisfiable for large tiles (a 1024-px RGB
-    tile alone needs ~384 MiB of coder state).  Deriving the budget
-    from ``TILE_WORKSET_BYTES`` gates the thing streaming actually
-    promises: peak memory proportional to one tile batch, not to the
-    image.
-    """
-    from repro.jpeg2000.params import TILE_WORKSET_BYTES
-
-    return tile * tile * channels * TILE_WORKSET_BYTES
+def _row_bound(shape, tile: int) -> int:
+    """Bytes of one tile row's working set: the streaming promise, peak
+    memory proportional to one row, not to the image."""
+    height, width, channels = shape
+    return min(tile, height) * width * channels * ROW_WORKSET_BYTES
 
 
 def _make_image(height: int, width: int, channels: int):
@@ -79,31 +83,40 @@ def _make_image(height: int, width: int, channels: int):
 
 
 def _child_main(spec: dict) -> None:
-    """Encode once in a fresh process; report peak RSS and wall time."""
+    """Encode or decode once in a fresh process; report peak RSS and wall
+    time.  ``mode`` is ``"baseline"`` (build the image only), ``"encode"``
+    or ``"decode"``."""
     import resource
     import time
 
-    from repro.jpeg2000.encoder import encode
-    from repro.jpeg2000.params import EncoderParams
+    def peak_rss() -> int:
+        # Linux ru_maxrss is KiB.
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
-    img = _make_image(*spec["shape"])
     out: dict = {}
-    if spec["encode"]:
-        params = EncoderParams(
-            tile_size=spec.get("tile"),
-            mem_budget=spec.get("mem_budget"),
-            workers=spec.get("workers", 1),
-        )
+    if spec["mode"] == "decode":
+        from repro.jpeg2000.decoder import decode
+
+        with open(spec["codestream_path"], "rb") as fh:
+            codestream = fh.read()
+        out["start_rss_bytes"] = peak_rss()
+        t0 = time.perf_counter()
+        decode(codestream)
+        out["wall_s"] = time.perf_counter() - t0
+    else:
+        img = _make_image(*spec["shape"])
+    if spec["mode"] == "encode":
+        from repro.jpeg2000.encoder import encode
+        from repro.jpeg2000.params import EncoderParams
+
+        params = EncoderParams(tile_size=spec.get("tile"), workers=1)
         t0 = time.perf_counter()
         result = encode(img, params)
         out["wall_s"] = time.perf_counter() - t0
         out["bytes"] = len(result.codestream)
         with open(spec["codestream_path"], "wb") as fh:
             fh.write(result.codestream)
-    # Linux ru_maxrss is KiB.
-    out["peak_rss_bytes"] = (
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    )
+    out["peak_rss_bytes"] = peak_rss()
     json.dump(out, sys.stdout)
 
 
@@ -117,26 +130,36 @@ def _run_child(spec: dict) -> dict:
     return json.loads(proc.stdout)
 
 
-def _rss_section(shape, tile: int, workdir: str, mem_budget: int) -> dict:
-    """Peak-RSS comparison: baseline (no encode) vs untiled vs tiled."""
-    base = _run_child({"shape": shape, "encode": False})
+def _rss_section(shape, tile: int, workdir: str) -> dict:
+    """Peak-RSS comparison: baseline vs untiled vs tiled, encode and
+    decode."""
+    base = _run_child({"shape": shape, "mode": "baseline"})
     untiled_path = os.path.join(workdir, "untiled.j2c")
     tiled_path = os.path.join(workdir, "tiled.j2c")
     untiled = _run_child({
-        "shape": shape, "encode": True, "codestream_path": untiled_path,
+        "shape": shape, "mode": "encode", "codestream_path": untiled_path,
     })
     tiled = _run_child({
-        "shape": shape, "encode": True, "tile": tile,
-        "mem_budget": mem_budget, "codestream_path": tiled_path,
+        "shape": shape, "mode": "encode", "tile": tile,
+        "codestream_path": tiled_path,
     })
+    untiled_dec = _run_child({"mode": "decode",
+                              "codestream_path": untiled_path})
+    tiled_dec = _run_child({"mode": "decode", "codestream_path": tiled_path})
     return {
         "shape": list(shape),
         "tile": tile,
-        "mem_budget_bytes": mem_budget,
+        "row_bound_bytes": _row_bound(shape, tile),
         "baseline_rss_bytes": base["peak_rss_bytes"],
         "untiled": untiled,
         "tiled": tiled,
         "rss_ratio": tiled["peak_rss_bytes"] / untiled["peak_rss_bytes"],
+        "decode": {
+            "untiled": untiled_dec,
+            "tiled": tiled_dec,
+            "rss_ratio": (tiled_dec["peak_rss_bytes"]
+                          / untiled_dec["peak_rss_bytes"]),
+        },
         "untiled_path": untiled_path,
         "tiled_path": tiled_path,
     }
@@ -191,8 +214,9 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="small shapes (the CI configuration)")
     parser.add_argument("--gate", action="store_true",
-                        help="fail unless tiled RSS is under budget and "
-                             "under the untiled peak, with matching pixels")
+                        help="fail unless the tiled encode and decode stay "
+                             "under the row bound and below the untiled "
+                             "peaks, with matching pixels")
     parser.add_argument("--output", default=None, metavar="PATH")
     add_repeats_flag(parser, default=1)
     args = parser.parse_args(argv)
@@ -202,7 +226,7 @@ def main(argv=None) -> int:
     check_repeats(args.repeats)
 
     if args.quick:
-        rss_shape = (4096, 256, 1)   # tall: 16 one-row tile batches
+        rss_shape = (4096, 256, 1)   # tall: 16 rows of one tile
         speed_shape = (512, 512, 1)
         tile = 256
     else:
@@ -212,22 +236,25 @@ def main(argv=None) -> int:
 
     import tempfile
 
-    mem_budget = _mem_budget(tile, rss_shape[2])
-
     with tempfile.TemporaryDirectory(prefix="bench_tiling_") as workdir:
-        rss = _rss_section(rss_shape, tile, workdir, mem_budget)
+        rss = _rss_section(rss_shape, tile, workdir)
         _verify_pixels(rss, rss_shape)
         speedup = _speedup_section(speed_shape, tile=128,
                                    repeats=args.repeats)
         rss.pop("untiled_path"), rss.pop("tiled_path")
 
+    bound = rss["row_bound_bytes"]
+    enc_rise = rss["tiled"]["peak_rss_bytes"] - rss["baseline_rss_bytes"]
+    dec = rss["decode"]
+    dec_rise = (dec["tiled"]["peak_rss_bytes"]
+                - dec["tiled"]["start_rss_bytes"])
     gate = {
         "rss_below_untiled": rss["tiled"]["peak_rss_bytes"]
         < rss["untiled"]["peak_rss_bytes"],
-        "rss_under_budget": (
-            rss["tiled"]["peak_rss_bytes"] - rss["baseline_rss_bytes"]
-            <= GATE_SLACK * mem_budget
-        ),
+        "rss_under_row_bound": enc_rise <= GATE_SLACK * bound,
+        "decode_rss_below_untiled": dec["tiled"]["peak_rss_bytes"]
+        < dec["untiled"]["peak_rss_bytes"],
+        "decode_rss_under_row_bound": dec_rise <= GATE_SLACK * bound,
         "pixels_match": True,  # _verify_pixels raised otherwise
     }
     report = bench_report(
@@ -235,28 +262,34 @@ def main(argv=None) -> int:
     )
     write_bench_json(report, "BENCH_tiling.json", args.output)
 
-    untiled_mb = rss["untiled"]["peak_rss_bytes"] / 2**20
-    tiled_mb = rss["tiled"]["peak_rss_bytes"] / 2**20
-    base_mb = rss["baseline_rss_bytes"] / 2**20
-    print(f"peak RSS: baseline {base_mb:.0f} MiB, untiled {untiled_mb:.0f} "
-          f"MiB, tiled {tiled_mb:.0f} MiB (ratio {rss['rss_ratio']:.2f})")
+    def mib(n: int) -> str:
+        return f"{n / 2**20:.0f} MiB"
+
+    print(f"encode peak RSS: baseline {mib(rss['baseline_rss_bytes'])}, "
+          f"untiled {mib(rss['untiled']['peak_rss_bytes'])}, "
+          f"tiled {mib(rss['tiled']['peak_rss_bytes'])} "
+          f"(ratio {rss['rss_ratio']:.2f})")
+    print(f"decode peak RSS: untiled {mib(dec['untiled']['peak_rss_bytes'])}"
+          f", tiled {mib(dec['tiled']['peak_rss_bytes'])} "
+          f"(ratio {dec['rss_ratio']:.2f}, rise {mib(dec_rise)})")
     print(f"tile-parallel speedup: {speedup['speedup']:.2f}x at "
           f"{speedup['workers']} workers")
 
     if args.gate:
-        if not gate["rss_below_untiled"]:
-            raise SystemExit(
-                f"GATE FAIL: tiled peak RSS {tiled_mb:.0f} MiB not below "
-                f"untiled {untiled_mb:.0f} MiB"
-            )
-        if not gate["rss_under_budget"]:
-            over = rss["tiled"]["peak_rss_bytes"] - rss["baseline_rss_bytes"]
-            raise SystemExit(
-                f"GATE FAIL: tiled encode working set {over / 2**20:.0f} "
-                f"MiB exceeds {GATE_SLACK:.0f}x the "
-                f"{mem_budget / 2**20:.0f} MiB budget"
-            )
-        print("gate OK: tiled encode stayed under budget with exact pixels")
+        for direction, key, rise in (("encode", "", enc_rise),
+                                     ("decode", "decode_", dec_rise)):
+            if not gate[key + "rss_below_untiled"]:
+                raise SystemExit(
+                    f"GATE FAIL: tiled {direction} peak RSS not below the "
+                    f"untiled {direction}'s"
+                )
+            if not gate[key + "rss_under_row_bound"]:
+                raise SystemExit(
+                    f"GATE FAIL: tiled {direction} working set {mib(rise)} "
+                    f"exceeds {GATE_SLACK:.0f}x the {mib(bound)} row bound"
+                )
+        print("gate OK: tiled encode and decode stayed under the row bound "
+              "with exact pixels")
     return 0
 
 

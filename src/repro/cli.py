@@ -2,7 +2,7 @@
 fuzz.
 
     python -m repro encode  input.bmp output.j2c [--lossy] [--rate 0.1]
-                              [--tile 512] [--mem-budget MIB]
+                              [--tile 512]
                               [--workers auto] [--tier1-backend reference]
     python -m repro decode  input.j2c output.bmp [--backend reference]
                               [--workers auto]
@@ -18,8 +18,8 @@ The coding flags of ``encode`` and ``simulate`` are generated from
 :data:`repro.jpeg2000.params.CODING_FIELDS`: one flag per field with a
 wire spelling (the query key with ``-`` for ``_``), so they match the
 ``/encode`` query keys wherever a field has one.  Execution flags
-(``--workers``, ``--tier1-backend``, ``--dwt-backend``, ``--mem-budget``,
-``--self-check``) exist only here, never on the wire:
+(``--workers``, ``--tier1-backend``, ``--dwt-backend``, ``--self-check``)
+exist only here, never on the wire:
 they change the cost of an encode, not its bytes.
 
 ``simulate`` prints the per-stage Cell/B.E. timeline for encoding the
@@ -50,7 +50,6 @@ from repro.jpeg2000.errors import CodestreamError
 from repro.jpeg2000.params import (
     CODING_FIELDS,
     EncoderParams,
-    choose_tile_size,
     parse_workers,
 )
 
@@ -76,20 +75,11 @@ def _write_image(path: str, image) -> None:
         raise SystemExit(f"unsupported output format: {path} (use .bmp/.pgm/.ppm)")
 
 
-def _params(args, image=None) -> EncoderParams:
+def _params(args) -> EncoderParams:
     values = {f.name: getattr(args, f.name)
               for f in CODING_FIELDS if hasattr(args, f.name)}
     if values.get("rate") is not None:
         values.setdefault("lossless", False)  # a target rate implies lossy
-    mem_budget = values.get("mem_budget")
-    if "tile_size" not in values and mem_budget is not None \
-            and image is not None:
-        # --mem-budget without --tile: size the tiles so a streaming tile
-        # row fits the budget.
-        ncomp = 1 if image.ndim == 2 else image.shape[2]
-        values["tile_size"] = choose_tile_size(
-            image.shape[0], image.shape[1], ncomp, mem_budget
-        )
     return EncoderParams(**values)
 
 
@@ -115,7 +105,7 @@ def _add_coding_options(p: argparse.ArgumentParser) -> None:
 def cmd_encode(args) -> int:
     image = _read_image(args.input)
     t0 = time.perf_counter()
-    result = encode(image, _params(args, image))
+    result = encode(image, _params(args))
     wall = time.perf_counter() - t0
     with open(args.output, "wb") as fh:
         fh.write(result.codestream)
@@ -156,7 +146,7 @@ def cmd_decode(args) -> int:
 
 def cmd_simulate(args) -> int:
     image = _read_image(args.input)
-    stats = encode(image, _params(args, image)).stats
+    stats = encode(image, _params(args)).stats
     machine = CellMachine(chips=args.chips, num_spes=args.spes,
                           num_ppe_threads=args.ppe_threads)
     timeline = PipelineModel(machine, stats).simulate()

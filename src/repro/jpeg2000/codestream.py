@@ -36,6 +36,7 @@ __all__ = [
     "SubbandQuantField",
     "parse_codestream",
     "tile_grid",
+    "tile_rows",
     "tlm_overhead",
     "write_codestream",
     "write_main_header",
@@ -125,6 +126,18 @@ def tile_grid(
                 (row0, col0, min(th, height - row0), min(tw, width - col0))
             )
     return grid
+
+
+def tile_rows(grid: list[tuple[int, int, int, int]]) -> list[list[int]]:
+    """Indices into ``grid``, one list per tile row.
+
+    A tile row is the streaming unit of both directions: the encoder and
+    the decoder hold one row's coefficient planes at a time.
+    """
+    rows: dict[int, list[int]] = {}
+    for t, (row0, _col0, _h, _w) in enumerate(grid):
+        rows.setdefault(row0, []).append(t)
+    return list(rows.values())
 
 
 def _marker(code: int, payload: bytes = b"") -> bytes:

@@ -10,29 +10,36 @@ The decoder has two backends, sample-identical (differentially tested):
     The original all-scalar path, preserved verbatim as the oracle
     (:func:`decode_reference`).
 ``auto``
-    The default.  The code blocks of the whole image go to
+    The default.  The image streams one tile row at a time (an untiled
+    image is one row).  The row's code blocks go to
     :func:`repro.jpeg2000.tier1_dec_vec.decode_codeblocks_batched` in one
     call, each decoded into its window of its int32 subband plane.  The
     front end (:func:`repro.jpeg2000.dwt_fast.run_inverse_frontend`, one
     native call per tile) dequantizes the planes and stores the tile into
-    its window of the one output image.
+    its window of the one output image, and the row's planes are dropped
+    before the next row's are allocated.
 
-``decode(..., workers=N)`` additionally fans block groups out over
-:class:`repro.core.workpool.CodeBlockWorkQueue` (threads of the calling
-process); it is deterministic for any worker count, and small images
-auto-clamp to serial exactly like the encoder.
+``decode(..., workers=N)`` additionally fans each row's block groups out
+over :class:`repro.core.workpool.CodeBlockWorkQueue` (threads of the
+calling process); it is deterministic for any worker count, and rows of
+few blocks auto-clamp to serial exactly like the encoder's.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.jpeg2000 import mct
 from repro.jpeg2000.codeblocks import partition_subband
-from repro.jpeg2000.codestream import CodestreamInfo, parse_codestream
+from repro.jpeg2000.codestream import (
+    CodestreamInfo,
+    parse_codestream,
+    tile_rows,
+)
 from repro.jpeg2000.dwt import Decomposition, inverse_dwt2d
 from repro.jpeg2000.dwt_fast import DecodeStageTimings, band_keys, run_inverse_frontend
 from repro.jpeg2000.errors import (
@@ -369,65 +376,21 @@ def _decode_parsed_fast(
     timings: DecodeStageTimings | None,
     pool=None,
 ) -> np.ndarray:
-    """Decode in place: blocks into their planes, tiles into the image.
+    """Decode in place, one tile row at a time: blocks into their planes,
+    tiles into the image.
 
-    The packet walk (:func:`_iter_tile_blocks`, shared with the reference
-    path) *collects* block tasks instead of decoding inline, so every
-    typed error (header, packet, tag tree) is raised at the same point in
-    the same order.  Tier-1 decoding itself is total for validated inputs
-    — the MQ decoder treats truncation as an endless ``0xFF`` tail and
-    never raises — so deferring it cannot reorder failures.  Blocks from
-    *all tiles* decode in one batched call (or over the work queue) into
-    their windows of the planes, then each tile's front end stores into
-    its window of the output.
+    For each row the packet walk (:func:`_iter_tile_blocks`, shared with
+    the reference path) *collects* block tasks instead of decoding
+    inline, so every typed error (header, packet, tag tree) is raised at
+    the same point in the same order.  Tier-1 decoding itself is total
+    for validated inputs — the MQ decoder treats truncation as an endless
+    ``0xFF`` tail and never raises — so deferring it cannot reorder
+    failures.  The row's blocks decode in one batched call (or over the
+    work queue) into their windows of the row's planes, each tile's front
+    end stores into its window of the output, and the planes are dropped
+    before the next row: only one row's planes are ever alive.
     """
-    t0 = time.perf_counter()
     tiles, grid = _tile_layout(info)
-
-    # Packet walk per tile: identical traversal and identical typed-error
-    # ordering to the reference; blocks are recorded, not decoded.
-    blocks_in: list[tuple] = []
-    tile_coeffs = []
-    for body, (_row0, _col0, t_h, t_w) in zip(tiles, grid):
-        layouts = _subband_layouts(info, t_h, t_w)
-        coeff = _empty_coeff(info, layouts)
-        tile_coeffs.append(coeff)
-        for ci, lay, spec, blk, msbs, _step in _iter_tile_blocks(
-            info, layouts, body
-        ):
-            plane = coeff[ci][(lay.band, lay.dlevel)]
-            blocks_in.append((
-                blk.data, spec.height, spec.width, lay.band,
-                msbs, blk.num_passes,
-                plane[spec.row0 : spec.row0 + spec.height,
-                      spec.col0 : spec.col0 + spec.width],
-            ))
-    t1 = time.perf_counter()
-
-    # Tier-1: per image, not per block or per tile.  Blocks store into
-    # disjoint windows, so any worker count gives the same planes.
-    from repro.core.workpool import (
-        CodeBlockWorkQueue,
-        ThreadPool,
-        tier1_auto_workers,
-    )
-
-    tier1_workers = tier1_auto_workers(
-        pool.workers if pool is not None else workers, len(blocks_in)
-    )
-    if tier1_workers > 1:
-        if pool is not None:
-            CodeBlockWorkQueue(pool).decode_groups(blocks_in)
-        else:
-            with ThreadPool(tier1_workers) as own_pool:
-                CodeBlockWorkQueue(own_pool).decode_groups(blocks_in)
-    else:
-        from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
-
-        decode_codeblocks_batched(blocks_in)
-    del blocks_in
-    t2 = time.perf_counter()
-
     ncomp = info.num_components
     out = np.empty(
         (info.height, info.width) + ((ncomp,) if ncomp > 1 else ()),
@@ -436,15 +399,65 @@ def _decode_parsed_fast(
     lays = {(lay.band, lay.dlevel): lay for lay in _subband_layouts(info)}
     keys = band_keys(info.levels)
     steps = [_band_step(info, lays[k]) for k in keys]
-    for coeff, (row0, col0, t_h, t_w) in zip(tile_coeffs, grid):
-        run_inverse_frontend(
-            [[planes[k] for k in keys] for planes in coeff], steps,
-            info.bit_depth, info.reversible,
-            out[row0 : row0 + t_h, col0 : col0 + t_w],
-        )
-    t3 = time.perf_counter()
-    if timings is not None:
-        timings.parse += t1 - t0
-        timings.tier1 += t2 - t1
-        timings.idwt_mct += t3 - t2
+
+    from repro.core.workpool import (
+        CodeBlockWorkQueue,
+        ThreadPool,
+        tier1_auto_workers,
+    )
+    from repro.jpeg2000.tier1_dec_vec import decode_codeblocks_batched
+
+    with ExitStack() as call_scope:
+        # As in ``encode``: one thread pool for the call, its threads
+        # started on first use, so rows the serial clamp keeps in process
+        # start none.
+        if pool is None and (workers is None or workers > 1):
+            pool = call_scope.enter_context(ThreadPool(workers))
+        for row in tile_rows(grid):
+            t0 = time.perf_counter()
+            # Packet walk per tile: identical traversal and identical
+            # typed-error ordering to the reference; blocks are recorded,
+            # not decoded.
+            blocks_in: list[tuple] = []
+            row_coeffs = []
+            for t in row:
+                _row0, _col0, t_h, t_w = grid[t]
+                layouts = _subband_layouts(info, t_h, t_w)
+                coeff = _empty_coeff(info, layouts)
+                row_coeffs.append(coeff)
+                for ci, lay, spec, blk, msbs, _step in _iter_tile_blocks(
+                    info, layouts, tiles[t]
+                ):
+                    plane = coeff[ci][(lay.band, lay.dlevel)]
+                    blocks_in.append((
+                        blk.data, spec.height, spec.width, lay.band,
+                        msbs, blk.num_passes,
+                        plane[spec.row0 : spec.row0 + spec.height,
+                              spec.col0 : spec.col0 + spec.width],
+                    ))
+            t1 = time.perf_counter()
+
+            # Tier-1: per row, not per block or per tile.  Blocks store
+            # into disjoint windows, so any worker count gives the same
+            # planes.
+            if pool is not None and \
+                    tier1_auto_workers(pool.workers, len(blocks_in)) > 1:
+                CodeBlockWorkQueue(pool).decode_groups(blocks_in)
+            else:
+                decode_codeblocks_batched(blocks_in)
+            del blocks_in
+            t2 = time.perf_counter()
+
+            for t, coeff in zip(row, row_coeffs):
+                row0, col0, t_h, t_w = grid[t]
+                run_inverse_frontend(
+                    [[planes[k] for k in keys] for planes in coeff], steps,
+                    info.bit_depth, info.reversible,
+                    out[row0 : row0 + t_h, col0 : col0 + t_w],
+                )
+            t3 = time.perf_counter()
+            if timings is not None:
+                timings.parse += t1 - t0
+                timings.tier1 += t2 - t1
+                timings.idwt_mct += t3 - t2
     return out

@@ -21,6 +21,7 @@ from repro.jpeg2000.codestream import (
     CodestreamInfo,
     SubbandQuantField,
     tile_grid,
+    tile_rows,
     tlm_overhead,
     write_codestream,
     write_main_header,
@@ -253,39 +254,21 @@ def encode(
         actual_levels = effective_levels((height, width), params.levels)
         tile_params = params
 
-    # Streaming batches: tiles are front-ended, Tier-1 coded, and reduced
-    # to compressed bodies one batch at a time, so peak memory holds a few
-    # tiles' working sets instead of the whole image's.  The default batch
-    # is one tile row; an explicit ``mem_budget`` sizes the batch by the
-    # per-sample working set (TILE_WORKSET_BYTES).
-    if tiled:
-        if params.mem_budget is not None:
-            from repro.jpeg2000.params import TILE_WORKSET_BYTES
-
-            per_tile = (params.tile_size * params.tile_size * ncomp
-                        * TILE_WORKSET_BYTES)
-            tiles_per_batch = max(1, min(ntiles, params.mem_budget // per_tile))
-        else:
-            tiles_per_batch = (width + params.tile_size - 1) // params.tile_size
-        batches = [
-            list(range(i, min(i + tiles_per_batch, ntiles)))
-            for i in range(0, ntiles, tiles_per_batch)
-        ]
-    else:
-        batches = [[0]]
-
     tile_bodies: list[bytes] = [b""] * ntiles
     info: CodestreamInfo | None = None
     tile_budgets: list[tuple[float, float]] | None = None
     with ExitStack() as call_scope:
         # A parallel encode opens one thread pool for the call; its threads
         # start on first use, so clamped-serial encodes never start them,
-        # and every tile batch reuses them.
+        # and every tile row reuses them.
         if pool is None and params.workers != 1:
             from repro.core.workpool import ThreadPool
 
             pool = call_scope.enter_context(ThreadPool(params.workers))
-        for batch in batches:
+        # Streaming batches: tiles are front-ended, Tier-1 coded, and
+        # reduced to compressed bodies one tile row at a time, so peak
+        # memory holds one row's working set instead of the whole image's.
+        for batch in tile_rows(grid):
             # Phase 1: collect the batch's independent Tier-1 work items.
             # Nothing is encoded yet — the blocks go through the work queue
             # as one batch so idle workers can steal from any subband of

@@ -5,47 +5,15 @@ its wire spelling, parser, default, domain, whether it changes the
 codestream, and its help text.  The CLI's coding flags, the ``/encode``
 query keys, the range checks of :class:`EncoderParams` and the service's
 cache key all derive from it.  Only fields that change the codestream
-have a query key: how an encode executes (workers, backends, batching,
-self-check) is the library's and the CLI's choice, never an
-HTTP client's.
+have a query key: how an encode executes (workers, backends,
+self-check) is the library's and the CLI's choice, never an HTTP
+client's.
 """
 
 from __future__ import annotations
 
 from dataclasses import field, make_dataclass
 from typing import Callable, NamedTuple
-
-#: Peak encoder working set per in-flight tile sample, in bytes: the
-#: front end's int32 bands and its kernel's scratch plus Tier-1's output.
-#: Measured as the VmHWM rise of 1024^2x3 encodes over the samples of
-#: the tile batch in flight: 5.9-9.4 untiled, 10.7 (serial) to 14.8
-#: (workers=2, lossless) for batches of 256-px tiles; rounded up.
-#: ``mem_budget`` batch sizing and :func:`choose_tile_size` both divide by
-#: this constant, so they share one definition; tile sizes chosen from it
-#: change codestream bytes.
-TILE_WORKSET_BYTES = 16
-
-
-def choose_tile_size(
-    height: int, width: int, components: int, mem_budget: int
-) -> int | None:
-    """Pick a tile size so one streaming tile row fits ``mem_budget`` bytes.
-
-    A row of ``ceil(w/ts)`` tiles costs about ``w * ts * components *
-    TILE_WORKSET_BYTES`` bytes.  Returns ``None`` when the whole image
-    already fits — tiling then only adds header overhead — otherwise the
-    largest power-of-two tile size (>= 64) whose row fits.
-    """
-    if mem_budget <= 0:
-        raise ValueError(f"mem_budget must be > 0, got {mem_budget}")
-    per_sample = components * TILE_WORKSET_BYTES
-    if height * width * per_sample <= mem_budget:
-        return None
-    ts = 64
-    while ts * 2 <= min(height, width) and \
-            width * (ts * 2) * per_sample <= mem_budget:
-        ts *= 2
-    return ts
 
 
 def parse_bool(text: str) -> bool:
@@ -71,11 +39,6 @@ def parse_workers(text: str) -> int | None:
     if n < 0:
         raise ValueError(f"expected a count >= 0 or auto, got {text!r}")
     return n or None
-
-
-def parse_mib(text: str) -> int:
-    """A size given in MiB on the wire, stored in bytes."""
-    return int(text) * 2**20
 
 
 # Choice sets that live beside their implementations, imported lazily.
@@ -169,13 +132,6 @@ CODING_FIELDS = (
         "precinct edge at the highest resolution, halved per lower "
         "resolution; a power of two >= the code block size; default: "
         "maximal precincts (the legacy layout)"),
-    CodingField(
-        "mem_budget", "mem_budget", parse_mib, None, "[1048576, inf) or None",
-        False,
-        "working-set cap (bytes; MiB on the CLI) that sizes the tile "
-        "batches of a tiled encode and never changes bytes; the CLI picks "
-        "a tile size from it when no tile size is given; default: one "
-        "tile row per batch"),
     CodingField(
         "self_check", "self_check", parse_bool, False, None, False,
         "decode the output before returning it and verify the round trip "

@@ -8,10 +8,9 @@ SHA-256 over the raw pixels (dtype, shape, bytes) plus the *canonical*
 encoder parameters.  Only parameters that change the codestream
 participate: the ``affects_bytes`` fields of
 :data:`repro.jpeg2000.params.CODING_FIELDS`.  Execution fields
-(``workers``, the backends, chunking, ``mem_budget``, ``self_check``)
-are left out because every execution strategy is bit-exact (the repo's
-central invariant) — a hit computed with 1 worker serves a request asking
-for 8.
+(``workers``, the backends, ``self_check``) are left out because every
+execution strategy is bit-exact (the repo's central invariant) — a hit
+computed with 1 worker serves a request asking for 8.
 """
 
 from __future__ import annotations

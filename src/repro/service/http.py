@@ -13,8 +13,8 @@ codestream, spelled like its CLI flag: ``lossy=1``, ``rate=0.1``,
 ``progression=rpcl``; plus ``priority=5`` and ``verify=1``.  Booleans
 are ``1/0``, ``true/false`` or ``yes/no``.  How the shared pool executes
 an encode is the server's choice, so execution fields (``workers``,
-``tier1_backend``, ``dwt_backend``, ``dwt_chunk``, ``mem_budget``) answer
-400 like any unknown key.  ``verify=1`` round-trips the served bytes
+``tier1_backend``, ``dwt_backend``) answer 400 like any unknown key, as
+do the retired ``dwt_chunk`` and ``mem_budget``.  ``verify=1`` round-trips the served bytes
 through the decoder first; a failed check returns 422 with a structured
 JSON body instead of bad bytes.  ``/decode`` takes no query keys and
 answers 400 with the typed error name for malformed codestreams.

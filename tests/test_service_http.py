@@ -368,7 +368,10 @@ class TestFrontEndParity:
         assert from_query != EncoderParams()
 
     @pytest.mark.parametrize(
-        "key", [f.wire for f in CODING_FIELDS if not f.affects_bytes]
+        "key",
+        # ``mem_budget`` was an execution field; retired, it stays unknown.
+        [f.wire for f in CODING_FIELDS if not f.affects_bytes]
+        + ["mem_budget"],
     )
     def test_execution_fields_are_not_query_keys(self, key):
         with pytest.raises(ValueError, match="unknown query parameters"):

@@ -3,7 +3,7 @@
 The tiling tentpole must not disturb anything the seed guaranteed, so
 every property here is stated differentially: tiled output decodes to the
 same pixels as untiled at lossless, tiled bytes are identical at any
-worker count and any memory-budget batching, TLM entries point at real
+worker count, TLM entries point at real
 SOT markers, and malformed tile-part boundaries fail through the typed
 error taxonomy — never through a raw exception.
 """
@@ -20,6 +20,7 @@ from repro.jpeg2000.codestream import (
     PROGRESSIONS,
     parse_codestream,
     tile_grid,
+    tile_rows,
     tlm_overhead,
 )
 from repro.jpeg2000.decoder import decode, decode_reference
@@ -71,6 +72,11 @@ class TestTileGrid:
         for r0, c0, h, w in tile_grid(53, 37, 16, 16):
             cover[r0:r0 + h, c0:c0 + w] += 1
         assert (cover == 1).all()
+
+    def test_rows_group_raster_tiles_by_row(self):
+        grid = tile_grid(70, 50, 32, 32)
+        assert tile_rows(grid) == [[0, 1, 2], [3, 4, 5]]
+        assert tile_rows(tile_grid(70, 50, None, None)) == [[0]]
 
 
 # -- lossless pixel equality --------------------------------------------------
@@ -139,16 +145,6 @@ class TestByteIdentity:
     def test_workers_do_not_change_bytes(self, rgb_img, tiled_rgb, workers):
         cs = encode(
             rgb_img, EncoderParams(tile_size=32, workers=workers)
-        ).codestream
-        assert cs == tiled_rgb
-
-    @pytest.mark.parametrize("budget_mib", [1, 4])
-    def test_mem_budget_does_not_change_bytes(
-        self, rgb_img, tiled_rgb, budget_mib
-    ):
-        cs = encode(
-            rgb_img,
-            EncoderParams(tile_size=32, mem_budget=budget_mib * 2**20),
         ).codestream
         assert cs == tiled_rgb
 
@@ -323,10 +319,6 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             EncoderParams(codeblock_size=64, precinct_size=32)
 
-    def test_tiny_mem_budget_rejected(self):
-        with pytest.raises(ValueError):
-            EncoderParams(mem_budget=1024)
-
     def test_too_many_tiles_rejected_before_coding(self):
         # SOT Isot / TLM Ttlm are u16: 65,536 tiles cannot be indexed, and
         # the encode must say so before the front end runs, not after.
@@ -339,23 +331,10 @@ class TestParamValidation:
         assert time.perf_counter() - t0 < 1.0
 
 
-# -- tile sizing and cache integration ----------------------------------------
+# -- cache integration --------------------------------------------------------
 
 
 class TestPlannerSurface:
-    def test_choose_tile_size_fits_budget(self):
-        from repro.jpeg2000.params import TILE_WORKSET_BYTES, choose_tile_size
-
-        ts = choose_tile_size(8192, 8192, 3, 256 * 2**20)
-        assert ts is not None and ts >= 64
-        assert ts & (ts - 1) == 0
-        assert 8192 * ts * 3 * TILE_WORKSET_BYTES <= 256 * 2**20
-
-    def test_choose_tile_size_none_when_image_fits(self):
-        from repro.jpeg2000.params import choose_tile_size
-
-        assert choose_tile_size(64, 64, 3, 1 << 30) is None
-
     def test_cache_key_distinguishes_tiling(self, rgb_img):
         from repro.service.cache import cache_key
 
@@ -364,14 +343,6 @@ class TestPlannerSurface:
         rpcl = cache_key(rgb_img, EncoderParams(tile_size=32,
                                                 progression="RPCL"))
         assert len({plain, tiled, rpcl}) == 3
-
-    def test_cache_key_ignores_mem_budget(self, rgb_img):
-        from repro.service.cache import cache_key
-
-        a = cache_key(rgb_img, EncoderParams(tile_size=32))
-        b = cache_key(rgb_img, EncoderParams(tile_size=32,
-                                             mem_budget=64 * 2**20))
-        assert a == b
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -394,18 +365,16 @@ class TestCli:
         assert main(["decode", str(out), str(back)]) == 0
         assert np.array_equal(read_pnm(str(back)), rgb_img)
 
-    def test_mem_budget_without_tile_picks_one(self, tmp_path):
+    def test_mem_budget_flag_is_gone(self, tmp_path, rgb_img, capsys):
+        # Tiled encodes stream one tile row at a time; there is no budget
+        # knob to size batches or pick a tile size.
         from repro.cli import main
         from repro.image.pnm import write_pnm
 
-        img = watch_face_image(512, 512, channels=1)
-        src = tmp_path / "in.pgm"
-        out = tmp_path / "out.j2c"
-        write_pnm(str(src), img)
-        # A 512x512 image at TILE_WORKSET_BYTES (16) per sample needs
-        # 4 MiB, over the 1 MiB budget, so the CLI must auto-pick a tile
-        # size.
-        assert main(["encode", str(src), str(out), "--mem-budget", "1"]) == 0
-        info = parse_codestream(out.read_bytes())
-        assert info.num_tiles > 1
-        assert np.array_equal(decode(out.read_bytes()), img)
+        src = tmp_path / "in.ppm"
+        write_pnm(str(src), rgb_img)
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", str(src), str(tmp_path / "out.j2c"),
+                  "--mem-budget", "1"])
+        assert exc.value.code == 2
+        assert "--mem-budget" in capsys.readouterr().err
