@@ -2,11 +2,15 @@
 
 Replays a 16-request concurrent burst of *unique* images over HTTP
 against ``--shards`` in {1, 2, 4} and records imgs/s plus p50/p95 per
-shard count to ``BENCH_shards.json``.  Unique content per request (and
-per repeat) keeps every cache cold, so the scaling section measures the
-front end, not deduplication; a separate ``cached`` section then fires
-16 *identical* concurrent requests at 2 shards and records that the
-cluster encoded exactly once (cross-shard single-flight + bus hits).
+shard count to ``BENCH_shards.json``.  The same bursts also go to the
+unsharded ``python -m repro serve`` (no ``--shards``, default
+``--workers``), the baseline a shard count has to beat; each shard
+count's speedup is recorded against it and against one shard.  Unique
+content per request (and per repeat) keeps every cache cold, so the
+scaling section measures the front end, not deduplication; a separate
+``cached`` section then fires 16 *identical* concurrent requests at 2
+shards and records that the cluster encoded exactly once (cross-shard
+single-flight + bus hits).
 
 Issue acceptance: >= 1.7x throughput at 4 shards vs 1 shard on the
 16-image concurrent burst, byte-identical codestreams at every shard
@@ -28,7 +32,10 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
@@ -121,10 +128,30 @@ def _fire_burst(url: str, bodies: list[bytes], oracles: list[bytes]) -> dict:
     return out
 
 
+def _bursts(url: str, size: int, repeats: int, offline_cache: dict) -> dict:
+    """Median of ``repeats`` cold-cache bursts against a healthy server."""
+    params = EncoderParams(levels=LEVELS)
+    runs = []
+    for rep in range(repeats):
+        seeds = [rep * BURST + i for i in range(BURST)]
+        images = [make_image(s, size) for s in seeds]
+        bodies = [_pgm(img) for img in images]
+        oracles = []
+        for s, img in zip(seeds, images):
+            if s not in offline_cache:
+                offline_cache[s] = encode(img, params).codestream
+            oracles.append(offline_cache[s])
+        runs.append(_fire_burst(url, bodies, oracles))
+    runs.sort(key=lambda r: r["imgs_per_s"])
+    chosen = dict(runs[len(runs) // 2])
+    chosen["repeats"] = repeats
+    chosen["deterministic"] = all(r["deterministic"] for r in runs)
+    return chosen
+
+
 def bench_shards(shards: int, size: int, repeats: int,
                  offline_cache: dict) -> dict:
     """Median cold-cache burst through a ``shards``-shard cluster."""
-    params = EncoderParams(levels=LEVELS)
     config = ShardClusterConfig(
         shards=shards,
         service=ServiceConfig(workers=1, cache_bytes=0),
@@ -132,25 +159,39 @@ def bench_shards(shards: int, size: int, repeats: int,
         bus_cache_bytes=0,  # leases still coalesce; nothing is stored
         heartbeat_s=0.2,
     )
-    runs = []
     with ShardCluster(config) as cluster:
         url = f"http://127.0.0.1:{cluster.port}"
         _wait_healthy(url)
-        for rep in range(repeats):
-            seeds = [rep * BURST + i for i in range(BURST)]
-            images = [make_image(s, size) for s in seeds]
-            bodies = [_pgm(img) for img in images]
-            oracles = []
-            for s, img in zip(seeds, images):
-                if s not in offline_cache:
-                    offline_cache[s] = encode(img, params).codestream
-                oracles.append(offline_cache[s])
-            runs.append(_fire_burst(url, bodies, oracles))
-    runs.sort(key=lambda r: r["imgs_per_s"])
-    chosen = dict(runs[len(runs) // 2])
-    chosen["repeats"] = repeats
-    chosen["deterministic"] = all(r["deterministic"] for r in runs)
+        chosen = _bursts(url, size, repeats, offline_cache)
     chosen["shards"] = shards
+    return chosen
+
+
+#: The unsharded baseline: default ``--workers``, result cache off like
+#: the sharded rows.
+UNSHARDED_ARGV = ("serve", "--port", "0", "--quiet", "--cache-mb", "0")
+
+
+def bench_unsharded(size: int, repeats: int, offline_cache: dict) -> dict:
+    """Median cold-cache burst through ``python -m repro serve``."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *UNSHARDED_ARGV],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env,
+    )
+    try:
+        banner = proc.stdout.readline()  # "... on http://host:port  (...)"
+        port = int(banner.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+        url = f"http://127.0.0.1:{port}"
+        _wait_healthy(url)
+        chosen = _bursts(url, size, repeats, offline_cache)
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=60)
+    chosen["argv"] = ["python", "-m", "repro", *UNSHARDED_ARGV]
     return chosen
 
 
@@ -202,6 +243,11 @@ def main(argv=None) -> int:
     print(f"burst: {BURST} unique concurrent requests, image {size}x{size}, "
           f"shard counts {shard_counts}, {cpu_count} cpu(s)")
     offline_cache: dict[int, bytes] = {}
+    unsharded = bench_unsharded(size, repeats, offline_cache)
+    print(f"unsharded: {unsharded['imgs_per_s']:6.2f} imgs/s  "
+          f"p50 {unsharded['p50_s']*1e3:6.1f} ms  "
+          f"p95 {unsharded['p95_s']*1e3:6.1f} ms  "
+          f"deterministic={unsharded['deterministic']}")
     results = {}
     for shards in shard_counts:
         run = bench_shards(shards, size, repeats, offline_cache)
@@ -216,8 +262,15 @@ def main(argv=None) -> int:
         str(n): results[n]["imgs_per_s"] / results[1]["imgs_per_s"]
         for n in shard_counts
     }
+    vs_unsharded = {
+        str(n): results[n]["imgs_per_s"] / unsharded["imgs_per_s"]
+        for n in shard_counts
+    }
     print("speedup vs 1 shard: " + ", ".join(
         f"{n} shards {speedups[str(n)]:.2f}x" for n in shard_counts if n != 1
+    ))
+    print("speedup vs unsharded serve: " + ", ".join(
+        f"{n} shards {vs_unsharded[str(n)]:.2f}x" for n in shard_counts
     ))
 
     cached = bench_cached(size)
@@ -228,6 +281,7 @@ def main(argv=None) -> int:
 
     deterministic = (
         all(r["deterministic"] for r in results.values())
+        and unsharded["deterministic"]
         and cached["deterministic"]
     )
     machine_limited = cpu_count < top
@@ -252,8 +306,10 @@ def main(argv=None) -> int:
             "levels": LEVELS,
             "workers_per_shard": 1,
         },
+        unsharded=unsharded,
         by_shard_count={str(n): results[n] for n in shard_counts},
         speedup_vs_1_shard=speedups,
+        speedup_vs_unsharded=vs_unsharded,
         cached_2_shards=cached,
         deterministic=deterministic,
         acceptance={

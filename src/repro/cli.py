@@ -184,7 +184,6 @@ def cmd_serve(args) -> int:
             port=args.port,
             service=config,
             quiet=args.quiet,
-            listener=args.listener,
             bus_cache_bytes=args.bus_cache_mb * 2**20,
         )
         return run_sharded_server(cluster)
@@ -287,8 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "BMP/PGM/PPM body returns the .j2c codestream; "
                     "GET /healthz, /metrics, /stats observe it.  "
                     "SIGTERM drains gracefully.  --shards N pre-forks N "
-                    "shard processes accepting on one port with a "
-                    "cross-shard result cache (README 'Scaling out').",
+                    "shard processes accepting on one inherited listening "
+                    "socket, with a cross-shard result cache whose values "
+                    "travel inline on a Unix socket (README 'Scaling "
+                    "out').",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000)
@@ -304,12 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="policy when the queue is full: fail fast (503) "
                         "or make the client wait")
     p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="shard processes accepting on one port; 1 (default) "
-                        "runs the single-process server")
-    p.add_argument("--listener", default="auto",
-                   choices=("auto", "reuseport", "inherit"),
-                   help="how shards share the port: SO_REUSEPORT or an "
-                        "inherited listening socket (auto picks per kernel)")
+                   help="shard processes accepting on the supervisor's one "
+                        "listening socket; 1 (default) runs the "
+                        "single-process server")
     p.add_argument("--bus-cache-mb", type=int, default=64,
                    help="cross-shard result-cache budget in MiB "
                         "(sharded mode only)")

@@ -48,6 +48,7 @@ from repro.jpeg2000.errors import (
     HeaderFieldError,
     PacketError,
 )
+from repro.jpeg2000.params import check_field
 from repro.jpeg2000.quantize import dequantize, exponent_mantissa_to_step, nominal_range_bits
 from repro.jpeg2000.tier1 import decode_codeblock
 from repro.jpeg2000.tier2 import (
@@ -160,14 +161,17 @@ def decode(
     ``backend`` selects the Tier-1 decode implementation (see
     :data:`DEC_BACKENDS`; ``None`` means ``"auto"``).  ``workers``
     fans code blocks out over threads of this process (``None`` = one per
-    core); ``pool`` (a :class:`repro.core.workpool.ThreadPool` or a
-    service request's lane of one) runs the Tier-1 block groups in place
-    of the thread pool opened for this call.
+    core; a count below 1 raises ``ValueError``, as in
+    :class:`~repro.jpeg2000.params.EncoderParams`); ``pool`` (a
+    :class:`repro.core.workpool.ThreadPool` or a service request's lane
+    of one) runs the Tier-1 block groups in place of the thread pool
+    opened for this call.
     The output is sample-identical for every backend, worker count and
     pool.  ``timings`` (a
     :class:`repro.jpeg2000.dwt_fast.DecodeStageTimings`) accumulates
     per-stage wall time.
     """
+    check_field("workers", workers)  # a caller's error, not the codestream's
     t_start = time.perf_counter()
     info = parse_codestream(codestream, limits=limits)
     resolved = resolve_dec_backend(backend)

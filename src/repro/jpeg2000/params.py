@@ -153,18 +153,26 @@ def _admits(domain: str | tuple, value) -> bool:
     return above and below
 
 
+def _check_value(f: CodingField, value) -> None:
+    if f.domain is None:
+        return
+    domain = f.domain() if callable(f.domain) else f.domain
+    if not _admits(domain, value):
+        expected = "in" if isinstance(domain, str) else "one of"
+        raise ValueError(
+            f"{f.name} must be {expected} {domain}, got {value!r}"
+        )
+
+
+def check_field(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` lies in field ``name``'s domain."""
+    _check_value(next(f for f in CODING_FIELDS if f.name == name), value)
+
+
 def _check(params) -> None:
     """Check every field against its domain, then the cross-field rules."""
     for f in CODING_FIELDS:
-        value = getattr(params, f.name)
-        if f.domain is None:
-            continue
-        domain = f.domain() if callable(f.domain) else f.domain
-        if not _admits(domain, value):
-            expected = "in" if isinstance(domain, str) else "one of"
-            raise ValueError(
-                f"{f.name} must be {expected} {domain}, got {value!r}"
-            )
+        _check_value(f, getattr(params, f.name))
     if params.rate is not None and params.lossless:
         raise ValueError(
             "lossless=True cannot be combined with rate control "

@@ -1,15 +1,12 @@
-"""Cross-shard result cache: a tiny cache server over shared memory.
+"""Cross-shard result cache: a tiny cache server on a Unix socket.
 
 Each shard process keeps its own in-process :class:`ResultCache`, but a
 miss there used to mean a full re-encode even when a sibling shard had
 just produced the identical codestream.  The bus closes that gap: one
 cache-server thread (in the supervisor process) owns a content-addressed
-LRU of codestream values, each stored in its own shared-memory segment
-via :func:`publish_shared_bytes`.  Shards talk to it over a
-Unix-domain socket with a one-line JSON header (plus a raw payload for
-puts); a *hit* reply carries only the segment descriptor, so the bytes
-cross process boundaries through the kernel's shared mappings, not the
-socket.
+LRU of codestream values.  Shards talk to it over a Unix-domain socket
+with a one-line JSON header; the value bytes of a ``put`` or a hit
+follow the header inline on the same socket.
 
 Single-flight extends across shards through leases:
 
@@ -51,51 +48,6 @@ LEASE_TTL_S = 120.0
 _MAX_HEADER = 1 << 16
 
 
-def shared_memory_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` can be imported."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def publish_shared_bytes(data: bytes):
-    """Publish ``data`` as one shared-memory segment; returns (segment, desc).
-
-    The bus stores each codestream value this way so a hit on any shard
-    is served to every shard without re-sending the bytes through a
-    socket.  The caller owns the returned segment and must ``close()`` +
-    ``unlink()`` it (eviction or shutdown); ``desc`` is the picklable
-    ``(name, size)`` readers use.
-    """
-    from multiprocessing import shared_memory
-
-    seg = shared_memory.SharedMemory(create=True, size=max(1, len(data)))
-    seg.buf[: len(data)] = data
-    return seg, (seg.name, len(data))
-
-
-def read_shared_bytes(desc) -> bytes | None:
-    """Copy a published blob out of its segment; ``None`` if it vanished.
-
-    Attach-copy-close, so no live view stays pinned to the segment
-    buffer.  A concurrently evicted (unlinked) segment reads as ``None``
-    — callers treat that as a cache miss.
-    """
-    from multiprocessing import shared_memory
-
-    name, size = desc
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError):
-        return None
-    try:
-        return bytes(seg.buf[:size])
-    finally:
-        seg.close()
-
-
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     chunks = []
     while n > 0:
@@ -123,58 +75,29 @@ def _send(sock: socket.socket, header: dict, payload: bytes = b"") -> None:
     sock.sendall(json.dumps(header).encode() + b"\n" + payload)
 
 
-class _Entry:
-    """One cached value: either a shared segment or inline bytes."""
-
-    __slots__ = ("seg", "desc", "data", "size", "cost")
-
-    def __init__(self, key: str, data: bytes, use_shm: bool) -> None:
-        self.size = len(data)
-        self.cost = len(data) + len(key) + ENTRY_OVERHEAD_BYTES
-        if use_shm:
-            self.seg, self.desc = publish_shared_bytes(data)
-            self.data = None
-        else:
-            self.seg, self.desc = None, None
-            self.data = data
-
-    def close(self) -> None:
-        if self.seg is not None:
-            try:
-                self.seg.close()
-            except OSError:
-                pass
-            try:
-                self.seg.unlink()
-            except (OSError, FileNotFoundError):
-                pass
-            self.seg = None
+def _cost(key: str, data: bytes) -> int:
+    """What one cached value charges the byte budget."""
+    return len(data) + len(key) + ENTRY_OVERHEAD_BYTES
 
 
 class CacheBusServer:
     """Threaded Unix-socket cache server; one per shard cluster.
 
     Runs as a thread in the supervisor process (it is I/O-bound
-    bookkeeping, not encode work).  ``use_shm=None`` auto-detects:
-    shared-memory value transport where available, inline bytes over the
-    socket otherwise — the protocol supports both, byte-identically.
+    bookkeeping, not encode work).
     """
 
     def __init__(
         self,
         path: str,
         max_bytes: int = 64 * 2**20,
-        use_shm: bool | None = None,
         lease_ttl_s: float = LEASE_TTL_S,
     ) -> None:
         self.path = path
         self.max_bytes = max_bytes
-        self.use_shm = (
-            shared_memory_available() if use_shm is None else use_shm
-        )
         self.lease_ttl_s = lease_ttl_s
         self._cond = threading.Condition()
-        self._entries: OrderedDict[str, _Entry] = OrderedDict()
+        self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._bytes = 0
         self._leases: dict[str, float] = {}  # key -> monotonic grant time
         self._shard_blobs: dict[int, dict] = {}  # shard id -> stats blob
@@ -217,8 +140,6 @@ class CacheBusServer:
         except OSError:
             pass
         with self._cond:
-            for entry in self._entries.values():
-                entry.close()
             self._entries.clear()
             self._bytes = 0
 
@@ -244,7 +165,7 @@ class CacheBusServer:
             if op == "ping":
                 _send(conn, {"ok": True})
             elif op == "get":
-                self._reply_value(conn, req["key"], record=True)
+                self._reply_value(conn, req["key"])
             elif op == "put":
                 data = _recv_exact(conn, int(req["size"]))
                 stored = self._store(req["key"], data)
@@ -274,28 +195,22 @@ class CacheBusServer:
             except OSError:
                 pass
 
-    def _reply_value(self, conn, key: str, record: bool) -> bool:
-        """Reply with the cached value if present; returns hit?
+    def _reply_value(self, conn, key: str) -> None:
+        """Reply with the cached value, inline after the header, if present.
 
         The socket write happens outside the lock — a stalled client must
         not be able to wedge every shard's bus operations.
         """
         header, payload = {"hit": False}, b""
         with self._cond:
-            entry = self._entries.get(key)
-            if entry is not None:
+            data = self._entries.get(key)
+            if data is not None:
                 self._entries.move_to_end(key)
-                if record:
-                    self.stats["hits"] += 1
-                if entry.desc is not None:
-                    header = {"hit": True, "shm": list(entry.desc)}
-                else:
-                    header, payload = {"hit": True, "inline": entry.size}, \
-                        entry.data
-            elif record:
+                self.stats["hits"] += 1
+                header, payload = {"hit": True, "size": len(data)}, data
+            else:
                 self.stats["misses"] += 1
         _send(conn, header, payload)
-        return header["hit"]
 
     def _handle_lease(self, conn, req: dict) -> None:
         key = req["key"]
@@ -303,8 +218,7 @@ class CacheBusServer:
         deadline = time.monotonic() + timeout
         with self._cond:
             while True:
-                entry = self._entries.get(key)
-                if entry is not None:
+                if key in self._entries:
                     break  # hit — reply outside the loop
                 # Lease ages must be measured on the same monotonic clock
                 # as the wait deadline: stamping holders with wall-clock
@@ -328,30 +242,26 @@ class CacheBusServer:
                     self.stats["wait_timeouts"] += 1
                     _send(conn, {"timeout": True})
                     return
-        self._reply_value(conn, key, record=True)
+        self._reply_value(conn, key)
 
     # -- storage -----------------------------------------------------------
 
     def _store(self, key: str, data: bytes) -> bool:
-        entry = _Entry(key, data, self.use_shm)
+        cost = _cost(key, data)
         with self._cond:
             self.stats["puts"] += 1
             self._leases.pop(key, None)  # the leader delivered
             old = self._entries.pop(key, None)
             if old is not None:
-                self._bytes -= old.cost
-                old.close()
-            stored = entry.cost <= self.max_bytes
+                self._bytes -= _cost(key, old)
+            stored = cost <= self.max_bytes
             if stored:
-                self._entries[key] = entry
-                self._bytes += entry.cost
+                self._entries[key] = data
+                self._bytes += cost
                 while self._bytes > self.max_bytes:
-                    _, evicted = self._entries.popitem(last=False)
-                    self._bytes -= evicted.cost
-                    evicted.close()
+                    evicted_key, evicted = self._entries.popitem(last=False)
+                    self._bytes -= _cost(evicted_key, evicted)
                     self.stats["evictions"] += 1
-            else:
-                entry.close()
             self._cond.notify_all()
         return stored
 
@@ -367,7 +277,6 @@ class CacheBusServer:
                     "entries": len(self._entries),
                     "bytes_used": self._bytes,
                     "max_bytes": self.max_bytes,
-                    "transport": "shared_memory" if self.use_shm else "inline",
                     "active_leases": len(self._leases),
                     **self.stats,
                 },
@@ -407,9 +316,7 @@ class CacheBusClient:
     def _read_value_reply(self, sock: socket.socket, reply: dict):
         if not reply.get("hit"):
             return None
-        if "shm" in reply:
-            return read_shared_bytes(tuple(reply["shm"]))  # None if evicted
-        return _recv_exact(sock, int(reply["inline"]))
+        return _recv_exact(sock, int(reply["size"]))
 
     def ping(self) -> bool:
         try:

@@ -6,22 +6,14 @@ the classic pre-fork shape: a supervisor process owns the port and the
 cross-shard cache bus, and forks N *shard* processes, each running a full
 service (Tier-1 thread pool + local cache + its own metrics).
 
-Two listener strategies, picked at start-up:
-
-``reuseport``
-    Every shard binds its **own** listening socket to the same
-    ``(host, port)`` with ``SO_REUSEPORT``; the kernel load-balances
-    incoming connections across the listeners.  For ``port=0`` the
-    supervisor first binds an *anchor* socket (``SO_REUSEPORT``, bound,
-    never listening — a non-listening TCP socket receives no
-    connections) to learn the kernel-assigned port and to keep it
-    reserved for respawned shards.
-
-``inherit``
-    The supervisor binds and listens one socket; forked shards wrap the
-    inherited FD and ``accept()`` on it concurrently (the kernel hands
-    each connection to exactly one accepter).  Fallback for kernels
-    without ``SO_REUSEPORT``.
+The supervisor binds and listens one socket, non-blocking, before it
+forks; every shard, a respawned one too, wraps the inherited FD and
+``accept()``s on it (the kernel hands each connection to exactly one
+accepter).  Several shards' polls can wake for one connection; the
+losers' ``accept()`` raises ``BlockingIOError``, which ``socketserver``
+reads as "no request", so no shard ever sleeps in ``accept()`` where it
+would miss ``shutdown()``.  While a shard respawns, its connections wait
+in the one backlog.
 
 The supervisor's monitor thread respawns any shard that dies outside an
 orderly shutdown: a crash inside native code costs one shard's
@@ -30,9 +22,7 @@ drains exactly like the single-process server — stop accepting, finish
 in-flight requests, drain the Tier-1 threads — and the supervisor prints the same
 ``drained cleanly`` line the CI smoke jobs grep for.
 
-Shards are forked, not spawned: the inherit strategy needs FD
-inheritance, and fork keeps the cache bus's shared-memory resource
-tracker common to the whole family.
+Shards are forked, not spawned: they inherit the listening FD.
 """
 
 from __future__ import annotations
@@ -49,8 +39,6 @@ from dataclasses import dataclass, field, replace
 from repro.service import EncodeService, ServiceConfig
 from repro.service.http import ServiceHTTPServer
 
-LISTENER_STRATEGIES = ("auto", "reuseport", "inherit")
-
 #: Seconds a SIGTERMed shard gets to drain before SIGKILL.
 DRAIN_TIMEOUT_S = 90.0
 
@@ -59,18 +47,6 @@ MONITOR_INTERVAL_S = 0.2
 
 #: Seconds between a shard's metrics/stats publications to the bus.
 HEARTBEAT_S = 1.0
-
-
-def reuseport_available() -> bool:
-    """True when this kernel exposes working ``SO_REUSEPORT``."""
-    if not hasattr(socket, "SO_REUSEPORT"):
-        return False
-    try:
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        return True
-    except OSError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -82,8 +58,6 @@ class ShardClusterConfig:
     port: int = 0
     service: ServiceConfig = field(default_factory=ServiceConfig)
     quiet: bool = False
-    #: ``auto`` picks reuseport when the kernel has it, else inherit.
-    listener: str = "auto"
     #: Cross-shard result-cache budget (bus-owned, shared by all shards).
     bus_cache_bytes: int = 64 * 2**20
     heartbeat_s: float = HEARTBEAT_S
@@ -91,11 +65,6 @@ class ShardClusterConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.listener not in LISTENER_STRATEGIES:
-            raise ValueError(
-                f"listener must be one of {LISTENER_STRATEGIES}, "
-                f"got {self.listener!r}"
-            )
 
 
 # -- shard child process ------------------------------------------------------
@@ -104,9 +73,7 @@ class ShardClusterConfig:
 def _shard_main(
     shard_id: int,
     cluster: ShardClusterConfig,
-    strategy: str,
-    port: int,
-    listen_sock: socket.socket | None,
+    listen_sock: socket.socket,
     bus_path: str,
 ) -> None:
     """Entry point of one forked shard: serve until SIGTERM, then drain."""
@@ -117,14 +84,9 @@ def _shard_main(
     )
     service = EncodeService(service_cfg)
 
-    if strategy == "reuseport":
-        server = _ReusePortHTTPServer(
-            (cluster.host, port), service, quiet=cluster.quiet
-        )
-    else:
-        server = _InheritedSocketHTTPServer(
-            listen_sock, service, quiet=cluster.quiet
-        )
+    server = _InheritedSocketHTTPServer(
+        listen_sock, service, quiet=cluster.quiet
+    )
 
     bus = CacheBusClient(bus_path)
     _install_aggregation(server, service, bus, shard_id)
@@ -166,7 +128,7 @@ def _shard_main(
     if not cluster.quiet:
         print(
             f"repro shard {shard_id} (pid {os.getpid()}) on "
-            f"http://{cluster.host}:{port} via {strategy}",
+            f"http://{cluster.host}:{server.server_address[1]}",
             flush=True,
         )
     try:
@@ -183,12 +145,19 @@ def _shard_main(
             print(f"repro shard {shard_id}: drained cleanly", flush=True)
 
 
-class _ReusePortHTTPServer(ServiceHTTPServer):
-    """Shard-owned listener sharing the port via ``SO_REUSEPORT``."""
+def _listen(host: str, port: int) -> socket.socket:
+    """The cluster's one listening socket, non-blocking, ready to fork.
 
-    def server_bind(self) -> None:
-        self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        super().server_bind()
+    Non-blocking because every shard polls the same queue: a shard
+    whose poll woke for a connection a sibling already took gets
+    ``BlockingIOError`` from ``accept()`` and returns to its loop.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    sock.bind((host, port))
+    sock.listen(ServiceHTTPServer.request_queue_size)
+    sock.setblocking(False)
+    return sock
 
 
 class _InheritedSocketHTTPServer(ServiceHTTPServer):
@@ -287,15 +256,7 @@ class ShardCluster:
 
     def __init__(self, config: ShardClusterConfig) -> None:
         self.config = config
-        self.strategy = (
-            config.listener
-            if config.listener != "auto"
-            else ("reuseport" if reuseport_available() else "inherit")
-        )
-        if self.strategy == "reuseport" and not reuseport_available():
-            raise RuntimeError("SO_REUSEPORT requested but not available")
         self.port: int | None = None
-        self._anchor: socket.socket | None = None
         self._listener: socket.socket | None = None
         self._bus = None
         self._bus_dir: tempfile.TemporaryDirectory | None = None
@@ -314,18 +275,6 @@ class ShardCluster:
     def start(self) -> "ShardCluster":
         from repro.service.sharding.cachebus import CacheBusServer
 
-        # Start the shared-memory resource tracker *before* forking: the
-        # whole family then shares one tracker, so a shard attaching a
-        # bus segment re-registers idempotently (set semantics) instead
-        # of teaching its own private tracker to unlink, at shard exit, a
-        # segment the bus still owns.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass  # no tracker on this platform: nothing to pre-start
-
         cfg = self.config
         self._bus_dir = tempfile.TemporaryDirectory(prefix="repro-shards-")
         self.bus_path = os.path.join(self._bus_dir.name, "cachebus.sock")
@@ -333,23 +282,8 @@ class ShardCluster:
             self.bus_path, max_bytes=cfg.bus_cache_bytes
         ).start()
 
-        if self.strategy == "reuseport":
-            # Anchor: reserves the (possibly kernel-assigned) port for the
-            # cluster's lifetime without ever receiving a connection.
-            self._anchor = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._anchor.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-            )
-            self._anchor.bind((cfg.host, cfg.port))
-            self.port = self._anchor.getsockname()[1]
-        else:
-            self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._listener.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
-            )
-            self._listener.bind((cfg.host, cfg.port))
-            self._listener.listen(128)
-            self.port = self._listener.getsockname()[1]
+        self._listener = _listen(cfg.host, cfg.port)
+        self.port = self._listener.getsockname()[1]
 
         for shard_id in range(cfg.shards):
             self._spawn(shard_id)
@@ -365,8 +299,6 @@ class ShardCluster:
             args=(
                 shard_id,
                 self.config,
-                self.strategy,
-                self.port,
                 self._listener,  # fork: inherited by memory, not pickled
                 self.bus_path,
             ),
@@ -415,9 +347,6 @@ class ShardCluster:
             if proc.is_alive():  # drain overran its budget: stop waiting
                 proc.kill()
                 proc.join(timeout=5.0)
-        if self._anchor is not None:
-            self._anchor.close()
-            self._anchor = None
         if self._listener is not None:
             self._listener.close()
             self._listener = None
@@ -447,7 +376,6 @@ class ShardCluster:
     def snapshot(self) -> dict:
         return {
             "shards": self.config.shards,
-            "strategy": self.strategy,
             "port": self.port,
             "alive": sorted(self.alive_pids()),
             "respawns": self.respawns,
@@ -474,7 +402,7 @@ def run_sharded_server(
     svc = cfg.service
     print(
         f"repro encode service on http://{cfg.host}:{cluster.port}  "
-        f"(shards={cfg.shards}, listener={cluster.strategy}, "
+        f"(shards={cfg.shards}, "
         f"workers/shard={svc.workers or 'auto'}, "
         f"bus-cache={cfg.bus_cache_bytes // 2**20} MiB)",
         flush=True,

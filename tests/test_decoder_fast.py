@@ -112,6 +112,19 @@ class TestDifferential:
         out = decode(cs, workers=2)
         assert np.array_equal(out, ref)
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected_like_encode(self, workers):
+        # Both directions agree on what a worker count may be: the error
+        # is the caller's ValueError, never a CodestreamError.
+        img, cs = _roundtrip_stream((16, 16), levels=1)
+        with pytest.raises(ValueError) as encode_err:
+            EncoderParams(workers=workers)
+        with pytest.raises(ValueError) as decode_err:
+            decode(cs, workers=workers)
+        assert not isinstance(decode_err.value, CodestreamError)
+        assert str(decode_err.value) == str(encode_err.value)
+        assert np.array_equal(decode(cs, workers=None), img)
+
     def test_timings_populated(self):
         _, cs = _roundtrip_stream((64, 64, 3))
         t = DecodeStageTimings()

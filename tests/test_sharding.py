@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import threading
 import time
 import urllib.error
@@ -29,11 +30,19 @@ from repro.service.admission import LoadShedder, ShedError
 from repro.service.metrics import Histogram, MetricsRegistry, merge_metric_states
 from repro.service.sharding import ShardCluster, ShardClusterConfig
 from repro.service.sharding.cachebus import CacheBusClient, CacheBusServer
+from repro.service.sharding.frontend import _InheritedSocketHTTPServer, _listen
 
 
 def _pgm(image: np.ndarray) -> bytes:
     h, w = image.shape
     return b"P5\n%d %d\n255\n" % (w, h) + image.tobytes()
+
+
+def _shm_entries() -> set:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:
+        return set()
 
 
 def _small_image(seed: int = 0) -> np.ndarray:
@@ -63,18 +72,31 @@ class TestCacheBus:
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["puts"] == 1
 
-    def test_values_survive_shm_and_inline_transports(self, tmp_path):
-        for use_shm in (True, False):
-            server = CacheBusServer(
-                str(tmp_path / f"bus-{use_shm}.sock"), use_shm=use_shm
-            ).start()
-            try:
-                client = CacheBusClient(server.path)
-                blob = bytes(range(256)) * 13
-                assert client.put("k", blob)
-                assert client.get("k") == blob
-            finally:
-                server.stop()
+    def test_values_larger_than_one_recv_chunk_round_trip(self, tmp_path):
+        # Values travel inline after the reply header; one bigger than
+        # _recv_exact's 1 MiB chunk must arrive whole through a get and
+        # through a lease waiter parked until the leader's put.
+        server = CacheBusServer(
+            str(tmp_path / "bus.sock"), max_bytes=8 << 20
+        ).start()
+        try:
+            leader, waiter = CacheBusClient(server.path), \
+                CacheBusClient(server.path)
+            blob = np.random.default_rng(7).bytes(3 * (1 << 20) + 123)
+            assert leader.lease("k") == ("lead", None)
+            got = {}
+            t = threading.Thread(
+                target=lambda: got.update(r=waiter.lease("k", 10.0))
+            )
+            t.start()
+            time.sleep(0.1)  # let the waiter park server-side
+            assert leader.put("k", blob)
+            t.join(timeout=10.0)
+            assert got["r"] == ("hit", blob)
+            assert waiter.get("k") == blob
+            assert server.stats["lease_waits"] >= 1
+        finally:
+            server.stop()
 
     def test_lru_eviction_bounded_by_budget(self, tmp_path):
         server = CacheBusServer(
@@ -312,6 +334,55 @@ class TestServiceShardingFeatures:
             assert m["cache_hit_ratio"]["value"] == pytest.approx(1.0)
 
 
+# -- the shared listener ------------------------------------------------------
+
+
+class TestSharedListener:
+    def test_shard_that_lost_the_accept_race_returns(self):
+        # A shard's poll can wake for a connection a sibling has already
+        # taken; its accept() must give up at once, or its loop never
+        # sees shutdown() until the next connection arrives.
+        listener = _listen("127.0.0.1", 0)
+        port = listener.getsockname()[1]
+        with EncodeService(ServiceConfig(workers=1)) as service:
+            server = _InheritedSocketHTTPServer(listener, service, quiet=True)
+            try:
+                attempt = threading.Thread(
+                    target=server._handle_request_noblock, daemon=True
+                )
+                attempt.start()
+                attempt.join(timeout=1.0)
+                blocked = attempt.is_alive()
+                if blocked:  # release the stuck accept() before failing
+                    socket.create_connection(("127.0.0.1", port)).close()
+                assert not blocked, "accept() blocked on an empty queue"
+
+                loop = threading.Thread(
+                    target=server.serve_forever, args=(0.1,), daemon=True
+                )
+                loop.start()
+                url = f"http://127.0.0.1:{port}/healthz"
+                with urllib.request.urlopen(url, timeout=10) as resp:
+                    assert resp.status == 200
+                t0 = time.monotonic()
+                server.shutdown()
+                assert time.monotonic() - t0 < 5.0
+                loop.join(timeout=5.0)
+            finally:
+                server.server_close()
+
+    def test_listener_flag_is_gone(self, capsys):
+        # One listener strategy, the inherited socket, and no flag for it.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["serve", "--shards", "2", "--listener", "inherit"]
+            )
+        assert exc.value.code == 2
+        assert "--listener" in capsys.readouterr().err
+
+
 # -- cluster integration ------------------------------------------------------
 
 
@@ -354,6 +425,7 @@ class TestShardCluster:
                 with _post(url + "/encode?verify=1", body) as resp:
                     assert resp.status == 200
                     assert resp.headers["X-Verified"] == "roundtrip"
+                    assert int(resp.headers["X-Shard"]) in range(shards)
                     served = resp.read()
                 assert served == expected, f"{shards}-shard bytes differ"
 
@@ -393,15 +465,47 @@ class TestShardCluster:
             # gauges, so the provider recomputes this one from counters.
             assert 0.0 <= aggregate["cache_hit_ratio"]["value"] <= 1.0
 
-    def test_inherited_fd_strategy_serves(self):
+    def test_serving_creates_no_shm_entry(self):
+        # Bus values travel inline on its Unix socket: a cluster that has
+        # served an encode (a put and a bus lookup) owns no /dev/shm entry.
+        before = _shm_entries()
         body = _pgm(watch_face_image(48, 48, channels=1))
-        with _cluster(2, listener="inherit") as cluster:
-            assert cluster.strategy == "inherit"
+        with _cluster(2) as cluster:
             url = f"http://127.0.0.1:{cluster.port}"
             _wait_healthy(url)
-            with _post(url + "/encode", body) as resp:
-                assert resp.status == 200
-                assert resp.headers["X-Shard"] in ("0", "1")
+            for _ in range(2):
+                with _post(url + "/encode", body) as resp:
+                    assert resp.status == 200
+            stats = json.load(urllib.request.urlopen(url + "/stats"))
+            assert stats["cluster"]["cache_bus"]["puts"] >= 1
+            assert _shm_entries() - before == set()
+
+    def test_drain_after_bursts_is_prompt(self):
+        # Every shard polls the one listener, and one connection wakes
+        # every idle poller.  The losers of that race must not sleep in
+        # accept(), or their drain waits for the next connection and the
+        # supervisor ends up SIGKILLing them.
+        with _cluster(4) as cluster:
+            url = f"http://127.0.0.1:{cluster.port}"
+            _wait_healthy(url)
+
+            def get():
+                urllib.request.urlopen(url + "/healthz", timeout=10).read()
+
+            threads = [threading.Thread(target=get) for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            for _ in range(3):  # single connections to idle shards
+                time.sleep(0.3)
+                get()
+            procs = list(cluster._procs.values())
+            t0 = time.monotonic()
+            cluster.stop(graceful=True)
+            elapsed = time.monotonic() - t0
+        assert elapsed < 15.0, f"drain took {elapsed:.1f} s"
+        assert [p.exitcode for p in procs] == [0] * 4
 
     def test_crashed_shard_is_respawned(self):
         with _cluster(2) as cluster:
